@@ -1,6 +1,6 @@
 """Pure-Python search kernel.
 
-Mirrors the compiled extension (_kernel.pyx) exactly: same entry points,
+Mirrors the compiled kernel (_kernel.c) exactly: same entry points,
 same exploration order, same node accounting.  The search enumerates
 candidate words of one fixed length, depth-first, letters in alphabet
 order, restricted to canonical form (each letter's first occurrence after

@@ -210,6 +210,11 @@ def _search_length(cfg, length, pdb_only, collect_limit, progress=None):
             futures = [pool.submit(_subtree_task, job) for job in jobs]
             for fut in futures:
                 if fold(fut.result()):
+                    # cancel here: shutdown's cancel_futures is lost when the
+                    # pool is collected before its manager thread acts, and
+                    # the speculative tasks then all run after the answer
+                    for pending in futures:
+                        pending.cancel()
                     pool.shutdown(wait=False, cancel_futures=True)
                     break
     return complete, solutions, nodes, max_depth

@@ -1,18 +1,18 @@
 """The compiled kernel and the pure-Python kernel must produce identical
 traces: same solutions in the same order, same node counts, same depths."""
 
+import importlib
+
 import pytest
 
+import parikhgrid.kernel as K
 from parikhgrid import _kernel_py as pure
+from parikhgrid.covering import perfect_length
 from parikhgrid.search import _build_tables
 
-try:
-    from parikhgrid import _kernel as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(compiled is None,
-                                    reason="compiled kernel not built")
+needs_compiled = pytest.mark.skipif(
+    K.KERNEL_NAME != "compiled",
+    reason="compiled kernel not loaded: %s" % K.FALLBACK_REASON)
 
 CASES = [
     # k, sigma, length, pdb_only, rules, prefix, collect_limit
@@ -25,6 +25,8 @@ CASES = [
     (4, 3, 18, True, 15, (), 0),
     (2, 2, 4, False, 0, (), 0),      # all rules off
     (1, 3, 3, False, 15, (), 0),
+    (2, 3, 7, False, 15, (0, 0, 1, 1, 2, 2, 0), 1),  # prefix is the word
+    (2, 4, 13, False, 15, (), 0),    # every one of 2,832 solutions
 ]
 
 
@@ -33,8 +35,8 @@ CASES = [
 def test_identical_traces(case):
     k, sigma, length, pdb_only, rules, prefix, limit = case
     tables = _build_tables(k, sigma, bool(rules & 8))
-    a = compiled.fixed_length_search(k, sigma, length, tables, pdb_only,
-                                     rules, prefix, limit, 10**8)
+    a = K.fixed_length_search(k, sigma, length, tables, pdb_only, rules,
+                              prefix, limit, 10**8)
     b = pure.fixed_length_search(k, sigma, length, tables, pdb_only, rules,
                                  prefix, limit, 10**8)
     assert a == b
@@ -45,27 +47,68 @@ def test_identical_traces(case):
                                             (2, 4, 11), (3, 3, 11)])
 def test_naive_enumerator_parity(k, sigma, length):
     tables = _build_tables(k, sigma, False)
-    assert (compiled.find_covering_naive(k, sigma, length, tables)
+    assert (K.find_covering_naive(k, sigma, length, tables)
             == pure.find_covering_naive(k, sigma, length, tables))
 
 
 @needs_compiled
 def test_budget_exhaustion_parity():
     tables = _build_tables(3, 3, True)
-    a = compiled.fixed_length_search(3, 3, 12, tables, False, 15, (), 1, 100)
+    a = K.fixed_length_search(3, 3, 12, tables, False, 15, (), 1, 100)
     b = pure.fixed_length_search(3, 3, 12, tables, False, 15, (), 1, 100)
     assert a == b
     assert a[0] is False or a[0] == 0  # budget flag tripped
 
 
-def test_pure_kernel_env_override(monkeypatch):
-    import importlib
+@needs_compiled
+def test_progress_exception_propagates():
+    # the perfect-cover search for (sigma=5, k=4) takes 12.9M nodes, so the
+    # first checkpoint comes at 10M nodes, inside the compiled search
+    class Stop(Exception):
+        pass
 
-    import parikhgrid.kernel as K
+    calls = []
+
+    def progress(nodes, pos, found):
+        calls.append(nodes)
+        raise Stop
+
+    tables = _build_tables(4, 5, True)
+    with pytest.raises(Stop):
+        K.fixed_length_search(4, 5, perfect_length(4, 5), tables, True, 15,
+                              (), 1, 0, progress)
+    assert calls == [K.PROGRESS_INTERVAL]
+
+
+@needs_compiled
+@pytest.mark.parametrize("prefix", [(0, 3), (0,) * 8])
+def test_compiled_rejects_prefix_it_cannot_place(prefix):
+    # a letter outside the alphabet or a prefix longer than the word would
+    # index past the C arrays
+    tables = _build_tables(2, 3, True)
+    with pytest.raises(ValueError):
+        K.fixed_length_search(2, 3, 7, tables, False, 15, prefix, 1, 0)
+
+
+def test_pure_kernel_env_override(monkeypatch):
     monkeypatch.setenv("PARIKHGRID_PURE_KERNEL", "1")
     reloaded = importlib.reload(K)
     try:
         assert reloaded.KERNEL_NAME == "pure-python"
     finally:
         monkeypatch.delenv("PARIKHGRID_PURE_KERNEL")
+        importlib.reload(K)
+
+
+def test_fallback_without_compiler(monkeypatch, tmp_path):
+    # an empty cache and no cc on PATH: the build cannot run
+    monkeypatch.delenv("PARIKHGRID_PURE_KERNEL", raising=False)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    reloaded = importlib.reload(K)
+    try:
+        assert reloaded.active_kernel() == "pure-python"
+        assert reloaded.FALLBACK_REASON
+    finally:
+        monkeypatch.undo()
         importlib.reload(K)

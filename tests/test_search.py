@@ -1,3 +1,6 @@
+import multiprocessing
+import time
+
 import pytest
 
 from parikhgrid import covering as C
@@ -157,6 +160,21 @@ class TestDeterminism:
         a = S.search_shortest_covering(S.SearchConfig(k=2, sigma=4))
         b = S.search_shortest_covering(S.SearchConfig(k=2, sigma=4))
         assert a.witness == b.witness and a.stats.nodes == b.stats.nodes
+
+    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
+                        reason="speculative tasks take minutes on the pure "
+                               "kernel")
+    def test_workers_stop_after_the_witness(self):
+        # 97 of this search's 202 subtree tasks come after the witness and
+        # each runs to its 10^8-node budget (about 1 s compiled): they must
+        # be cancelled, so the workers go idle and exit within seconds
+        out = S.search_pdb_existence(
+            4, 5, S.SearchConfig(k=4, sigma=5, worker_count=2))
+        assert out.status == S.STATUS_FOUND
+        deadline = time.monotonic() + 20
+        while multiprocessing.active_children():
+            assert time.monotonic() < deadline, "workers still running"
+            time.sleep(0.1)
 
     def test_split_depth_does_not_change_witness(self):
         outs = [S.search_shortest_covering(
