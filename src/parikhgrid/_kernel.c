@@ -114,26 +114,33 @@ static int report(State *s)
     return s->collect_limit > 0 && s->found >= s->collect_limit;
 }
 
-/* Depth-first search from position `start`, with `used0` letters used by
-   the prefix.  Iterative, so that long words cannot overflow the C stack:
-   level `pos` tries letters c = 0 .. top-1, where top allows one letter
-   beyond the `used` letters seen so far (canonical form); descending saves
-   `used` in used_at[pos], and backing up resumes after word[pos].  Returns
-   PG_ABORTED when a callback asked to stop, otherwise 0. */
-static int dfs(State *s, int start, int used0)
+/* Depth-first search over the words of s->length letters that extend
+   `prefix`.  Iterative, so that long words cannot overflow the C stack:
+   level `pos` tries letters c .. top-1, which is the forced letter at a
+   prefix position and otherwise 0 up to one letter beyond the `used`
+   letters seen so far (canonical form); descending saves `used` in
+   used_at[pos], and backing up resumes after word[pos].  Positions before
+   `owned` are not counted as nodes.  Returns PG_ABORTED when a callback
+   asked to stop, otherwise 0. */
+static int dfs(State *s, const unsigned char *prefix, int prefix_len,
+               int owned)
 {
-    int pos = start, used = used0, c = 0;
+    int pos = 0, used = 0, c = prefix_len > 0 ? prefix[0] : 0;
     for (;;) {
-        int top = used < s->sigma ? used + 1 : s->sigma;
+        int top = pos < prefix_len ? prefix[pos] + 1
+                  : used < s->sigma ? used + 1 : s->sigma;
+        int counted = pos >= owned;
         for (; c < top; c++) {
-            s->nodes++;
-            if (s->node_budget && s->nodes > s->node_budget) {
-                s->exhausted = 1;
-                return 0;
+            if (counted) {
+                s->nodes++;
+                if (s->node_budget && s->nodes > s->node_budget) {
+                    s->exhausted = 1;
+                    return 0;
+                }
+                if (s->progress_fn && s->nodes % PROGRESS_INTERVAL == 0
+                        && s->progress_fn(s->nodes, pos, s->found))
+                    return PG_ABORTED;
             }
-            if (s->progress_fn && s->nodes % PROGRESS_INTERVAL == 0
-                    && s->progress_fn(s->nodes, pos, s->found))
-                return PG_ABORTED;
             if (s->rule_dup && pos >= s->k - 1) {
                 int nxt = s->code + s->powers[c];
                 if (pos >= s->k)
@@ -157,10 +164,10 @@ static int dfs(State *s, int start, int used0)
             s->used_at[pos] = used;
             used = c < used ? used : c + 1;
             pos++;
-            c = 0;
+            c = pos < prefix_len ? prefix[pos] : 0;
             continue;
         }
-        if (pos == start)
+        if (pos == 0)
             return 0;
         pos--;
         c = s->word[pos];
@@ -187,7 +194,7 @@ int pg_fixed_length_search(int k, int sigma, int length, int n_vec,
 {
     State s = {0};
     int status = PG_NO_MEMORY;
-    int used = 0, ok = 1;
+    int owned = prefix_len - 1;
 
     s.k = k;
     s.sigma = sigma;
@@ -217,24 +224,15 @@ int pg_fixed_length_search(int k, int sigma, int length, int n_vec,
     s.mult = s.counts + sigma;
     s.used_at = s.mult + n_vec;
 
+    /* A prefix position is a node of this search only when every prefix
+       letter after it is 0: of the searches that share it, this one is the
+       first in prefix order, and so in depth-first order, to reach it.
+       Each node is then counted once however the tree is split. */
+    while (owned > 0 && prefix[owned] == 0)
+        owned--;
     status = PG_COMPLETE;
-    for (int i = 0; i < prefix_len; i++) {
-        int c = prefix[i];
-        place(&s, i, c);
-        if (c >= used)
-            used = c + 1;
-        if (pruned(&s, i)) {
-            ok = 0;
-            break;
-        }
-    }
-    if (ok && prefix_len < length) {
-        if (dfs(&s, prefix_len, used) == PG_ABORTED)
-            status = PG_ABORTED;
-    } else if (ok && is_solution(&s)) {
-        if (report(&s) == PG_ABORTED)
-            status = PG_ABORTED;
-    }
+    if (length > 0 && dfs(&s, prefix, prefix_len, owned) == PG_ABORTED)
+        status = PG_ABORTED;
     if (status == PG_COMPLETE && s.exhausted)
         status = PG_EXHAUSTED;
 

@@ -95,15 +95,28 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
                     return True
         return False
 
+    # Prefix letters are forced.  A prefix position is a node of this task
+    # only when every prefix letter after it is 0: of the tasks that share
+    # it, this one is the first in prefix order, and so in depth-first order,
+    # to reach it.
+    owned = len(prefix) - 1
+    while owned > 0 and prefix[owned] == 0:
+        owned -= 1
+
     def dfs(pos, used):
-        top = used + 1 if used < sigma else sigma
-        for c in range(top):
-            state["nodes"] += 1
-            if node_budget and state["nodes"] > node_budget:
-                state["exhausted"] = True
-                return True
-            if progress is not None and state["nodes"] % PROGRESS_INTERVAL == 0:
-                progress(state["nodes"], pos, len(solutions))
+        if pos < len(prefix):
+            letters, counted = (prefix[pos],), pos >= owned
+        else:
+            letters, counted = range(used + 1 if used < sigma else sigma), True
+        for c in letters:
+            if counted:
+                state["nodes"] += 1
+                if node_budget and state["nodes"] > node_budget:
+                    state["exhausted"] = True
+                    return True
+                if (progress is not None
+                        and state["nodes"] % PROGRESS_INTERVAL == 0):
+                    progress(state["nodes"], pos, len(solutions))
             if rule_dup and pos >= k - 1:
                 nxt = state["code"] + powers[c]
                 if pos >= k:
@@ -126,18 +139,8 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
                 return True
         return False
 
-    used = 0
-    ok = True
-    for pos, c in enumerate(prefix):
-        place(pos, c)
-        used = used if c < used else c + 1
-        if pruned(pos):
-            ok = False
-            break
-    if ok and len(prefix) < length:
-        dfs(len(prefix), used)
-    elif ok and state["uncovered"] == 0 and (not pdb_only or state["dups"] == 0):
-        solutions.append(bytes(word))
+    if length > 0:
+        dfs(0, 0)
     return (not state["exhausted"], solutions, state["nodes"],
             state["max_depth"])
 

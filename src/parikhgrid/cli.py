@@ -124,7 +124,6 @@ def cmd_search(args):
         k=args.k, sigma=args.sigma, target=target,
         target_length=args.length, max_len=args.max_len,
         worker_count=args.threads, node_budget=args.node_budget,
-        split_depth=0 if args.progress else None,
     )
     outcome = search.run_search(
         cfg, progress=_progress_printer if args.progress else None)
@@ -223,8 +222,8 @@ def build_parser():
     p.add_argument("--node-budget", type=int,
                    default=search.DEFAULT_NODE_BUDGET)
     p.add_argument("--progress", action="store_true",
-                   help="JSON checkpoint lines on stderr (forces single-"
-                        "subtree exploration)")
+                   help="JSON checkpoint lines on stderr: every 10^7 "
+                        "nodes on one thread, after each task on more")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_search)
 

@@ -8,17 +8,24 @@ alphabet order, so the first witness is the lexicographically smallest
 canonical one; refutations are exhaustive over canonical words, which
 suffices because the target predicates are invariant under relabeling.
 
-The tree for one length is split at a fixed prefix depth into independent
-subtree tasks.  Tasks are merged in prefix order (first task with a witness
-wins), making the outcome identical for any worker count; workers simply
-run tasks concurrently in separate processes.  The inner loop lives in the
-kernel module (compiled when available, pure Python otherwise).
+The kernel tables are built once per search call.  The tree of one length
+is split only for workers: one worker runs the whole tree inline, N workers
+share the canonical prefixes of the shallowest depth that gives
+TASKS_PER_WORKER * N tasks (Embarrassingly Parallel Search, Regin et al.,
+CP 2013).  Tasks are merged in prefix order (first task with a witness
+wins), and the node budget caps the whole search call: it is exhausted at
+the first task where the running total passes the budget.  The kernel
+counts every node in exactly one task, so outcome, node count and depth
+are the same for any worker count.  The inner loop lives in the kernel
+module (compiled when available, pure Python otherwise).
 """
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from math import comb
+from functools import partial
+from itertools import count
 
 from . import covering, kernel
 from . import vectors as V
@@ -47,12 +54,14 @@ MAX_CODE_TABLE = 4_000_000
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
+# Tasks per worker process: enough that uneven subtrees even out.
+TASKS_PER_WORKER = 30
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search parameters.  ``node_budget`` caps every independent subtree
-    task; ``split_depth`` is the prefix length at which the tree is split
-    into such tasks (0 disables splitting)."""
+    """Search parameters.  ``node_budget`` caps the nodes of the whole
+    search call, all lengths together (0 or None: no cap)."""
 
     k: int
     sigma: int
@@ -61,7 +70,6 @@ class SearchConfig:
     max_len: int = None
     worker_count: int = 1
     node_budget: int = DEFAULT_NODE_BUDGET
-    split_depth: int = None  # default: k + 2
     rules: frozenset = field(default=ALL_RULES)
 
 
@@ -135,88 +143,100 @@ def _build_tables(k, sigma, with_distances):
     return (n_vec, powers, code_to_index, m_min, dist, diameter)
 
 
-def _canonical_prefixes(sigma, depth):
-    """All canonical letter sequences of the given depth, in lex order."""
-    out = []
-
-    def rec(seq, used):
-        if len(seq) == depth:
-            out.append(tuple(seq))
-            return
-        for c in range(min(used + 1, sigma)):
-            seq.append(c)
-            rec(seq, used if c < used else c + 1)
-            seq.pop()
-
-    rec([], 0)
-    return out
+def _prepare(cfg):
+    """Checks the budget and builds the tables, once per search call."""
+    if cfg.node_budget is not None and cfg.node_budget < 0:
+        raise InvalidInput("node_budget must be >= 0 (0: no cap)")
+    return _build_tables(cfg.k, cfg.sigma, "connectivity" in cfg.rules)
 
 
-def _subtree_task(args):
-    """Worker entry point; rebuilds tables locally (cheap at search sizes)."""
-    (k, sigma, length, pdb_only, mask, prefix, collect_limit, budget,
-     with_dist) = args
-    tables = _build_tables(k, sigma, with_dist)
-    return kernel.fixed_length_search(k, sigma, length, tables, pdb_only,
-                                      mask, prefix, collect_limit, budget)
+def _budget_left(cfg, nodes):
+    """Nodes the search call may still spend after ``nodes`` (None: no
+    cap)."""
+    return cfg.node_budget - nodes if cfg.node_budget else None
 
 
-def _search_length(cfg, length, pdb_only, collect_limit, progress=None):
+def _task_prefixes(sigma, length, worker_count):
+    """The canonical prefixes that split one length's tree into tasks, in
+    lex order: the whole tree for one worker, else the shallowest level with
+    TASKS_PER_WORKER tasks per worker, never deeper than length - 1."""
+    want = TASKS_PER_WORKER * worker_count if worker_count > 1 else 1
+    prefixes = [()]
+    while len(prefixes) < want and len(prefixes[0]) < length - 1:
+        prefixes = [p + (c,) for p in prefixes
+                    for c in range(min(max(p, default=-1) + 2, sigma))]
+    return prefixes
+
+
+def _pool(cfg):
+    """One pool per search call, forking its workers once for all lengths."""
+    return (ProcessPoolExecutor(max_workers=cfg.worker_count)
+            if cfg.worker_count > 1 else nullcontext())
+
+
+def _subtree_task(job, progress=None):
+    """Runs one task, the subtree below its prefix, on the tables in the
+    job; the worker entry point."""
+    return kernel.fixed_length_search(*job, progress)
+
+
+def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
+                   pool, progress=None):
     """Explore one fixed length; returns (complete, solutions, nodes, depth).
 
-    Splits into canonical-prefix subtrees below ``split_depth`` and merges
-    results in prefix order, so the outcome does not depend on worker count
-    or scheduling.  The node budget caps each subtree task.
+    ``budget`` is what the search call may still spend (None: no cap).
+    Tasks run on ``pool`` and merge in prefix order; the length is exhausted
+    at the first task where the running total passes the budget, and
+    reports budget + 1 nodes, as one task over the whole tree would.
     """
+    if budget == 0:
+        # the first node of any length is over; the kernel reads 0 as no cap
+        return False, [], 1, 0
     mask = _rules_mask(cfg.rules)
-    with_dist = "connectivity" in cfg.rules
-    depth = cfg.split_depth if cfg.split_depth is not None else cfg.k + 2
-    if depth >= length or cfg.sigma == 1:
-        depth = 0
-    if depth == 0:
-        tables = _build_tables(cfg.k, cfg.sigma, with_dist)
-        checkpoint = None
-        if progress is not None:
-            def checkpoint(nodes, at_depth, found):
-                progress(nodes, at_depth, found, length)
-        return kernel.fixed_length_search(
-            cfg.k, cfg.sigma, length, tables, pdb_only, mask, (),
-            collect_limit, cfg.node_budget, checkpoint)
 
-    # Each subtree task gets the full node budget: subtree sizes are very
-    # uneven, and a per-task cap keeps the outcome independent of worker
-    # count and scheduling.  Exhaustion in any subtree is reported.
-    prefixes = _canonical_prefixes(cfg.sigma, depth)
-    jobs = [(cfg.k, cfg.sigma, length, pdb_only, mask, pfx, collect_limit,
-             cfg.node_budget, with_dist) for pfx in prefixes]
+    def job(prefix, cap):
+        return (cfg.k, cfg.sigma, length, tables, pdb_only, mask, prefix,
+                collect_limit, cap or 0)
 
+    prefixes = _task_prefixes(cfg.sigma, length, cfg.worker_count)
     complete, solutions, nodes, max_depth = True, [], 0, 0
 
-    def fold(result):
+    def fold(prefix, result):
         nonlocal complete, nodes, max_depth
-        task_complete, sols, task_nodes, task_depth = result
-        complete = complete and task_complete
+        _complete, sols, task_nodes, task_depth = result
+        if budget is not None and nodes + task_nodes > budget:
+            # a task given more than was left is redone with exactly that,
+            # for the depth one task over the whole tree reaches; with
+            # nothing left its first counted node is over and adds no depth
+            left = budget - nodes
+            if left < budget:
+                task_depth = _subtree_task(job(prefix, left))[3] if left else 0
+            complete, nodes = False, budget + 1
+            max_depth = max(max_depth, task_depth)
+            return True
         nodes += task_nodes
         max_depth = max(max_depth, task_depth)
         solutions.extend(sols)
         return bool(sols) and 0 < collect_limit <= len(solutions)
 
-    if cfg.worker_count <= 1:
-        for job in jobs:
-            if fold(_subtree_task(job)):
-                break
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.worker_count) as pool:
-            futures = [pool.submit(_subtree_task, job) for job in jobs]
-            for fut in futures:
-                if fold(fut.result()):
-                    # cancel here: shutdown's cancel_futures is lost when the
-                    # pool is collected before its manager thread acts, and
-                    # the speculative tasks then all run after the answer
-                    for pending in futures:
-                        pending.cancel()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    break
+    if len(prefixes) == 1:
+        checkpoint = None
+        if progress is not None:
+            def checkpoint(nodes, at_depth, found):
+                progress(nodes, at_depth, found, length)
+        fold((), _subtree_task(job((), budget), checkpoint))
+        return complete, solutions, nodes, max_depth
+
+    futures = [pool.submit(_subtree_task, job(prefix, budget))
+               for prefix in prefixes]
+    for prefix, fut in zip(prefixes, futures):
+        settled = fold(prefix, fut.result())
+        if progress is not None:
+            progress(nodes, max_depth, len(solutions), length)
+        if settled:
+            for pending in futures:
+                pending.cancel()
+            break
     return complete, solutions, nodes, max_depth
 
 
@@ -241,44 +261,49 @@ def run_search(cfg, progress=None):
     if cfg.target == TARGET_AT_LENGTH:
         if cfg.target_length is None or cfg.target_length < cfg.k:
             raise InvalidInput("existence search needs target_length >= k")
-        return _existence_at_length(cfg, progress=progress)
+        return _search(cfg, TARGET_AT_LENGTH, [cfg.target_length], False,
+                       False, progress=progress)
     raise InvalidInput("unknown search target %r" % (cfg.target,))
+
+
+def _search(cfg, target, lengths, pdb_only, minimal, refuted_up_to=None,
+            progress=None):
+    """Searches ``lengths`` in order up to the first witness, with one
+    tables build and one node budget for all of them; ``refuted_up_to`` is
+    what is refuted before the first of them."""
+    start = time.perf_counter()
+    tables = _prepare(cfg) if lengths else None
+    complete, sols, nodes, max_depth = True, [], 0, 0
+    with _pool(cfg) as pool:
+        for length in lengths:
+            complete, sols, n, d = _search_length(
+                cfg, tables, length, pdb_only, 1, _budget_left(cfg, nodes),
+                pool, progress)
+            nodes += n
+            max_depth = max(max_depth, d)
+            if sols or not complete:
+                break
+            refuted_up_to = length
+    outcome = partial(SearchOutcome, k=cfg.k, sigma=cfg.sigma, target=target,
+                      stats=SearchStats(nodes=nodes, max_depth=max_depth,
+                                        elapsed=time.perf_counter() - start))
+    if sols:
+        word = _render(cfg.sigma, sols[0])
+        _assert_witness(word, cfg.k, cfg.sigma, pdb_only)
+        return outcome(status=STATUS_FOUND, witness=word, minimal=minimal)
+    return outcome(status=STATUS_REFUTED if complete else STATUS_BUDGET,
+                   refuted_up_to=refuted_up_to)
 
 
 def search_shortest_covering(cfg, progress=None):
     """Iterative deepening from the lower bound; the first witness is found
     at the smallest feasible length and is minimal by exhaustion below."""
-    start = time.perf_counter()
     lower = covering.bounds(cfg.k, cfg.sigma).shortest_lower_bound
-    nodes = max_depth = 0
-    length = lower
-    refuted_below = True  # vacuous at the lower bound
-    while cfg.max_len is None or length <= cfg.max_len:
-        complete, sols, n, d = _search_length(cfg, length, False, 1, progress)
-        nodes += n
-        max_depth = max(max_depth, d)
-        stats = SearchStats(nodes=nodes,
-                            elapsed=time.perf_counter() - start,
-                            max_depth=max_depth)
-        if sols:
-            # minimality depends only on the lengths below: either nothing
-            # was below the starting bound or each was exhaustively refuted
-            word = _render(cfg.sigma, sols[0])
-            _assert_witness(word, cfg.k, cfg.sigma, False)
-            return SearchOutcome(k=cfg.k, sigma=cfg.sigma,
-                                 target=TARGET_SHORTEST, status=STATUS_FOUND,
-                                 witness=word, minimal=refuted_below,
-                                 stats=stats)
-        if not complete:
-            return SearchOutcome(k=cfg.k, sigma=cfg.sigma,
-                                 target=TARGET_SHORTEST, status=STATUS_BUDGET,
-                                 refuted_up_to=length - 1, stats=stats)
-        length += 1
-    stats = SearchStats(nodes=nodes, elapsed=time.perf_counter() - start,
-                        max_depth=max_depth)
-    return SearchOutcome(k=cfg.k, sigma=cfg.sigma, target=TARGET_SHORTEST,
-                         status=STATUS_REFUTED, refuted_up_to=cfg.max_len,
-                         stats=stats)
+    if cfg.max_len is None:
+        return _search(cfg, TARGET_SHORTEST, count(lower), False, True,
+                       lower - 1, progress)
+    return _search(cfg, TARGET_SHORTEST, range(lower, cfg.max_len + 1),
+                   False, True, min(lower - 1, cfg.max_len), progress)
 
 
 def search_pdb_existence(k, sigma, cfg=None, progress=None):
@@ -286,42 +311,11 @@ def search_pdb_existence(k, sigma, cfg=None, progress=None):
     repeating a vector; refutation means no such word exists at all."""
     cfg = replace(cfg or SearchConfig(k=k, sigma=sigma), k=k, sigma=sigma,
                   target=TARGET_PDB)
-    start = time.perf_counter()
     length = covering.perfect_length(k, sigma)
-    complete, sols, nodes, depth = _search_length(cfg, length, True, 1,
-                                                  progress)
-    stats = SearchStats(nodes=nodes, elapsed=time.perf_counter() - start,
-                        max_depth=depth)
-    if sols:
-        word = _render(sigma, sols[0])
-        _assert_witness(word, k, sigma, True)
-        return SearchOutcome(k=k, sigma=sigma, target=TARGET_PDB,
-                             status=STATUS_FOUND, witness=word, minimal=True,
-                             stats=stats)
-    status = STATUS_REFUTED if complete else STATUS_BUDGET
-    return SearchOutcome(k=k, sigma=sigma, target=TARGET_PDB, status=status,
-                         refuted_up_to=length if complete else None,
-                         stats=stats)
-
-
-def _existence_at_length(cfg, progress=None):
-    start = time.perf_counter()
-    length = cfg.target_length
-    complete, sols, nodes, depth = _search_length(cfg, length, False, 1,
-                                                  progress)
-    stats = SearchStats(nodes=nodes, elapsed=time.perf_counter() - start,
-                        max_depth=depth)
-    if sols:
-        word = _render(cfg.sigma, sols[0])
-        _assert_witness(word, cfg.k, cfg.sigma, False)
-        return SearchOutcome(k=cfg.k, sigma=cfg.sigma,
-                             target=TARGET_AT_LENGTH, status=STATUS_FOUND,
-                             witness=word, minimal=False, stats=stats)
-    status = STATUS_REFUTED if complete else STATUS_BUDGET
-    return SearchOutcome(k=cfg.k, sigma=cfg.sigma, target=TARGET_AT_LENGTH,
-                         status=status,
-                         refuted_up_to=length if complete else None,
-                         stats=stats)
+    if not covering.bounds(k, sigma).pdb_possible_by_bounds:
+        # the counting bound: no covering word is as short as a perfect one
+        return _search(cfg, TARGET_PDB, [], True, True, length)
+    return _search(cfg, TARGET_PDB, [length], True, True, progress=progress)
 
 
 def iter_covering_words(k, sigma, max_len, node_budget=None):
@@ -331,8 +325,12 @@ def iter_covering_words(k, sigma, max_len, node_budget=None):
     cfg = SearchConfig(k=k, sigma=sigma,
                        node_budget=node_budget or DEFAULT_NODE_BUDGET)
     lower = covering.bounds(k, sigma).shortest_lower_bound
+    tables = _prepare(cfg)
+    nodes = 0
     for length in range(lower, max_len + 1):
-        complete, sols, _n, _d = _search_length(cfg, length, False, 0)
+        complete, sols, n, _d = _search_length(
+            cfg, tables, length, False, 0, _budget_left(cfg, nodes), None)
+        nodes += n
         if not complete:
             raise CapacityExceeded("covering-word enumeration ran out of "
                                    "node budget at length %d" % length)
@@ -375,7 +373,9 @@ def enumerate_all_pdb(k, sigma, cfg=None, force=False):
     cfg = replace(cfg or SearchConfig(k=k, sigma=sigma), k=k, sigma=sigma,
                   target=TARGET_PDB)
     length = covering.perfect_length(k, sigma)
-    complete, sols, _n, _d = _search_length(cfg, length, True, 0)
+    with _pool(cfg) as pool:
+        complete, sols, _n, _d = _search_length(
+            cfg, _prepare(cfg), length, True, 0, _budget_left(cfg, 0), pool)
     if not complete:
         raise CapacityExceeded("perfect-cover enumeration ran out of node "
                                "budget")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -98,6 +99,51 @@ class TestSearchCommand:
         # reserved for progress JSON lines either way
         for line in err.splitlines():
             assert json.loads(line)
+
+    def test_progress_lines_with_two_threads(self, capsys):
+        code, _, err = run(capsys, "search", "--k", "3", "--sigma", "3",
+                           "--threads", "2", "--progress")
+        assert code == 0
+        events = [json.loads(line) for line in err.splitlines()]
+        # one line per merged task of the length-12 search
+        assert events
+        assert all(e["event"] == "checkpoint" and e["length"] == 12
+                   for e in events)
+
+    def test_small_budget_is_the_whole_budget(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run(capsys, "search", "--k", "6", "--sigma", "4",
+                           "--target", "pdb", "--node-budget", "1000")
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["status"] == "budget_exhausted"
+        assert doc["stats"]["nodes"] <= 1001
+        assert time.monotonic() - start < 10
+
+    def test_deep_tree_splits_in_seconds(self, capsys):
+        # the split stops at 30 tasks per worker, not at a fixed depth of
+        # k + 2 = 42 letters (2^41 prefixes)
+        start = time.monotonic()
+        code, out, _ = run(capsys, "search", "--k", "40", "--sigma", "2",
+                           "--threads", "2", "--node-budget", "1000")
+        assert code in (0, 1)
+        assert json.loads(out)["stats"]["nodes"] <= 1001
+        assert time.monotonic() - start < 30
+
+    def test_negative_budget_exit_two(self, capsys):
+        code, _, err = run(capsys, "search", "--k", "2", "--sigma", "3",
+                           "--node-budget", "-1")
+        assert code == 2 and "node_budget" in err
+
+    def test_pdb_ruled_out_by_bounds_exits_one_at_once(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run(capsys, "search", "--k", "3", "--sigma", "6",
+                           "--target", "pdb")
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["status"] == "refuted_up_to"
+        assert doc["refuted_up_to"] == 58 and doc["stats"]["nodes"] == 0
+        assert time.monotonic() - start < 1
 
 
 class TestOtherCommands:

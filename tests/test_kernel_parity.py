@@ -27,6 +27,11 @@ CASES = [
     (1, 3, 3, False, 15, (), 0),
     (2, 3, 7, False, 15, (0, 0, 1, 1, 2, 2, 0), 1),  # prefix is the word
     (2, 4, 13, False, 15, (), 0),    # every one of 2,832 solutions
+    # prefixes under the duplicate-window rule alone
+    (3, 3, 12, True, 1, (0, 1, 1), 0),
+    (2, 5, 16, True, 1, (0, 0, 1, 0), 1),
+    (2, 3, 7, True, 1, (0, 0, 0), 0),  # the prefix repeats a window
+    (3, 3, 12, True, 1, (0, 1, 2, 0, 0), 0),
 ]
 
 
@@ -40,6 +45,32 @@ def test_identical_traces(case):
     b = pure.fixed_length_search(k, sigma, length, tables, pdb_only, rules,
                                  prefix, limit, 10**8)
     assert a == b
+
+
+@pytest.mark.parametrize("search", [
+    pure.fixed_length_search,
+    pytest.param(K.fixed_length_search, marks=needs_compiled)])
+@pytest.mark.parametrize("k,sigma,length,pdb_only,rules", [
+    (3, 3, 11, False, 15),   # refuted: the whole tree
+    (3, 3, 12, True, 15),
+    (2, 5, 16, True, 1),     # duplicate-window rule alone
+    (2, 4, 12, False, 0),    # no rules, every solution
+])
+def test_prefix_tasks_count_each_node_once(search, k, sigma, length,
+                                           pdb_only, rules):
+    # the tasks at any depth, run in prefix order, visit the nodes of the
+    # whole tree once each and find its solutions in the same order
+    tables = _build_tables(k, sigma, bool(rules & 8))
+    whole = search(k, sigma, length, tables, pdb_only, rules, (), 0, 0)
+    prefixes = [()]
+    for _depth in range(4):
+        prefixes = [p + (c,) for p in prefixes
+                    for c in range(min(max(p, default=-1) + 2, sigma))]
+        parts = [search(k, sigma, length, tables, pdb_only, rules, p, 0, 0)
+                 for p in prefixes]
+        assert sum(part[2] for part in parts) == whole[2]
+        assert max(part[3] for part in parts) == whole[3]
+        assert [w for part in parts for w in part[1]] == whole[1]
 
 
 @needs_compiled

@@ -47,8 +47,49 @@ class TestShortestCovering:
             S.SearchConfig(k=4, sigma=3, node_budget=50))
         assert out.status == S.STATUS_BUDGET
 
+    @pytest.mark.parametrize("target", [S.TARGET_SHORTEST, S.TARGET_PDB,
+                                        S.TARGET_AT_LENGTH])
+    @pytest.mark.parametrize("budget", [1, 2, 10, 50, 300])
+    def test_one_budget_for_all_tasks(self, target, budget):
+        # the 2-worker search stops inside a task that ran past the budget,
+        # and still reports the nodes and depth of the 1-worker search
+        def run(workers):
+            out = S.run_search(S.SearchConfig(
+                k=4, sigma=4, target=target, target_length=40,
+                node_budget=budget, worker_count=workers))
+            return out.status, out.stats.nodes, out.stats.max_depth
+
+        one = run(1)
+        assert one[:2] == (S.STATUS_BUDGET, budget + 1)
+        assert run(2) == one
+
+    @pytest.mark.parametrize("budget", [46_016, 46_017, 123_457])
+    def test_one_budget_for_all_lengths(self, budget):
+        # length 25 is refuted in exactly 46,016 nodes, and length 26 runs
+        # out of what is left, even when nothing is left
+        out = S.search_shortest_covering(
+            S.SearchConfig(k=5, sigma=3, node_budget=budget))
+        assert out.status == S.STATUS_BUDGET
+        assert out.refuted_up_to == 25
+        assert out.stats.nodes == budget + 1
+        if budget == 46_016:
+            # nothing of length 26 was placed
+            below = S.search_shortest_covering(
+                S.SearchConfig(k=5, sigma=3, max_len=25))
+            assert below.stats.nodes == budget
+            assert out.stats.max_depth == below.stats.max_depth
+
 
 class TestPdbExistence:
+    @pytest.mark.parametrize("k,sigma", [(3, 6), (2, 4)])
+    def test_refuted_by_bounds_without_search(self, k, sigma):
+        # a perfect cover is shorter than the counting bound allows
+        assert not C.bounds(k, sigma).pdb_possible_by_bounds
+        out = S.search_pdb_existence(k, sigma)
+        assert out.status == S.STATUS_REFUTED
+        assert out.refuted_up_to == C.perfect_length(k, sigma)
+        assert out.stats.nodes == 0
+
     def test_4_3_refuted_at_18(self):
         out = S.search_pdb_existence(4, 3)
         assert out.status == S.STATUS_REFUTED
@@ -165,9 +206,10 @@ class TestDeterminism:
                         reason="speculative tasks take minutes on the pure "
                                "kernel")
     def test_workers_stop_after_the_witness(self):
-        # 97 of this search's 202 subtree tasks come after the witness and
-        # each runs to its 10^8-node budget (about 1 s compiled): they must
-        # be cancelled, so the workers go idle and exit within seconds
+        # with 2 workers this search has 202 tasks (prefixes of 6 letters);
+        # the witness is in the 4th, and 97 of the 198 after it would each
+        # run to the 10^8-node budget it is given (about 1 s compiled): they
+        # must be cancelled, so the workers go idle and exit within seconds
         out = S.search_pdb_existence(
             4, 5, S.SearchConfig(k=4, sigma=5, worker_count=2))
         assert out.status == S.STATUS_FOUND
@@ -176,10 +218,62 @@ class TestDeterminism:
             assert time.monotonic() < deadline, "workers still running"
             time.sleep(0.1)
 
-    def test_split_depth_does_not_change_witness(self):
-        outs = [S.search_shortest_covering(
-            S.SearchConfig(k=2, sigma=4, split_depth=d)) for d in (0, 2, 5)]
-        assert len({o.witness for o in outs}) == 1
+    @pytest.mark.parametrize("target,k,sigma,rules,budget", [
+        pytest.param(S.TARGET_SHORTEST, 3, 4, S.ALL_RULES,
+                     S.DEFAULT_NODE_BUDGET, id="shortest-k3-s4"),
+        pytest.param(S.TARGET_PDB, 4, 3, S.ALL_RULES, S.DEFAULT_NODE_BUDGET,
+                     id="pdb-k4-s3"),
+        pytest.param(S.TARGET_PDB, 2, 5, frozenset({"duplicate_window"}),
+                     S.DEFAULT_NODE_BUDGET, id="pdb-k2-s5-duplicate-only"),
+        pytest.param(S.TARGET_PDB, 6, 4, S.ALL_RULES, 1_000,
+                     id="pdb-k6-s4-budget-1000"),
+        pytest.param(S.TARGET_PDB, 6, 4, S.ALL_RULES, 123_457,
+                     id="pdb-k6-s4-budget-123457"),
+    ])
+    def test_two_workers_match_one(self, target, k, sigma, rules, budget):
+        # each node is counted in exactly one task and the budget is merged
+        # in prefix order, so splitting for workers changes nothing
+        def run(workers):
+            out = S.run_search(S.SearchConfig(
+                k=k, sigma=sigma, target=target, worker_count=workers,
+                node_budget=budget, rules=rules))
+            return (out.status, out.witness, out.refuted_up_to,
+                    out.stats.nodes, out.stats.max_depth)
+
+        assert run(1) == run(2)
+
+    def test_one_pool_per_search_call(self, monkeypatch):
+        # shortest (k=5, sigma=3) refutes lengths 25 and 26 before its
+        # witness at 27; all three share one pool, so the call forks its
+        # workers once, and one worker forks none
+        pools = []
+
+        class CountedPool(S.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(S, "ProcessPoolExecutor", CountedPool)
+        assert C.bounds(5, 3).shortest_lower_bound == 25
+        for workers, want in [(1, 0), (2, 1)]:
+            out = S.search_shortest_covering(
+                S.SearchConfig(k=5, sigma=3, worker_count=workers))
+            assert len(out.witness) == 27
+            assert len(pools) == want
+
+    def test_task_prefixes_follow_the_worker_count(self):
+        assert S._task_prefixes(4, 38, 1) == [()]
+        for sigma, length, workers in [(4, 38, 2), (2, 80, 3), (5, 73, 2)]:
+            prefixes = S._task_prefixes(sigma, length, workers)
+            want = S.TASKS_PER_WORKER * workers
+            assert want <= len(prefixes) <= want * sigma
+            assert prefixes == sorted(prefixes)
+            # the shallowest such level: a length of d letters allows
+            # prefixes of at most d - 1
+            assert len(S._task_prefixes(sigma, len(prefixes[0]),
+                                        workers)) < want
+        # never deeper than length - 1
+        assert S._task_prefixes(3, 3, 2) == [(0, 0), (0, 1)]
 
 
 class TestEnumerateAllPdb:
