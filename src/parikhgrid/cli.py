@@ -223,7 +223,8 @@ def build_parser():
                    default=search.DEFAULT_NODE_BUDGET)
     p.add_argument("--progress", action="store_true",
                    help="JSON checkpoint lines on stderr: every 10^7 "
-                        "nodes on one thread, after each task on more")
+                        "nodes on one thread, after each merged task that "
+                        "moves the counts on more")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_search)
 

@@ -5,11 +5,11 @@ loaded through ctypes.  On import it is compiled with ``cc -O2 -shared
 -fPIC`` into ``$XDG_CACHE_HOME/parikhgrid`` (``~/.cache/parikhgrid`` when
 that is unset) under a name keyed by a checksum of the source, the flags
 and the machine, so an edited source is rebuilt and an unchanged one is
-built once.  When there is no compiler, the build fails or the cache cannot
-be written, the pure-Python twin (``_kernel_py``) is used instead and
-``FALLBACK_REASON`` says why.  PARIKHGRID_PURE_KERNEL=1 forces the
-pure-Python kernel (useful for benchmarking and for debugging kernel
-parity).
+built once; a new build deletes the builds of other sources there.  When
+there is no compiler, the build fails or the cache cannot be written, the
+pure-Python twin (``_kernel_py``) is used instead and ``FALLBACK_REASON``
+says why.  PARIKHGRID_PURE_KERNEL=1 forces the pure-Python kernel (useful
+for benchmarking and for debugging kernel parity).
 """
 
 import array
@@ -80,7 +80,26 @@ def _build():
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _remove_stale_builds(directory, target)
     return target
+
+
+def _remove_stale_builds(directory, keep):
+    """Deletes the builds of other sources from the cache directory; the
+    temporary files of builds in progress stay, and a file that cannot be
+    removed is left."""
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return
+    for name in names:
+        path = os.path.join(directory, name)
+        if (name.startswith("_kernel-") and name.endswith(".so")
+                and path != keep):
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
 
 def _load():

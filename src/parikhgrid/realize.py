@@ -60,20 +60,27 @@ def _components(members):
 def _covering_itinerary(members):
     """Bowfree walk visiting every member of a connected set: depth-first
     order with parent revisits on backtrack, trailing returns trimmed."""
-    start = min(members, key=V.pv_rank)
-    tour = []
-    seen = set()
+    rank = {p: V.pv_rank(p) for p in members}
 
-    def visit(p):
-        seen.add(p)
-        tour.append(p)
-        for q in sorted(V.neighbors(p) & members, key=V.pv_rank):
-            if q not in seen:
-                visit(q)
-                tour.append(p)
+    def members_near(p):
+        return iter(sorted(V.neighbors(p) & members, key=rank.__getitem__))
 
-    visit(start)
-    last_new = max(i for i, p in enumerate(tour) if tour.index(p) == i)
+    start = min(members, key=rank.__getitem__)
+    tour = [start]
+    seen = {start}
+    last_new = 0
+    stack = [(start, members_near(start))]
+    while stack:
+        q = next((q for q in stack[-1][1] if q not in seen), None)
+        if q is None:
+            stack.pop()
+            if stack:
+                tour.append(stack[-1][0])
+            continue
+        seen.add(q)
+        last_new = len(tour)
+        tour.append(q)
+        stack.append((q, members_near(q)))
     return tour[:last_new + 1]
 
 

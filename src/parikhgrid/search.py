@@ -18,11 +18,23 @@ the first task where the running total passes the budget.  The kernel
 counts every node in exactly one task, so outcome, node count and depth
 are the same for any worker count.  The inner loop lives in the kernel
 module (compiled when available, pure Python otherwise).
+
+With N workers a search call keeps one process pool for all its lengths.
+The pool initializer gives each worker the tables and a one-byte shared
+stop flag once, so the jobs carry only the task's parameters.  The merge
+settles only at a task whose predecessors are all folded, so the tasks
+still running then come after it and their results would be discarded;
+and every settle ends the search call.  On leaving the call the flag is
+set: queued tasks return at once and running ones at their next kernel
+checkpoint, every kernel.PROGRESS_INTERVAL (10^7) nodes.  That is about
+0.1 s on the compiled kernel; the pure-Python fallback stops only at the
+same checkpoint, which it reaches far later.
 """
 
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import count
@@ -168,16 +180,58 @@ def _task_prefixes(sigma, length, worker_count):
     return prefixes
 
 
-def _pool(cfg):
-    """One pool per search call, forking its workers once for all lengths."""
-    return (ProcessPoolExecutor(max_workers=cfg.worker_count)
-            if cfg.worker_count > 1 else nullcontext())
+# A pool worker's tables and stop flag, set once by _init_worker.
+_worker_tables = _worker_stop = None
 
 
-def _subtree_task(job, progress=None):
-    """Runs one task, the subtree below its prefix, on the tables in the
-    job; the worker entry point."""
-    return kernel.fixed_length_search(*job, progress)
+class _Stopped(Exception):
+    """Raised at a kernel checkpoint in a worker once the stop flag is set."""
+
+
+def _init_worker(tables, stop):
+    global _worker_tables, _worker_stop
+    _worker_tables, _worker_stop = tables, stop
+
+
+def _check_stop(_nodes, _depth, _found):
+    if _worker_stop.value:
+        raise _Stopped
+
+
+@contextmanager
+def _pool(cfg, tables):
+    """One pool per search call, forking its workers once for all lengths;
+    on leaving, by any path, it stops the tasks still queued or running and
+    waits for its workers."""
+    if cfg.worker_count <= 1:
+        yield None
+        return
+    stop = multiprocessing.RawValue("b", 0)
+    pool = ProcessPoolExecutor(max_workers=cfg.worker_count,
+                               initializer=_init_worker,
+                               initargs=(tables, stop))
+    try:
+        yield pool
+    finally:
+        stop.value = 1
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _subtree_task(job, tables=None, progress=None):
+    """Runs one task, the subtree below its prefix: inline on ``tables``,
+    or, the worker entry point, on the worker's tables.  A worker's task
+    returns None once the stop flag is set, at its next checkpoint."""
+    k, sigma, length, pdb_only, mask, prefix, collect_limit, cap = job
+    if tables is None:
+        if _worker_stop.value:
+            return None
+        tables, progress = _worker_tables, _check_stop
+    try:
+        return kernel.fixed_length_search(k, sigma, length, tables, pdb_only,
+                                          mask, prefix, collect_limit, cap,
+                                          progress)
+    except _Stopped:
+        return None
 
 
 def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
@@ -195,7 +249,7 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
     mask = _rules_mask(cfg.rules)
 
     def job(prefix, cap):
-        return (cfg.k, cfg.sigma, length, tables, pdb_only, mask, prefix,
+        return (cfg.k, cfg.sigma, length, pdb_only, mask, prefix,
                 collect_limit, cap or 0)
 
     prefixes = _task_prefixes(cfg.sigma, length, cfg.worker_count)
@@ -210,7 +264,8 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
             # nothing left its first counted node is over and adds no depth
             left = budget - nodes
             if left < budget:
-                task_depth = _subtree_task(job(prefix, left))[3] if left else 0
+                task_depth = (_subtree_task(job(prefix, left), tables)[3]
+                              if left else 0)
             complete, nodes = False, budget + 1
             max_depth = max(max_depth, task_depth)
             return True
@@ -224,18 +279,19 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
         if progress is not None:
             def checkpoint(nodes, at_depth, found):
                 progress(nodes, at_depth, found, length)
-        fold((), _subtree_task(job((), budget), checkpoint))
+        fold((), _subtree_task(job((), budget), tables, checkpoint))
         return complete, solutions, nodes, max_depth
 
+    # the tasks after a settle are stopped when the search call leaves _pool
     futures = [pool.submit(_subtree_task, job(prefix, budget))
                for prefix in prefixes]
+    reported = None
     for prefix, fut in zip(prefixes, futures):
         settled = fold(prefix, fut.result())
-        if progress is not None:
+        if progress is not None and reported != (nodes, len(solutions)):
+            reported = nodes, len(solutions)
             progress(nodes, max_depth, len(solutions), length)
         if settled:
-            for pending in futures:
-                pending.cancel()
             break
     return complete, solutions, nodes, max_depth
 
@@ -274,7 +330,7 @@ def _search(cfg, target, lengths, pdb_only, minimal, refuted_up_to=None,
     start = time.perf_counter()
     tables = _prepare(cfg) if lengths else None
     complete, sols, nodes, max_depth = True, [], 0, 0
-    with _pool(cfg) as pool:
+    with _pool(cfg, tables) as pool:
         for length in lengths:
             complete, sols, n, d = _search_length(
                 cfg, tables, length, pdb_only, 1, _budget_left(cfg, nodes),
@@ -373,9 +429,10 @@ def enumerate_all_pdb(k, sigma, cfg=None, force=False):
     cfg = replace(cfg or SearchConfig(k=k, sigma=sigma), k=k, sigma=sigma,
                   target=TARGET_PDB)
     length = covering.perfect_length(k, sigma)
-    with _pool(cfg) as pool:
+    tables = _prepare(cfg)
+    with _pool(cfg, tables) as pool:
         complete, sols, _n, _d = _search_length(
-            cfg, _prepare(cfg), length, True, 0, _budget_left(cfg, 0), pool)
+            cfg, tables, length, True, 0, _budget_left(cfg, 0), pool)
     if not complete:
         raise CapacityExceeded("perfect-cover enumeration ran out of node "
                                "budget")

@@ -202,7 +202,6 @@ def _solve_spelling(vertices, k, alphabet, forced_bow_letters=None):
     sigma = len(vertices[0])
     budget = list(vertices[0])
     word = [None] * n
-    deepest = [0]
 
     def options(j):
         # Intersection of every constraint touching position j: the step
@@ -227,24 +226,32 @@ def _solve_spelling(vertices, k, alphabet, forced_bow_letters=None):
             allowed = [c for c in allowed if budget[c] > 0]
         return allowed
 
-    def dfs(j):
-        if j == n:
-            return True
-        deepest[0] = max(deepest[0], j)
-        for c in options(j):
-            word[j] = c
+    # depth-first over positions; tries[j] holds the letters position j
+    # has still to try, and a position re-entered from j + 1 first takes
+    # back the letter it had placed
+    tries = []
+    deepest = 0
+    j = 0
+    while j < n:
+        if len(tries) == j:
+            deepest = max(deepest, j)
+            tries.append(iter(options(j)))
+        else:
             if j < k:
-                budget[c] -= 1
-            if dfs(j + 1):
-                return True
-            if j < k:
-                budget[c] += 1
+                budget[word[j]] += 1
             word[j] = None
-        return False
-
-    if dfs(0):
-        return word, None
-    return None, max(0, deepest[0] - k + 1)
+        c = next(tries[j], None)
+        if c is None:
+            if j == 0:
+                return None, max(0, deepest - k + 1)
+            tries.pop()
+            j -= 1
+            continue
+        word[j] = c
+        if j < k:
+            budget[c] -= 1
+        j += 1
+    return word, None
 
 
 def _walk_parts(walk_or_vertices, k=None, alphabet=None):

@@ -7,6 +7,7 @@ enumeration.
 """
 
 import itertools
+import string
 from collections import deque
 from math import comb
 
@@ -36,7 +37,7 @@ REFERENCE_COVER_ROWS = [
 # exactly once yet misses (1,1,1,1) at order 4.
 W54 = "aaaaabbbbbcaaaadbbbcccccdddddaaaccdbcbaccaccddbddbadacddbbbb"
 
-LETTERS = "abcdefgh"
+LETTERS = string.ascii_lowercase
 
 
 def naive_parikh_set(word, k, sigma):

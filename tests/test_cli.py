@@ -105,10 +105,13 @@ class TestSearchCommand:
                            "--threads", "2", "--progress")
         assert code == 0
         events = [json.loads(line) for line in err.splitlines()]
-        # one line per merged task of the length-12 search
+        # one line per merged task of the length-12 search that moved the
+        # node count or the number found
         assert events
         assert all(e["event"] == "checkpoint" and e["length"] == 12
                    for e in events)
+        moved = [(e["nodes"], e["found"]) for e in events]
+        assert all(a != b for a, b in zip(moved, moved[1:]))
 
     def test_small_budget_is_the_whole_budget(self, capsys):
         start = time.monotonic()

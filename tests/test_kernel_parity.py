@@ -2,6 +2,7 @@
 traces: same solutions in the same order, same node counts, same depths."""
 
 import importlib
+import os
 
 import pytest
 
@@ -143,3 +144,24 @@ def test_fallback_without_compiler(monkeypatch, tmp_path):
     finally:
         monkeypatch.undo()
         importlib.reload(K)
+
+
+@needs_compiled
+def test_new_build_removes_stale_builds(monkeypatch, tmp_path):
+    # a build of another source, another process's build in progress, a
+    # stale name that cannot be unlinked (a directory) and a foreign file
+    cache = tmp_path / "parikhgrid"
+    cache.mkdir()
+    (cache / "_kernel-00000000.so").write_bytes(b"stale")
+    (cache / "_kernel-00000000.so.4242.tmp").write_bytes(b"in progress")
+    (cache / "_kernel-11111111.so").mkdir()
+    (cache / "notes.txt").write_text("kept")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    target = K._build()
+    assert sorted(os.listdir(cache)) == sorted([
+        os.path.basename(target), "_kernel-00000000.so.4242.tmp",
+        "_kernel-11111111.so", "notes.txt"])
+    # the build is found, not rebuilt, and nothing else is touched
+    (cache / "_kernel-22222222.so").write_bytes(b"stale")
+    assert K._build() == target
+    assert (cache / "_kernel-22222222.so").exists()

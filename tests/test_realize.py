@@ -106,3 +106,12 @@ class TestMonotonicity:
         for k, sigma in [(2, 2), (3, 3), (2, 4), (4, 3)]:
             got = R.is_realizable_set(V.enumerate_pv(k, sigma))
             assert got.realizable
+
+    def test_set_deeper_than_the_recursion_limit(self):
+        # all 1,140 vectors of (sigma=18, k=3): the depth-first itinerary
+        # goes deeper than the interpreter's recursion limit
+        members = set(V.enumerate_pv(3, 18))
+        assert len(members) == 1140
+        got = R.is_realizable_set(members)
+        assert got.realizable
+        assert naive_parikh_set(got.witness, 3, 18) == members

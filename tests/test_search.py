@@ -1,4 +1,5 @@
 import multiprocessing
+import pickle
 import time
 
 import pytest
@@ -208,8 +209,10 @@ class TestDeterminism:
     def test_workers_stop_after_the_witness(self):
         # with 2 workers this search has 202 tasks (prefixes of 6 letters);
         # the witness is in the 4th, and 97 of the 198 after it would each
-        # run to the 10^8-node budget it is given (about 1 s compiled): they
-        # must be cancelled, so the workers go idle and exit within seconds
+        # run to the 10^8-node budget it is given (about 1 s compiled): the
+        # queued ones are cancelled or return at once and the running ones
+        # stop at their next checkpoint, and the search waits for its
+        # workers, so none is left running once it returns
         out = S.search_pdb_existence(
             4, 5, S.SearchConfig(k=4, sigma=5, worker_count=2))
         assert out.status == S.STATUS_FOUND
@@ -274,6 +277,92 @@ class TestDeterminism:
                                         workers)) < want
         # never deeper than length - 1
         assert S._task_prefixes(3, 3, 2) == [(0, 0), (0, 1)]
+
+
+class TestWorkerStop:
+    """Pool workers hold the tables and the search call's stop flag; the
+    ``worker`` fixture sets them up in-process through the initializer."""
+
+    @pytest.fixture
+    def worker(self, monkeypatch):
+        monkeypatch.setattr(S, "_worker_tables", None)
+        monkeypatch.setattr(S, "_worker_stop", None)
+
+        def init(k, sigma, stopped):
+            stop = multiprocessing.RawValue("b", stopped)
+            S._init_worker(S._build_tables(k, sigma, True), stop)
+            return stop
+        return init
+
+    def test_task_started_after_the_stop_never_runs(self, worker,
+                                                    monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernel, "fixed_length_search",
+                            lambda *args: calls.append(args))
+        worker(3, 3, 1)
+        job = (3, 3, 12, False, S._rules_mask(S.ALL_RULES), (), 1, 0)
+        assert S._subtree_task(job) is None
+        assert calls == []
+
+    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
+                        reason="10^7 nodes to the first checkpoint")
+    def test_task_stops_at_its_next_checkpoint(self, worker, monkeypatch):
+        # the perfect-cover search for (sigma=5, k=4) takes 12.9M nodes;
+        # the flag is set at its first checkpoint, at 10M nodes
+        stop = worker(4, 5, 0)
+        search = kernel.fixed_length_search
+        checkpoints = []
+
+        def stopped_at_first_checkpoint(*args):
+            *args, check = args
+
+            def checkpoint(nodes, depth, found):
+                checkpoints.append(nodes)
+                stop.value = 1
+                check(nodes, depth, found)
+            return search(*args, checkpoint)
+
+        monkeypatch.setattr(kernel, "fixed_length_search",
+                            stopped_at_first_checkpoint)
+        job = (4, 5, C.perfect_length(4, 5), True,
+               S._rules_mask(S.ALL_RULES), (), 1, 0)
+        assert S._subtree_task(job) is None
+        assert checkpoints == [kernel.PROGRESS_INTERVAL]
+
+    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
+                        reason="the task alone runs 10^8 nodes")
+    def test_workers_stop_the_task_after_the_witness(self):
+        # task (0,0,0,0,1,2), the 5th, starts beside the witness's and runs
+        # to its 10^8-node cap if nothing stops it
+        tables = S._build_tables(4, 5, True)
+        job = (4, 5, C.perfect_length(4, 5), True, S._rules_mask(S.ALL_RULES),
+               (0, 0, 0, 0, 1, 2), 1, S.DEFAULT_NODE_BUDGET)
+        start = time.perf_counter()
+        complete, _sols, nodes, _depth = S._subtree_task(job, tables)
+        alone = time.perf_counter() - start
+        assert not complete and nodes > S.DEFAULT_NODE_BUDGET
+        start = time.perf_counter()
+        out = S.search_pdb_existence(
+            4, 5, S.SearchConfig(k=4, sigma=5, worker_count=2))
+        assert out.status == S.STATUS_FOUND
+        assert time.perf_counter() - start < alone
+
+    def test_jobs_carry_no_tables(self, monkeypatch):
+        # the (sigma=4, k=6) tables pickle to about 26 KB; a job holds the
+        # task's parameters only
+        sizes = []
+
+        class SizedPool(S.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                sizes.append(len(pickle.dumps((fn, args, kwargs))))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(S, "ProcessPoolExecutor", SizedPool)
+        assert len(pickle.dumps(S._build_tables(6, 4, True))) > 20_000
+        out = S.search_pdb_existence(6, 4, S.SearchConfig(
+            k=6, sigma=4, worker_count=2, node_budget=1_000))
+        assert out.status == S.STATUS_BUDGET
+        assert sizes and max(sizes) < 1_024
 
 
 class TestEnumerateAllPdb:

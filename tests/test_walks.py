@@ -134,6 +134,29 @@ class TestSpell:
             else:
                 assert W.walk_of(respelled, k, sigma).vertices == walk.vertices
 
+    def test_walk_deeper_than_the_recursion_limit(self):
+        # 2,000 letters: the spelling search goes 2,000 positions deep
+        deep = random.Random(2000)
+        word = "".join(deep.choice("abc") for _ in range(2000))
+        vertices = walk_vertices_of(word, 3, 3)
+        spelled = W.spell(vertices, k=3)
+        assert walk_vertices_of(spelled, 3, 3) == vertices
+        assert spelled == word
+        # a last step that is an edge but leaves by another letter than
+        # the one the last window starts with: every earlier position is
+        # placed, and the search fails at the leaving letter, position
+        # len(vertices) - 1, so window len(vertices) - k
+        last = vertices[-1]
+        out_i = next(i for i in range(3)
+                     if LETTERS[i] != word[-3] and last[i] > 0)
+        in_i = next(i for i in range(3) if i != out_i)
+        bad = list(last)
+        bad[out_i] -= 1
+        bad[in_i] += 1
+        got = W.is_realizable_walk(vertices + (tuple(bad),), k=3)
+        assert not got.realizable
+        assert got.refutation_index == len(vertices) - 3
+
     def test_without_labels_lexicographically_smallest(self):
         # single vertex (1,1,1): abc is the smallest of the six words
         assert W.spell([(1, 1, 1)], k=3) == "abc"
