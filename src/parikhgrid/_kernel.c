@@ -6,8 +6,9 @@ accounting.  Keep the two in sync; the parity test compares full traces
 
 Plain C99 with no Python headers, so the shared library does not depend on
 the interpreter's version.  The tables are the ones search._build_tables
-makes (mixed-radix window codes), passed in as int arrays; the kernel reads
-them and never frees them.  Solutions and progress go back through
+makes, passed in as int arrays; the kernel reads them and never frees them.
+Each placed letter moves the window along one labeled edge of the grid,
+read from the shift table.  Solutions and progress go back through
 callbacks; a callback that returns nonzero stops the search at once.
 */
 
@@ -31,7 +32,7 @@ typedef int (*pg_progress_fn)(long long nodes, int pos, long long found);
 
 typedef struct {
     int k, sigma, length, n_vec;
-    const int *powers, *code_to_index, *dist;
+    const int *shift, *dist;
     int m_min, diameter;
     int pdb_only, rule_dup, rule_rem, rule_bud, rule_con;
     long long collect_limit, node_budget;
@@ -40,21 +41,30 @@ typedef struct {
 
     long long nodes, found;
     int max_depth, exhausted;
-    int code, uncovered, dups;
+    int uncovered, dups;
     unsigned char *word;
     int *counts, *mult;
     int *used_at;          /* per position: letters used before it */
+    int *at;               /* per position: the window that ends there */
 } State;
 
-static void place(State *s, int pos, int c)
+/* The row of shift whose entry c is the window that ends at `pos` with
+   letter c.  A word starts from the window k*e_0 (rank 0), so while pos < k
+   the letter that leaves is one of its a's. */
+static const int *shift_row(const int *shift, int sigma, int k,
+                            const unsigned char *word, const int *at, int pos)
 {
-    if (pos >= s->k)
-        s->code -= s->powers[s->word[pos - s->k]];
-    s->code += s->powers[c];
+    size_t prev = pos > 0 ? (size_t)at[pos - 1] : 0;
+    size_t out = pos >= k ? word[pos - k] : 0;
+    return shift + (prev * (size_t)sigma + out) * (size_t)sigma;
+}
+
+static void place(State *s, int pos, int c, int idx)
+{
     s->word[pos] = (unsigned char)c;
+    s->at[pos] = idx;
     s->counts[c]++;
     if (pos >= s->k - 1) {
-        int idx = s->code_to_index[s->code];
         if (++s->mult[idx] == 1)
             s->uncovered--;
         else
@@ -67,16 +77,12 @@ static void place(State *s, int pos, int c)
 static void unplace(State *s, int pos, int c)
 {
     if (pos >= s->k - 1) {
-        int idx = s->code_to_index[s->code];
-        if (--s->mult[idx] == 0)
+        if (--s->mult[s->at[pos]] == 0)
             s->uncovered++;
         else
             s->dups--;
     }
     s->counts[c]--;
-    s->code -= s->powers[c];
-    if (pos >= s->k)
-        s->code += s->powers[s->word[pos - s->k]];
 }
 
 static int pruned(const State *s, int pos)
@@ -90,8 +96,7 @@ static int pruned(const State *s, int pos)
                 return 1;
     if (s->rule_con && pos >= s->k - 1 && rem < s->diameter
             && s->uncovered > 0) {
-        const int *row = s->dist
-            + (size_t)s->code_to_index[s->code] * (size_t)s->n_vec;
+        const int *row = s->dist + (size_t)s->at[pos] * (size_t)s->n_vec;
         for (int idx = 0; idx < s->n_vec; idx++)
             if (s->mult[idx] == 0 && row[idx] > rem)
                 return 1;
@@ -130,6 +135,8 @@ static int dfs(State *s, const unsigned char *prefix, int prefix_len,
         int top = pos < prefix_len ? prefix[pos] + 1
                   : used < s->sigma ? used + 1 : s->sigma;
         int counted = pos >= owned;
+        const int *row = shift_row(s->shift, s->sigma, s->k, s->word, s->at,
+                                   pos);
         for (; c < top; c++) {
             if (counted) {
                 s->nodes++;
@@ -141,14 +148,9 @@ static int dfs(State *s, const unsigned char *prefix, int prefix_len,
                         && s->progress_fn(s->nodes, pos, s->found))
                     return PG_ABORTED;
             }
-            if (s->rule_dup && pos >= s->k - 1) {
-                int nxt = s->code + s->powers[c];
-                if (pos >= s->k)
-                    nxt -= s->powers[s->word[pos - s->k]];
-                if (s->mult[s->code_to_index[nxt]] > 0)
-                    continue;
-            }
-            place(s, pos, c);
+            if (s->rule_dup && pos >= s->k - 1 && s->mult[row[c]] > 0)
+                continue;
+            place(s, pos, c, row[c]);
             if (!pruned(s, pos)) {
                 if (pos + 1 < s->length)
                     break;
@@ -184,9 +186,8 @@ static int dfs(State *s, const unsigned char *prefix, int prefix_len,
    PG_EXHAUSTED (node budget ran out), PG_ABORTED (a callback returned
    nonzero) or PG_NO_MEMORY, and stores the node count and maximum depth. */
 int pg_fixed_length_search(int k, int sigma, int length, int n_vec,
-                           const int *powers, const int *code_to_index,
-                           int m_min, const int *dist, int diameter,
-                           int pdb_only, int rules,
+                           const int *shift, int m_min, const int *dist,
+                           int diameter, int pdb_only, int rules,
                            const unsigned char *prefix, int prefix_len,
                            long long collect_limit, long long node_budget,
                            pg_found_fn found_fn, pg_progress_fn progress_fn,
@@ -200,8 +201,7 @@ int pg_fixed_length_search(int k, int sigma, int length, int n_vec,
     s.sigma = sigma;
     s.length = length;
     s.n_vec = n_vec;
-    s.powers = powers;
-    s.code_to_index = code_to_index;
+    s.shift = shift;
     s.dist = dist;
     s.m_min = m_min;
     s.diameter = diameter;
@@ -217,12 +217,13 @@ int pg_fixed_length_search(int k, int sigma, int length, int n_vec,
     s.uncovered = n_vec;
 
     s.word = calloc((size_t)length + 1, 1);
-    s.counts = calloc((size_t)sigma + (size_t)n_vec + (size_t)length + 1,
+    s.counts = calloc((size_t)sigma + (size_t)n_vec + 2 * (size_t)length + 1,
                       sizeof(int));
     if (s.word == NULL || s.counts == NULL)
         goto done;
     s.mult = s.counts + sigma;
     s.used_at = s.mult + n_vec;
+    s.at = s.used_at + length;
 
     /* A prefix position is a node of this search only when every prefix
        letter after it is 0: of the searches that share it, this one is the
@@ -246,31 +247,27 @@ done:
 
 typedef struct {
     int k, sigma, length;
-    const int *powers, *code_to_index;
+    const int *shift;
     unsigned char *word;
-    int *mult;
+    int *mult, *at;
 } Naive;
 
-static int naive(Naive *t, int pos, int code, int uncovered)
+static int naive(Naive *t, int pos, int uncovered)
 {
+    /* word[pos - k] is still the letter placed there: positions are
+       overwritten left to right, never cleared */
+    const int *row = shift_row(t->shift, t->sigma, t->k, t->word, t->at, pos);
     for (int c = 0; c < t->sigma; c++) {
-        int ncode, idx = -1, covered_now = uncovered, hit;
+        int idx = row[c], covered_now = uncovered, hit;
         t->word[pos] = (unsigned char)c;
-        ncode = code + t->powers[c];
-        /* word[pos - k] is still the letter placed there: positions are
-           overwritten left to right, never cleared */
-        if (pos >= t->k)
-            ncode -= t->powers[t->word[pos - t->k]];
-        if (pos >= t->k - 1) {
-            idx = t->code_to_index[ncode];
-            if (++t->mult[idx] == 1)
-                covered_now = uncovered - 1;
-        }
+        t->at[pos] = idx;
+        if (pos >= t->k - 1 && ++t->mult[idx] == 1)
+            covered_now = uncovered - 1;
         if (pos + 1 == t->length)
             hit = covered_now == 0;
         else
-            hit = naive(t, pos + 1, ncode, covered_now);
-        if (idx >= 0)
+            hit = naive(t, pos + 1, covered_now);
+        if (pos >= t->k - 1)
             t->mult[idx]--;
         if (hit)
             return 1;
@@ -282,15 +279,15 @@ static int naive(Naive *t, int pos, int code, int uncovered)
    see _kernel_py.find_covering_naive.  Writes it to `word` and returns 1,
    returns 0 when there is none, PG_NO_MEMORY when allocation fails. */
 int pg_find_covering_naive(int k, int sigma, int length, int n_vec,
-                           const int *powers, const int *code_to_index,
-                           unsigned char *word)
+                           const int *shift, unsigned char *word)
 {
-    Naive t = {k, sigma, length, powers, code_to_index, word, NULL};
+    Naive t = {k, sigma, length, shift, word, NULL, NULL};
     int hit;
-    t.mult = calloc((size_t)n_vec, sizeof(int));
+    t.mult = calloc((size_t)n_vec + (size_t)length, sizeof(int));
     if (t.mult == NULL)
         return PG_NO_MEMORY;
-    hit = naive(&t, 0, 0, n_vec);
+    t.at = t.mult + n_vec;
+    hit = naive(&t, 0, n_vec);
     free(t.mult);
     return hit;
 }

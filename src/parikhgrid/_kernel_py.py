@@ -4,8 +4,10 @@ Mirrors the compiled kernel (_kernel.c) exactly: same entry points,
 same exploration order, same node accounting.  The search enumerates
 candidate words of one fixed length, depth-first, letters in alphabet
 order, restricted to canonical form (each letter's first occurrence after
-the previous letter's).  Window vectors are tracked through a mixed-radix
-code so cover bookkeeping is O(1) per placed letter.
+the previous letter's).  Each placed letter moves the window along one
+labeled edge of the grid, read from the shift table in O(1).  A word starts
+from the window k*e_0 (rank 0): while pos < k the letter that leaves is one
+of its a's, and the windows that end before position k - 1 are not counted.
 
 Prune rules (bitmask, each independently sound):
   1  duplicate-window  reject a letter whose window repeats a seen vector
@@ -31,65 +33,46 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
                         collect_limit, node_budget, progress=None):
     """Explore canonical words of exactly ``length`` letters.
 
-    tables: (n_vectors, radix_powers, code_to_index, m_min, dist, diameter)
-    as built by search._build_tables.  collect_limit <= 0 collects every
-    solution.  Returns (complete, solutions, nodes, max_depth) where
-    solutions is a list of bytes (letter indices) in discovery order and
-    complete is False only when the node budget ran out.
+    tables: (n_vectors, shift, m_min, dist, diameter) as built by
+    search._build_tables.  collect_limit <= 0 collects every solution.
+    Returns (complete, solutions, nodes, max_depth) where solutions is a
+    list of bytes (letter indices) in discovery order and complete is False
+    only when the node budget ran out.
     """
-    n_vec, powers, code_to_index, m_min, dist, diameter = tables
+    n_vec, shift, m_min, dist, diameter = tables
     rule_dup = bool(rules & RULE_DUPLICATE) and pdb_only
     rule_rem = bool(rules & RULE_REMAINING)
     rule_bud = bool(rules & RULE_LETTER_BUDGET)
     rule_con = bool(rules & RULE_CONNECTIVITY) and dist is not None
 
     word = [0] * length
+    at = [0] * length        # per position: the window that ends there
+    used_at = [0] * length   # per position: letters used before it
     counts = [0] * sigma
     mult = [0] * n_vec
-    state = {"code": 0, "uncovered": n_vec, "dups": 0, "nodes": 0,
-             "max_depth": 0, "exhausted": False}
+    uncovered, dups, nodes, max_depth = n_vec, 0, 0, 0
     solutions = []
 
-    def place(pos, c):
-        if pos >= k:
-            state["code"] -= powers[word[pos - k]]
-        state["code"] += powers[c]
-        word[pos] = c
-        counts[c] += 1
-        if pos >= k - 1:
-            idx = code_to_index[state["code"]]
-            mult[idx] += 1
-            if mult[idx] == 1:
-                state["uncovered"] -= 1
-            else:
-                state["dups"] += 1
-        if pos + 1 > state["max_depth"]:
-            state["max_depth"] = pos + 1
-
     def unplace(pos, c):
+        nonlocal uncovered, dups
         if pos >= k - 1:
-            idx = code_to_index[state["code"]]
-            mult[idx] -= 1
-            if mult[idx] == 0:
-                state["uncovered"] += 1
+            mult[at[pos]] -= 1
+            if mult[at[pos]] == 0:
+                uncovered += 1
             else:
-                state["dups"] -= 1
+                dups -= 1
         counts[c] -= 1
-        state["code"] -= powers[c]
-        if pos >= k:
-            state["code"] += powers[word[pos - k]]
 
     def pruned(pos):
         rem = length - 1 - pos
-        if rule_rem and pos >= k - 1 and rem < state["uncovered"]:
+        if rule_rem and pos >= k - 1 and rem < uncovered:
             return True
         if rule_bud:
             for x in range(sigma):
                 if counts[x] + rem < m_min:
                     return True
-        if (rule_con and pos >= k - 1 and rem < diameter
-                and state["uncovered"] > 0):
-            cur = code_to_index[state["code"]] * n_vec
+        if rule_con and pos >= k - 1 and rem < diameter and uncovered > 0:
+            cur = at[pos] * n_vec
             for idx in range(n_vec):
                 if mult[idx] == 0 and dist[cur + idx] > rem:
                     return True
@@ -103,76 +86,92 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
     while owned > 0 and prefix[owned] == 0:
         owned -= 1
 
-    def dfs(pos, used):
-        if pos < len(prefix):
-            letters, counted = (prefix[pos],), pos >= owned
-        else:
-            letters, counted = range(used + 1 if used < sigma else sigma), True
-        for c in letters:
+    # The loop of dfs in _kernel.c: level ``pos`` tries letters c .. top-1;
+    # descending saves ``used`` in used_at[pos], and backing up resumes
+    # after word[pos].
+    pos = used = 0
+    c = prefix[0] if prefix else 0
+    while length > 0:
+        top = (prefix[pos] + 1 if pos < len(prefix)
+               else used + 1 if used < sigma else sigma)
+        counted = pos >= owned
+        # entry c of this row is the window that ends at pos with letter c
+        row = ((at[pos - 1] if pos else 0) * sigma
+               + (word[pos - k] if pos >= k else 0)) * sigma
+        while c < top:
             if counted:
-                state["nodes"] += 1
-                if node_budget and state["nodes"] > node_budget:
-                    state["exhausted"] = True
-                    return True
-                if (progress is not None
-                        and state["nodes"] % PROGRESS_INTERVAL == 0):
-                    progress(state["nodes"], pos, len(solutions))
-            if rule_dup and pos >= k - 1:
-                nxt = state["code"] + powers[c]
-                if pos >= k:
-                    nxt -= powers[word[pos - k]]
-                if mult[code_to_index[nxt]] > 0:
-                    continue
-            place(pos, c)
-            stop = False
-            if not pruned(pos):
-                if pos + 1 == length:
-                    if state["uncovered"] == 0 and (not pdb_only
-                                                    or state["dups"] == 0):
-                        solutions.append(bytes(word))
-                        if 0 < collect_limit <= len(solutions):
-                            stop = True
+                nodes += 1
+                if node_budget and nodes > node_budget:
+                    return False, solutions, nodes, max_depth
+                if progress is not None and nodes % PROGRESS_INTERVAL == 0:
+                    progress(nodes, pos, len(solutions))
+            idx = shift[row + c]
+            if rule_dup and pos >= k - 1 and mult[idx] > 0:
+                c += 1
+                continue
+            word[pos] = c
+            at[pos] = idx
+            counts[c] += 1
+            if pos >= k - 1:
+                mult[idx] += 1
+                if mult[idx] == 1:
+                    uncovered -= 1
                 else:
-                    stop = dfs(pos + 1, used if c < used else c + 1)
+                    dups += 1
+            max_depth = max(max_depth, pos + 1)
+            if not pruned(pos):
+                if pos + 1 < length:
+                    break
+                if uncovered == 0 and (not pdb_only or dups == 0):
+                    solutions.append(bytes(word))
+                    if 0 < collect_limit <= len(solutions):
+                        return True, solutions, nodes, max_depth
             unplace(pos, c)
-            if stop:
-                return True
-        return False
-
-    if length > 0:
-        dfs(0, 0)
-    return (not state["exhausted"], solutions, state["nodes"],
-            state["max_depth"])
+            c += 1
+        if c < top:
+            used_at[pos] = used
+            used = max(used, c + 1)
+            pos += 1
+            c = prefix[pos] if pos < len(prefix) else 0
+            continue
+        if pos == 0:
+            break
+        pos -= 1
+        c = word[pos]
+        used = used_at[pos]
+        unplace(pos, c)
+        c += 1
+    return True, solutions, nodes, max_depth
 
 
 def find_covering_naive(k, sigma, length, tables):
     """First covering word of the given length in plain lexicographic order,
     or None.  Enumerates all sigma**length words: no canonical-form
     restriction, no pruning.  Independent check for refutations."""
-    n_vec, powers, code_to_index, _m_min, _dist, _diam = tables
+    n_vec, shift = tables[:2]
     word = [0] * length
+    at = [0] * length
     mult = [0] * n_vec
 
-    def rec(pos, code, uncovered):
+    def rec(pos, uncovered):
+        # word[pos - k] is still the letter placed there: positions are
+        # overwritten left to right, never cleared
+        row = ((at[pos - 1] if pos else 0) * sigma
+               + (word[pos - k] if pos >= k else 0)) * sigma
         for c in range(sigma):
+            idx = shift[row + c]
             word[pos] = c
-            ncode = code + powers[c]
-            if pos >= k:
-                ncode -= powers[word[pos - k]]
-            # word[pos - k] is still the letter placed there: positions are
-            # overwritten left to right, never cleared
+            at[pos] = idx
+            covered_now = uncovered
             if pos >= k - 1:
-                idx = code_to_index[ncode]
                 mult[idx] += 1
-                covered_now = uncovered - 1 if mult[idx] == 1 else uncovered
-            else:
-                idx = -1
-                covered_now = uncovered
+                if mult[idx] == 1:
+                    covered_now = uncovered - 1
             if pos + 1 == length:
                 hit = covered_now == 0
             else:
-                hit = rec(pos + 1, ncode, covered_now)
-            if idx >= 0:
+                hit = rec(pos + 1, covered_now)
+            if pos >= k - 1:
                 mult[idx] -= 1
             if hit:
                 return True
@@ -180,4 +179,4 @@ def find_covering_naive(k, sigma, length, tables):
 
     if length < 1:
         return None
-    return bytes(word) if rec(0, 0, n_vec) else None
+    return bytes(word) if rec(0, n_vec) else None

@@ -14,6 +14,7 @@ for benchmarking and for debugging kernel parity).
 
 import array
 import ctypes
+import math
 import os
 import zlib
 
@@ -107,14 +108,14 @@ def _load():
     lib = ctypes.CDLL(_build())
     lib.pg_fixed_length_search.argtypes = (
         ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
-        _INTS, _INTS, ctypes.c_int, _INTS, ctypes.c_int,
+        _INTS, ctypes.c_int, _INTS, ctypes.c_int,
         ctypes.c_int, ctypes.c_int, ctypes.c_char_p, ctypes.c_int,
         ctypes.c_longlong, ctypes.c_longlong, _FOUND, _PROGRESS,
         ctypes.POINTER(ctypes.c_longlong), ctypes.POINTER(ctypes.c_int))
     lib.pg_fixed_length_search.restype = ctypes.c_int
     lib.pg_find_covering_naive.argtypes = (
         ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
-        _INTS, _INTS, ctypes.c_char_p)
+        _INTS, ctypes.c_char_p)
     lib.pg_find_covering_naive.restype = ctypes.c_int
     return lib
 
@@ -126,8 +127,10 @@ def _int_array(values):
 
 
 def _check_tables(k, sigma, tables):
-    n_vec, powers, code_to_index, _m_min, dist, _diam = tables
-    if len(powers) != sigma or len(code_to_index) != (k + 1) ** sigma:
+    # tables of another (k, sigma) would lead the C kernel off its arrays
+    n_vec, shift, _m_min, dist, _diam = tables
+    if (n_vec != math.comb(k + sigma - 1, sigma - 1)
+            or len(shift) != n_vec * sigma * sigma):
         raise ValueError("kernel tables do not match k=%d sigma=%d"
                          % (k, sigma))
     if dist is not None and len(dist) != n_vec * n_vec:
@@ -142,7 +145,7 @@ def _compiled_search(k, sigma, length, tables, pdb_only, rules, prefix,
     if len(prefix) > length or any(not 0 <= c < sigma for c in prefix):
         raise ValueError("prefix %r is not a word of at most %d letters over "
                          "%d letters" % (tuple(prefix), length, sigma))
-    n_vec, powers, code_to_index, m_min, dist, diameter = tables
+    n_vec, shift, m_min, dist, diameter = tables
     use_dist = bool(rules & RULE_CONNECTIVITY) and dist is not None
     solutions = []
     raised = []
@@ -167,8 +170,7 @@ def _compiled_search(k, sigma, length, tables, pdb_only, rules, prefix,
                   else _PROGRESS())
     nodes, max_depth = ctypes.c_longlong(), ctypes.c_int()
     status = _lib.pg_fixed_length_search(
-        k, sigma, length, n_vec, _int_array(powers),
-        _int_array(code_to_index), m_min,
+        k, sigma, length, n_vec, _int_array(shift), m_min,
         _int_array(dist) if use_dist else None, diameter or 0,
         1 if pdb_only else 0, rules, bytes(prefix), len(prefix),
         collect_limit, min(node_budget or 0, _MAX_NODES), found, checkpoint,
@@ -185,11 +187,10 @@ def _compiled_naive(k, sigma, length, tables):
     _check_tables(k, sigma, tables)
     if length < 1:
         return None
-    n_vec, powers, code_to_index = tables[:3]
+    n_vec, shift = tables[:2]
     word = ctypes.create_string_buffer(length)
     hit = _lib.pg_find_covering_naive(k, sigma, length, n_vec,
-                                      _int_array(powers),
-                                      _int_array(code_to_index), word)
+                                      _int_array(shift), word)
     if hit == _NO_MEMORY:
         raise MemoryError("naive enumerator could not allocate its state")
     return word.raw if hit else None

@@ -59,10 +59,12 @@ RULE_NAMES = {
 }
 ALL_RULES = frozenset(RULE_NAMES)
 
-# The kernel indexes windows through a (k+1)^sigma mixed-radix table and a
-# per-vector multiplicity array; both must stay small.
-MAX_SEARCH_VECTORS = 100_000
-MAX_CODE_TABLE = 4_000_000
+# Bound on the ints of a search's tables, n_vec * sigma^2 shifts and, with
+# the connectivity rule, n_vec^2 distances, plus k for the kernel's ints per
+# letter of a word, which has at least k letters (this counts only at sigma =
+# 1, where n_vec = 1).  Checked before anything is allocated; it keeps
+# sigma <= 158, so a letter fits in a byte.
+MAX_TABLE_ENTRIES = 4_000_000
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -115,44 +117,41 @@ def _rules_mask(rules):
 
 
 def _build_tables(k, sigma, with_distances):
-    """Vector tables the kernel indexes by: mixed-radix window codes, the
-    per-letter minimum count, and (optionally) all-pairs grid distances."""
+    """The kernel's tables over vector ranks: shift[(idx*sigma + out)*sigma
+    + c] is the rank of p - e_out + e_c for p of rank idx (-1 when p[out] is
+    0), m_min the per-letter minimum count, and optionally dist[idx*n_vec +
+    jdx] = k - sum(min(p_i, q_i)), the shifts from p to q, and its maximum."""
     n_vec = V.ensure_capacity(k, sigma)
-    if n_vec > MAX_SEARCH_VECTORS:
-        raise CapacityExceeded("search over %d vectors exceeds the %d bound"
-                               % (n_vec, MAX_SEARCH_VECTORS))
-    radix = k + 1
-    if radix ** sigma > MAX_CODE_TABLE:
+    entries = (n_vec * sigma * sigma + (n_vec * n_vec if with_distances else 0)
+               + k)
+    if entries > MAX_TABLE_ENTRIES:
         raise CapacityExceeded(
-            "window code table (k+1)^sigma = %d exceeds the %d bound"
-            % (radix ** sigma, MAX_CODE_TABLE))
-    powers = [radix ** i for i in range(sigma)]
+            "search tables of %d ints for k=%d sigma=%d exceed the "
+            "MAX_TABLE_ENTRIES bound of %d" % (entries, k, sigma,
+                                               MAX_TABLE_ENTRIES))
     vectors = V.enumerate_pv(k, sigma)
-    code_to_index = [-1] * (radix ** sigma)
-    for idx, p in enumerate(vectors):
-        code_to_index[sum(c * powers[i] for i, c in enumerate(p))] = idx
+    index = {p: i for i, p in enumerate(vectors)}
+    # the ranks of q + e_c for every vector q of order k - 1
+    up = {q: [index[q[:c] + (q[c] + 1,) + q[c + 1:]] for c in range(sigma)]
+          for q in V.enumerate_pv(k - 1, sigma)}
+    shift = []
+    for p in vectors:
+        for out in range(sigma):
+            shift.extend(up[p[:out] + (p[out] - 1,) + p[out + 1:]] if p[out]
+                         else [-1] * sigma)
     m_min = covering.min_letter_occurrences(k, sigma)
     dist = diameter = None
     if with_distances:
-        index = {p: i for i, p in enumerate(vectors)}
-        dist = [0] * (n_vec * n_vec)
-        diameter = 0
-        for src, p in enumerate(vectors):
-            seen = {p: 0}
-            frontier = [p]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in V.neighbors(u):
-                        if w not in seen:
-                            seen[w] = seen[u] + 1
-                            nxt.append(w)
-                frontier = nxt
-            for q, d in seen.items():
-                dist[src * n_vec + index[q]] = d
-                if d > diameter:
-                    diameter = d
-    return (n_vec, powers, code_to_index, m_min, dist, diameter)
+        # k - sum(min(p_i, q_i)) = sum(max(p_i - q_i, 0)), summed over the
+        # columns excess[i][v] of max(v - q_i, 0) for every q
+        excess = [[[max(v - q[i], 0) for q in vectors] for v in range(k + 1)]
+                  for i in range(sigma)]
+        dist = []
+        for p in vectors:
+            dist.extend(map(sum, zip(*[excess[i][v]
+                                       for i, v in enumerate(p)])))
+        diameter = k if sigma > 1 else 0  # from k*e_0 to k*e_1
+    return (n_vec, shift, m_min, dist, diameter)
 
 
 def _prepare(cfg):
@@ -202,8 +201,9 @@ def _check_stop(_nodes, _depth, _found):
 def _pool(cfg, tables):
     """One pool per search call, forking its workers once for all lengths;
     on leaving, by any path, it stops the tasks still queued or running and
-    waits for its workers."""
-    if cfg.worker_count <= 1:
+    waits for its workers.  None for one worker, and for a call with no
+    tables because it has no length to search."""
+    if cfg.worker_count <= 1 or tables is None:
         yield None
         return
     stop = multiprocessing.RawValue("b", 0)

@@ -129,6 +129,49 @@ def walk_realizable_naive(vertices, k, sigma):
     return None
 
 
+def colex_vectors(k, sigma):
+    """Order-k vectors over sigma letters, the last coordinate varying
+    slowest: the rank order of the package's tables."""
+    vectors = []
+    for letters in itertools.combinations_with_replacement(range(sigma), k):
+        counts = [0] * sigma
+        for i in letters:
+            counts[i] += 1
+        vectors.append(tuple(counts))
+    return sorted(vectors, key=lambda p: p[::-1])
+
+
+def grid_step(p, out, into):
+    """The window after letter ``out`` leaves p and ``into`` enters it, or
+    None when p holds no ``out``."""
+    if p[out] == 0:
+        return None
+    q = list(p)
+    q[out] -= 1
+    q[into] += 1
+    return tuple(q)
+
+
+def grid_distances(vectors):
+    """Fewest window shifts between every pair, by breadth-first search."""
+    sigma = len(vectors[0])
+    dist = {}
+    for p in vectors:
+        seen = {p: 0}
+        queue = deque([p])
+        while queue:
+            u = queue.popleft()
+            for out in range(sigma):
+                for into in range(sigma):
+                    w = grid_step(u, out, into)
+                    if w is not None and w not in seen:
+                        seen[w] = seen[u] + 1
+                        queue.append(w)
+        for q, d in seen.items():
+            dist[p, q] = d
+    return dist
+
+
 def cliques_of_size(vertices, size):
     """All size-cliques of the neighbor graph on the given vertex list."""
     order = {p: i for i, p in enumerate(vertices)}

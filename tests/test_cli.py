@@ -148,6 +148,24 @@ class TestSearchCommand:
         assert doc["refuted_up_to"] == 58 and doc["stats"]["nodes"] == 0
         assert time.monotonic() - start < 1
 
+    def test_wide_alphabet_pdb_found(self, capsys):
+        # 120 vectors over 15 letters: a shift table of 120 * 15^2 ints
+        code, out, _ = run(capsys, "search", "--k", "2", "--sigma", "15",
+                           "--target", "pdb")
+        doc = json.loads(out)
+        assert code == 0 and doc["status"] == "found"
+        code, out, _ = run(capsys, "verify", doc["witness"], "--k", "2",
+                           "--sigma", "15")
+        assert code == 0 and json.loads(out)["is_pdb"] is True
+
+    def test_tables_over_the_bound_exit_two_at_once(self, capsys):
+        # 3,003 vectors: their 3,003^2 distances alone exceed the bound
+        start = time.monotonic()
+        code, _, err = run(capsys, "search", "--k", "10", "--sigma", "6",
+                           "--target", "pdb", "--node-budget", "1000")
+        assert code == 2 and "MAX_TABLE_ENTRIES" in err
+        assert time.monotonic() - start < 1
+
 
 class TestOtherCommands:
     def test_walk(self, capsys):

@@ -3,6 +3,8 @@ traces: same solutions in the same order, same node counts, same depths."""
 
 import importlib
 import os
+import shutil
+import subprocess
 
 import pytest
 
@@ -33,6 +35,7 @@ CASES = [
     (2, 5, 16, True, 1, (0, 0, 1, 0), 1),
     (2, 3, 7, True, 1, (0, 0, 0), 0),  # the prefix repeats a window
     (3, 3, 12, True, 1, (0, 1, 2, 0, 0), 0),
+    (30, 2, 1200, False, 15, (), 1),  # deeper than the recursion limit
 ]
 
 
@@ -120,6 +123,24 @@ def test_compiled_rejects_prefix_it_cannot_place(prefix):
     tables = _build_tables(2, 3, True)
     with pytest.raises(ValueError):
         K.fixed_length_search(2, 3, 7, tables, False, 15, prefix, 1, 0)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_kernel_source_is_strict_c99():
+    proc = subprocess.run(["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic",
+                           "-Werror", "-fsyntax-only", K._SOURCE],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_compiled
+@pytest.mark.parametrize("k,sigma", [(4, 3), (2, 4)])
+def test_compiled_rejects_tables_of_another_instance(k, sigma):
+    # the shift table of (k=3, sigma=3) would lead the windows of another
+    # instance to rank -1 or past the C arrays
+    tables = _build_tables(3, 3, True)
+    with pytest.raises(ValueError):
+        K.fixed_length_search(k, sigma, 12, tables, False, 15, (), 1, 0)
 
 
 def test_pure_kernel_env_override(monkeypatch):

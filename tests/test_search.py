@@ -10,7 +10,8 @@ from parikhgrid import search as S
 from parikhgrid import vectors as V
 from parikhgrid.errors import CapacityExceeded
 
-from helpers import covering_word_exists_naive
+from helpers import (colex_vectors, covering_word_exists_naive,
+                     grid_distances, grid_step)
 
 # (k, sigma) -> expected shortest covering length
 SHORTEST = {(2, 3): 7, (3, 3): 12, (2, 4): 12, (2, 5): 16, (4, 3): 19,
@@ -115,6 +116,31 @@ class TestPdbExistence:
         assert out.status == S.STATUS_FOUND
         assert len(out.witness) == 60
         assert C.verify(out.witness, 5, 4).is_pdb
+
+
+class TestTables:
+    @pytest.mark.parametrize("k,sigma", [(3, 1), (3, 3), (4, 5), (2, 15)])
+    def test_shift_and_dist_match_the_grid(self, k, sigma):
+        n_vec, shift, _m_min, dist, diameter = S._build_tables(k, sigma, True)
+        vectors = colex_vectors(k, sigma)
+        rank = {p: i for i, p in enumerate(vectors)}
+        assert n_vec == len(vectors)
+        assert shift == [
+            rank.get(grid_step(p, out, into), -1)
+            for p in vectors for out in range(sigma) for into in range(sigma)]
+        oracle = grid_distances(vectors)
+        assert dist == [oracle[p, q] for p in vectors for q in vectors]
+        assert diameter == max(dist)
+
+    def test_bound_is_checked_before_the_tables_are_built(self, monkeypatch):
+        # 3,003 vectors fit without their 3,003^2 distances
+        assert S._build_tables(10, 6, False)[0] == 3003
+        monkeypatch.setattr(V, "enumerate_pv", None)
+        with pytest.raises(CapacityExceeded, match="MAX_TABLE_ENTRIES"):
+            S._build_tables(10, 6, True)
+        # one vector, but the kernel's state grows with words of k letters
+        with pytest.raises(CapacityExceeded, match="MAX_TABLE_ENTRIES"):
+            S._build_tables(S.MAX_TABLE_ENTRIES, 1, True)
 
 
 class TestMinimalityCertificates:
@@ -264,6 +290,22 @@ class TestDeterminism:
             assert len(out.witness) == 27
             assert len(pools) == want
 
+    def test_no_pool_without_a_length(self, monkeypatch):
+        # perfect covers of (k=3, sigma=6) are ruled out by bounds(), so
+        # nothing is searched and no pool is needed
+        pools = []
+
+        class CountedPool(S.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(S, "ProcessPoolExecutor", CountedPool)
+        out = S.search_pdb_existence(
+            3, 6, S.SearchConfig(k=3, sigma=6, worker_count=2))
+        assert out.status == S.STATUS_REFUTED
+        assert pools == []
+
     def test_task_prefixes_follow_the_worker_count(self):
         assert S._task_prefixes(4, 38, 1) == [()]
         for sigma, length, workers in [(4, 38, 2), (2, 80, 3), (5, 73, 2)]:
@@ -348,7 +390,7 @@ class TestWorkerStop:
         assert time.perf_counter() - start < alone
 
     def test_jobs_carry_no_tables(self, monkeypatch):
-        # the (sigma=4, k=6) tables pickle to about 26 KB; a job holds the
+        # the (sigma=4, k=7) tables pickle to about 34 KB; a job holds the
         # task's parameters only
         sizes = []
 
@@ -358,9 +400,9 @@ class TestWorkerStop:
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(S, "ProcessPoolExecutor", SizedPool)
-        assert len(pickle.dumps(S._build_tables(6, 4, True))) > 20_000
-        out = S.search_pdb_existence(6, 4, S.SearchConfig(
-            k=6, sigma=4, worker_count=2, node_budget=1_000))
+        assert len(pickle.dumps(S._build_tables(7, 4, True))) > 20_000
+        out = S.search_pdb_existence(7, 4, S.SearchConfig(
+            k=7, sigma=4, worker_count=2, node_budget=1_000))
         assert out.status == S.STATUS_BUDGET
         assert sizes and max(sizes) < 1_024
 
