@@ -9,22 +9,29 @@ labeled edge of the grid, read from the shift table in O(1).  A word starts
 from the window k*e_0 (rank 0): while pos < k the letter that leaves is one
 of its a's, and the windows that end before position k - 1 are not counted.
 
-Prune rules (bitmask, each independently sound):
+Prune rules (bitmask, each independently sound).  U is the set of
+uncovered vectors and rem the number of letters after the current one; two
+vectors are neighbours when one letter shift joins them (the shift entries
+with out != in), and the current window is the one that ends at the
+current letter:
   1  duplicate-window  reject a letter whose window repeats a seen vector
                        (perfect-cover targets only)
-  2  uncovered-count   remaining positions < uncovered vectors
-  4  letter-budget     some letter can no longer reach its minimum count
-  8  connectivity      some uncovered vector is farther than the remaining
-                       step budget in the grid
+  2  uncovered-count   rem < |U|
+  4  components        covering targets: rem < |U| + c - 1, where c is the
+                       number of components of the grid induced on U, since
+                       a window between two of them is on a covered vector.
+                       Perfect-cover targets: the rest of the word is a path
+                       through U from the current window, so some vector of
+                       U has no neighbour in U + {current}, or two have at
+                       most one.
 """
 
-PROGRESS_INTERVAL = 10_000_000
+PROGRESS_INTERVAL = 1_000_000
 
 RULE_DUPLICATE = 1
 RULE_REMAINING = 2
-RULE_LETTER_BUDGET = 4
-RULE_CONNECTIVITY = 8
-ALL_RULES = 15
+RULE_COMPONENTS = 4
+ALL_RULES = 7
 
 KERNEL_NAME = "pure-python"
 
@@ -33,49 +40,139 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
                         collect_limit, node_budget, progress=None):
     """Explore canonical words of exactly ``length`` letters.
 
-    tables: (n_vectors, shift, m_min, dist, diameter) as built by
-    search._build_tables.  collect_limit <= 0 collects every solution.
-    Returns (complete, solutions, nodes, max_depth) where solutions is a
-    list of bytes (letter indices) in discovery order and complete is False
-    only when the node budget ran out.
+    tables: (n_vectors, shift) as built by search._build_tables.
+    collect_limit <= 0 collects every solution.  Returns (complete,
+    solutions, nodes, max_depth) where solutions is a list of bytes (letter
+    indices) in discovery order and complete is False only when the node
+    budget ran out.
     """
-    n_vec, shift, m_min, dist, diameter = tables
+    n_vec, shift = tables
     rule_dup = bool(rules & RULE_DUPLICATE) and pdb_only
     rule_rem = bool(rules & RULE_REMAINING)
-    rule_bud = bool(rules & RULE_LETTER_BUDGET)
-    rule_con = bool(rules & RULE_CONNECTIVITY) and dist is not None
+    rule_comp = bool(rules & RULE_COMPONENTS)
 
     word = [0] * length
     at = [0] * length        # per position: the window that ends there
     used_at = [0] * length   # per position: letters used before it
-    counts = [0] * sigma
     mult = [0] * n_vec
     uncovered, dups, nodes, max_depth = n_vec, 0, 0, 0
     solutions = []
 
-    def unplace(pos, c):
+    # The components rule.  Covering targets: per position, the number of
+    # components of G[U] after the window that ends there (-1: not known),
+    # counted only when the bound could fire and kept while U stays the
+    # same.  Perfect-cover targets: deg[v] is the number of v's neighbours
+    # in U + {current}, and ends and isolated count the vectors of U with at
+    # most one and with none.
+    neighbours = comps = deg = None
+    ends = isolated = 0
+    if rule_comp:
+        # the shifts of v other than -1 (v holds no out) and v itself
+        # (in = out)
+        width = sigma * sigma
+        neighbours = [[x for x in shift[v * width:(v + 1) * width]
+                       if x >= 0 and x != v] for v in range(n_vec)]
+        if pdb_only:
+            deg = [len(near) for near in neighbours]
+            ends = sum(d <= 1 for d in deg)
+            isolated = deg.count(0)
+        else:
+            comps = [-1] * length
+
+    def count_ends(v, sign):
+        nonlocal ends, isolated
+        ends += sign * (deg[v] <= 1)
+        isolated += sign * (deg[v] == 0)
+
+    def move_degrees(v, delta):
+        # v enters (delta 1) or leaves (delta -1) the set U + {current}
+        for x in neighbours[v]:
+            if mult[x] == 0:
+                count_ends(x, -1)
+            deg[x] += delta
+            if mult[x] == 0:
+                count_ends(x, 1)
+
+    def count_components(limit):
+        # components of G[U], stopping at limit + 1
+        seen = set()
+        c = 0
+        for v in range(n_vec):
+            if mult[v] or v in seen:
+                continue
+            c += 1
+            if c > limit:
+                break
+            seen.add(v)
+            stack = [v]
+            while stack:
+                for x in neighbours[stack.pop()]:
+                    if not mult[x] and x not in seen:
+                        seen.add(x)
+                        stack.append(x)
+        return c
+
+    def place(pos, c, idx):
+        nonlocal uncovered, dups, max_depth
+        word[pos] = c
+        at[pos] = idx
+        max_depth = max(max_depth, pos + 1)
+        if pos < k - 1:
+            return
+        mult[idx] += 1
+        fresh = mult[idx] == 1
+        if fresh:
+            uncovered -= 1
+        else:
+            dups += 1
+        if deg is not None:
+            # U + {current} loses the previous window, and gains idx unless
+            # idx was uncovered, in U already
+            prev = at[pos - 1] if pos >= k else idx
+            if fresh:
+                count_ends(idx, -1)
+            if prev != idx:
+                move_degrees(prev, -1)
+                if not fresh:
+                    move_degrees(idx, 1)
+        elif comps is not None:
+            comps[pos] = -1 if fresh else comps[pos - 1]
+
+    def unplace(pos):
         nonlocal uncovered, dups
-        if pos >= k - 1:
-            mult[at[pos]] -= 1
-            if mult[at[pos]] == 0:
-                uncovered += 1
-            else:
-                dups -= 1
-        counts[c] -= 1
+        if pos < k - 1:
+            return
+        idx = at[pos]
+        if deg is not None:
+            prev = at[pos - 1] if pos >= k else idx
+            if prev != idx:
+                if mult[idx] > 1:
+                    move_degrees(idx, -1)
+                move_degrees(prev, 1)
+        mult[idx] -= 1
+        if mult[idx] == 0:
+            uncovered += 1
+            if deg is not None:
+                count_ends(idx, 1)
+        else:
+            dups -= 1
 
     def pruned(pos):
+        if pos < k - 1:
+            return False
         rem = length - 1 - pos
-        if rule_rem and pos >= k - 1 and rem < uncovered:
+        if rule_rem and rem < uncovered:
             return True
-        if rule_bud:
-            for x in range(sigma):
-                if counts[x] + rem < m_min:
-                    return True
-        if rule_con and pos >= k - 1 and rem < diameter and uncovered > 0:
-            cur = at[pos] * n_vec
-            for idx in range(n_vec):
-                if mult[idx] == 0 and dist[cur + idx] > rem:
-                    return True
+        if deg is not None:
+            return isolated > 0 or ends > 1
+        if comps is not None and 0 < uncovered and rem < 2 * uncovered - 1:
+            slack = rem - uncovered + 1
+            c = comps[pos]
+            if c < 0:
+                c = count_components(slack)
+                if c <= slack:
+                    comps[pos] = c
+            return c > slack
         return False
 
     # Prefix letters are forced.  A prefix position is a node of this task
@@ -109,16 +206,7 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
             if rule_dup and pos >= k - 1 and mult[idx] > 0:
                 c += 1
                 continue
-            word[pos] = c
-            at[pos] = idx
-            counts[c] += 1
-            if pos >= k - 1:
-                mult[idx] += 1
-                if mult[idx] == 1:
-                    uncovered -= 1
-                else:
-                    dups += 1
-            max_depth = max(max_depth, pos + 1)
+            place(pos, c, idx)
             if not pruned(pos):
                 if pos + 1 < length:
                     break
@@ -126,7 +214,7 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
                     solutions.append(bytes(word))
                     if 0 < collect_limit <= len(solutions):
                         return True, solutions, nodes, max_depth
-            unplace(pos, c)
+            unplace(pos)
             c += 1
         if c < top:
             used_at[pos] = used
@@ -139,7 +227,7 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
         pos -= 1
         c = word[pos]
         used = used_at[pos]
-        unplace(pos, c)
+        unplace(pos)
         c += 1
     return True, solutions, nodes, max_depth
 
@@ -148,7 +236,7 @@ def find_covering_naive(k, sigma, length, tables):
     """First covering word of the given length in plain lexicographic order,
     or None.  Enumerates all sigma**length words: no canonical-form
     restriction, no pruning.  Independent check for refutations."""
-    n_vec, shift = tables[:2]
+    n_vec, shift = tables
     word = [0] * length
     at = [0] * length
     mult = [0] * n_vec

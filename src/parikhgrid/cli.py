@@ -222,7 +222,7 @@ def build_parser():
     p.add_argument("--node-budget", type=int,
                    default=search.DEFAULT_NODE_BUDGET)
     p.add_argument("--progress", action="store_true",
-                   help="JSON checkpoint lines on stderr: every 10^7 "
+                   help="JSON checkpoint lines on stderr: every 10^6 "
                         "nodes on one thread, after each merged task that "
                         "moves the counts on more")
     p.add_argument("--format", choices=("json", "table"), default="json")

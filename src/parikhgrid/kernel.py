@@ -5,7 +5,8 @@ loaded through ctypes.  On import it is compiled with ``cc -O2 -shared
 -fPIC`` into ``$XDG_CACHE_HOME/parikhgrid`` (``~/.cache/parikhgrid`` when
 that is unset) under a name keyed by a checksum of the source, the flags
 and the machine, so an edited source is rebuilt and an unchanged one is
-built once; a new build deletes the builds of other sources there.  When
+built once.  The cache keeps the KEEP_BUILDS builds loaded most recently,
+so checkouts of a few sources that share it do not rebuild.  When
 there is no compiler, the build fails or the cache cannot be written, the
 pure-Python twin (``_kernel_py``) is used instead and ``FALLBACK_REASON``
 says why.  PARIKHGRID_PURE_KERNEL=1 forces the pure-Python kernel (useful
@@ -22,14 +23,15 @@ from . import _kernel_py
 from ._kernel_py import (  # noqa: F401  (re-exported constants)
     ALL_RULES,
     PROGRESS_INTERVAL,
-    RULE_CONNECTIVITY,
+    RULE_COMPONENTS,
     RULE_DUPLICATE,
-    RULE_LETTER_BUDGET,
     RULE_REMAINING,
 )
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
+# Builds the cache keeps, the most recently loaded ones.
+KEEP_BUILDS = 4
 
 # Results of pg_fixed_length_search, as defined in _kernel.c.
 _COMPLETE, _NO_MEMORY = 1, -2
@@ -60,6 +62,11 @@ def _build():
     directory = _cache_dir()
     target = os.path.join(directory, "_kernel-%08x.so" % key)
     if os.path.exists(target):
+        try:
+            # the time it was last loaded, for _remove_stale_builds
+            os.utime(target)
+        except OSError:
+            pass
         return target
 
     import subprocess
@@ -81,26 +88,31 @@ def _build():
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    _remove_stale_builds(directory, target)
+    _remove_stale_builds(directory)
     return target
 
 
-def _remove_stale_builds(directory, keep):
-    """Deletes the builds of other sources from the cache directory; the
-    temporary files of builds in progress stay, and a file that cannot be
-    removed is left."""
+def _remove_stale_builds(directory):
+    """Deletes from the cache directory all builds but the KEEP_BUILDS
+    most recently loaded (by modification time); the temporary files of
+    builds in progress stay, and a file that cannot be removed is left."""
     try:
         names = os.listdir(directory)
     except OSError:
         return
+    builds = []
     for name in names:
         path = os.path.join(directory, name)
-        if (name.startswith("_kernel-") and name.endswith(".so")
-                and path != keep):
+        if name.startswith("_kernel-") and name.endswith(".so"):
             try:
-                os.unlink(path)
+                builds.append((os.stat(path).st_mtime, path))
             except OSError:
                 pass
+    for _mtime, path in sorted(builds, reverse=True)[KEEP_BUILDS:]:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
 
 
 def _load():
@@ -108,8 +120,7 @@ def _load():
     lib = ctypes.CDLL(_build())
     lib.pg_fixed_length_search.argtypes = (
         ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
-        _INTS, ctypes.c_int, _INTS, ctypes.c_int,
-        ctypes.c_int, ctypes.c_int, ctypes.c_char_p, ctypes.c_int,
+        _INTS, ctypes.c_int, ctypes.c_int, ctypes.c_char_p, ctypes.c_int,
         ctypes.c_longlong, ctypes.c_longlong, _FOUND, _PROGRESS,
         ctypes.POINTER(ctypes.c_longlong), ctypes.POINTER(ctypes.c_int))
     lib.pg_fixed_length_search.restype = ctypes.c_int
@@ -127,14 +138,13 @@ def _int_array(values):
 
 
 def _check_tables(k, sigma, tables):
-    # tables of another (k, sigma) would lead the C kernel off its arrays
-    n_vec, shift, _m_min, dist, _diam = tables
-    if (n_vec != math.comb(k + sigma - 1, sigma - 1)
+    # tables of another (k, sigma) would lead the C kernel off its arrays,
+    # and a letter is a byte
+    n_vec, shift = tables
+    if (sigma > 256 or n_vec != math.comb(k + sigma - 1, sigma - 1)
             or len(shift) != n_vec * sigma * sigma):
         raise ValueError("kernel tables do not match k=%d sigma=%d"
                          % (k, sigma))
-    if dist is not None and len(dist) != n_vec * n_vec:
-        raise ValueError("distance table does not match %d vectors" % n_vec)
 
 
 def _compiled_search(k, sigma, length, tables, pdb_only, rules, prefix,
@@ -145,8 +155,7 @@ def _compiled_search(k, sigma, length, tables, pdb_only, rules, prefix,
     if len(prefix) > length or any(not 0 <= c < sigma for c in prefix):
         raise ValueError("prefix %r is not a word of at most %d letters over "
                          "%d letters" % (tuple(prefix), length, sigma))
-    n_vec, shift, m_min, dist, diameter = tables
-    use_dist = bool(rules & RULE_CONNECTIVITY) and dist is not None
+    n_vec, shift = tables
     solutions = []
     raised = []
 
@@ -170,9 +179,8 @@ def _compiled_search(k, sigma, length, tables, pdb_only, rules, prefix,
                   else _PROGRESS())
     nodes, max_depth = ctypes.c_longlong(), ctypes.c_int()
     status = _lib.pg_fixed_length_search(
-        k, sigma, length, n_vec, _int_array(shift), m_min,
-        _int_array(dist) if use_dist else None, diameter or 0,
-        1 if pdb_only else 0, rules, bytes(prefix), len(prefix),
+        k, sigma, length, n_vec, _int_array(shift), 1 if pdb_only else 0,
+        rules, bytes(prefix), len(prefix),
         collect_limit, min(node_budget or 0, _MAX_NODES), found, checkpoint,
         ctypes.byref(nodes), ctypes.byref(max_depth))
     if raised:
@@ -187,7 +195,7 @@ def _compiled_naive(k, sigma, length, tables):
     _check_tables(k, sigma, tables)
     if length < 1:
         return None
-    n_vec, shift = tables[:2]
+    n_vec, shift = tables
     word = ctypes.create_string_buffer(length)
     hit = _lib.pg_find_covering_naive(k, sigma, length, n_vec,
                                       _int_array(shift), word)

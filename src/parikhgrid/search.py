@@ -26,8 +26,9 @@ settles only at a task whose predecessors are all folded, so the tasks
 still running then come after it and their results would be discarded;
 and every settle ends the search call.  On leaving the call the flag is
 set: queued tasks return at once and running ones at their next kernel
-checkpoint, every kernel.PROGRESS_INTERVAL (10^7) nodes.  That is about
-0.1 s on the compiled kernel; the pure-Python fallback stops only at the
+checkpoint, every kernel.PROGRESS_INTERVAL (10^6) nodes.  That is 0.05 to
+0.15 s on the compiled kernel, which with the components rule explores 7 to
+20 million nodes per second; the pure-Python fallback stops only at the
 same checkpoint, which it reaches far later.
 """
 
@@ -37,7 +38,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import count
 
 from . import covering, kernel
 from . import vectors as V
@@ -54,16 +54,14 @@ STATUS_BUDGET = "budget_exhausted"
 RULE_NAMES = {
     "duplicate_window": kernel.RULE_DUPLICATE,
     "uncovered_count": kernel.RULE_REMAINING,
-    "letter_budget": kernel.RULE_LETTER_BUDGET,
-    "connectivity": kernel.RULE_CONNECTIVITY,
+    "components": kernel.RULE_COMPONENTS,
 }
 ALL_RULES = frozenset(RULE_NAMES)
 
-# Bound on the ints of a search's tables, n_vec * sigma^2 shifts and, with
-# the connectivity rule, n_vec^2 distances, plus k for the kernel's ints per
-# letter of a word, which has at least k letters (this counts only at sigma =
-# 1, where n_vec = 1).  Checked before anything is allocated; it keeps
-# sigma <= 158, so a letter fits in a byte.
+# Bound on the kernel's state for one search length: the n_vec * sigma^2
+# shifts of its table, plus one for each letter of the word, of which the
+# kernel keeps a few ints.  A word has at least k letters.  Checked before
+# anything is allocated; it keeps sigma <= 158, so a letter fits in a byte.
 MAX_TABLE_ENTRIES = 4_000_000
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -116,19 +114,21 @@ def _rules_mask(rules):
     return mask
 
 
-def _build_tables(k, sigma, with_distances):
-    """The kernel's tables over vector ranks: shift[(idx*sigma + out)*sigma
-    + c] is the rank of p - e_out + e_c for p of rank idx (-1 when p[out] is
-    0), m_min the per-letter minimum count, and optionally dist[idx*n_vec +
-    jdx] = k - sum(min(p_i, q_i)), the shifts from p to q, and its maximum."""
-    n_vec = V.ensure_capacity(k, sigma)
-    entries = (n_vec * sigma * sigma + (n_vec * n_vec if with_distances else 0)
-               + k)
-    if entries > MAX_TABLE_ENTRIES:
+def _longest_word(k, sigma):
+    """The most letters a search word over the (k, sigma) tables may have
+    within MAX_TABLE_ENTRIES."""
+    return MAX_TABLE_ENTRIES - V.ensure_capacity(k, sigma) * sigma * sigma
+
+
+def _build_tables(k, sigma):
+    """The kernel's tables over vector ranks, (n_vec, shift):
+    shift[(idx*sigma + out)*sigma + c] is the rank of p - e_out + e_c for p
+    of rank idx (-1 when p[out] is 0)."""
+    if _longest_word(k, sigma) < k:
         raise CapacityExceeded(
-            "search tables of %d ints for k=%d sigma=%d exceed the "
-            "MAX_TABLE_ENTRIES bound of %d" % (entries, k, sigma,
-                                               MAX_TABLE_ENTRIES))
+            "search tables for k=%d sigma=%d and a word of k letters exceed "
+            "the MAX_TABLE_ENTRIES bound of %d ints"
+            % (k, sigma, MAX_TABLE_ENTRIES))
     vectors = V.enumerate_pv(k, sigma)
     index = {p: i for i, p in enumerate(vectors)}
     # the ranks of q + e_c for every vector q of order k - 1
@@ -139,26 +139,21 @@ def _build_tables(k, sigma, with_distances):
         for out in range(sigma):
             shift.extend(up[p[:out] + (p[out] - 1,) + p[out + 1:]] if p[out]
                          else [-1] * sigma)
-    m_min = covering.min_letter_occurrences(k, sigma)
-    dist = diameter = None
-    if with_distances:
-        # k - sum(min(p_i, q_i)) = sum(max(p_i - q_i, 0)), summed over the
-        # columns excess[i][v] of max(v - q_i, 0) for every q
-        excess = [[[max(v - q[i], 0) for q in vectors] for v in range(k + 1)]
-                  for i in range(sigma)]
-        dist = []
-        for p in vectors:
-            dist.extend(map(sum, zip(*[excess[i][v]
-                                       for i, v in enumerate(p)])))
-        diameter = k if sigma > 1 else 0  # from k*e_0 to k*e_1
-    return (n_vec, shift, m_min, dist, diameter)
+    return (len(vectors), shift)
 
 
-def _prepare(cfg):
-    """Checks the budget and builds the tables, once per search call."""
+def _prepare(cfg, lengths):
+    """Checks the budget and the longest of ``lengths``, a range or list,
+    and builds the tables, once per search call."""
     if cfg.node_budget is not None and cfg.node_budget < 0:
         raise InvalidInput("node_budget must be >= 0 (0: no cap)")
-    return _build_tables(cfg.k, cfg.sigma, "connectivity" in cfg.rules)
+    longest = _longest_word(cfg.k, cfg.sigma)
+    if lengths and lengths[-1] > longest:
+        raise CapacityExceeded(
+            "a search word of %d letters for k=%d sigma=%d exceeds the "
+            "MAX_TABLE_ENTRIES bound: at most %d letters"
+            % (lengths[-1], cfg.k, cfg.sigma, longest))
+    return _build_tables(cfg.k, cfg.sigma)
 
 
 def _budget_left(cfg, nodes):
@@ -328,7 +323,7 @@ def _search(cfg, target, lengths, pdb_only, minimal, refuted_up_to=None,
     tables build and one node budget for all of them; ``refuted_up_to`` is
     what is refuted before the first of them."""
     start = time.perf_counter()
-    tables = _prepare(cfg) if lengths else None
+    tables = _prepare(cfg, lengths) if lengths else None
     complete, sols, nodes, max_depth = True, [], 0, 0
     with _pool(cfg, tables) as pool:
         for length in lengths:
@@ -355,11 +350,13 @@ def search_shortest_covering(cfg, progress=None):
     """Iterative deepening from the lower bound; the first witness is found
     at the smallest feasible length and is minimal by exhaustion below."""
     lower = covering.bounds(cfg.k, cfg.sigma).shortest_lower_bound
-    if cfg.max_len is None:
-        return _search(cfg, TARGET_SHORTEST, count(lower), False, True,
-                       lower - 1, progress)
-    return _search(cfg, TARGET_SHORTEST, range(lower, cfg.max_len + 1),
-                   False, True, min(lower - 1, cfg.max_len), progress)
+    top = cfg.max_len
+    if top is None:
+        # every length the tables allow; _prepare refuses a lower bound
+        # beyond them
+        top = max(lower, _longest_word(cfg.k, cfg.sigma))
+    return _search(cfg, TARGET_SHORTEST, range(lower, top + 1), False, True,
+                   min(lower - 1, top), progress)
 
 
 def search_pdb_existence(k, sigma, cfg=None, progress=None):
@@ -380,10 +377,11 @@ def iter_covering_words(k, sigma, max_len, node_budget=None):
     silently truncating."""
     cfg = SearchConfig(k=k, sigma=sigma,
                        node_budget=node_budget or DEFAULT_NODE_BUDGET)
-    lower = covering.bounds(k, sigma).shortest_lower_bound
-    tables = _prepare(cfg)
+    lengths = range(covering.bounds(k, sigma).shortest_lower_bound,
+                    max_len + 1)
+    tables = _prepare(cfg, lengths)
     nodes = 0
-    for length in range(lower, max_len + 1):
+    for length in lengths:
         complete, sols, n, _d = _search_length(
             cfg, tables, length, False, 0, _budget_left(cfg, nodes), None)
         nodes += n
@@ -429,7 +427,7 @@ def enumerate_all_pdb(k, sigma, cfg=None, force=False):
     cfg = replace(cfg or SearchConfig(k=k, sigma=sigma), k=k, sigma=sigma,
                   target=TARGET_PDB)
     length = covering.perfect_length(k, sigma)
-    tables = _prepare(cfg)
+    tables = _prepare(cfg, [length])
     with _pool(cfg, tables) as pool:
         complete, sols, _n, _d = _search_length(
             cfg, tables, length, True, 0, _budget_left(cfg, 0), pool)

@@ -22,6 +22,8 @@ REFERENCE_COVER_ROWS = [
     (3, 5, "aaaaabbbacccccbbbbbaacaaccb", 27, False, 2),
     (3, 6, "aaaabccccccaaaaaabbbbbbcccbbcabbaca", 35, False, 2),
     (3, 7, "aabbbccbbcccabacaaabcbbbbbbbaaaaaaacccccccba", 44, False, 2),
+    (3, 8, "aaaaaaaabbbbbbbbccccccccaaaaacaabbbcbabbcccacbccaaabaa", 54, False,
+     2),
     (4, 2, "aabbcadbccdd", 12, False, 1),
     (4, 3, "aaabbbcaadbdbccadddccc", 22, True, 0),
     (4, 4, "aabbbbcaacadbddbccacddddaaaabdbbccccdd", 38, True, 0),
@@ -150,26 +152,6 @@ def grid_step(p, out, into):
     q[out] -= 1
     q[into] += 1
     return tuple(q)
-
-
-def grid_distances(vectors):
-    """Fewest window shifts between every pair, by breadth-first search."""
-    sigma = len(vectors[0])
-    dist = {}
-    for p in vectors:
-        seen = {p: 0}
-        queue = deque([p])
-        while queue:
-            u = queue.popleft()
-            for out in range(sigma):
-                for into in range(sigma):
-                    w = grid_step(u, out, into)
-                    if w is not None and w not in seen:
-                        seen[w] = seen[u] + 1
-                        queue.append(w)
-        for q, d in seen.items():
-            dist[p, q] = d
-    return dist
 
 
 def cliques_of_size(vertices, size):

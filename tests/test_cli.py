@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from parikhgrid import cli
+from parikhgrid import cli, kernel
 
 from helpers import check_dot
 
@@ -159,12 +159,32 @@ class TestSearchCommand:
         assert code == 0 and json.loads(out)["is_pdb"] is True
 
     def test_tables_over_the_bound_exit_two_at_once(self, capsys):
-        # 3,003 vectors: their 3,003^2 distances alone exceed the bound
+        # 77,520 vectors: their shifts alone exceed the bound
         start = time.monotonic()
-        code, _, err = run(capsys, "search", "--k", "10", "--sigma", "6",
+        code, _, err = run(capsys, "search", "--k", "13", "--sigma", "8",
                            "--target", "pdb", "--node-budget", "1000")
         assert code == 2 and "MAX_TABLE_ENTRIES" in err
         assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize("option", [
+        ("--target", "length", "--length", "3000000000"),
+        ("--max-len", "3000000000"),
+    ])
+    def test_length_over_the_bound_exit_two_at_once(self, capsys, option):
+        # the kernels would allocate a few ints per letter
+        start = time.monotonic()
+        code, _, err = run(capsys, "search", "--k", "2", "--sigma", "2",
+                           *option)
+        assert code == 2 and "MAX_TABLE_ENTRIES" in err
+        assert time.monotonic() - start < 1
+
+    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
+                        reason="about 10^7 nodes; minutes on the pure kernel")
+    def test_default_budget_reproduces_k7_row(self, capsys):
+        code, out, _ = run(capsys, "search", "--k", "7", "--sigma", "3")
+        doc = json.loads(out)
+        assert code == 0 and doc["minimal"] is True
+        assert doc["witness"] == "aabbbccbbcccabacaaabcbbbbbbbaaaaaaacccccccba"
 
 
 class TestOtherCommands:

@@ -43,6 +43,9 @@ class TestVerify:
             assert rep.is_covering
             assert rep.is_pdb == pdb
             assert rep.excess == excess
+            # the per-letter minimum of covering words
+            counts = V.pv_of(word, sigma)
+            assert min(counts) >= C.min_letter_occurrences(k, sigma)
 
     def test_multiplicities_against_oracle(self):
         for _ in range(200):

@@ -17,12 +17,14 @@ needs_compiled = pytest.mark.skipif(
     K.KERNEL_NAME != "compiled",
     reason="compiled kernel not loaded: %s" % K.FALLBACK_REASON)
 
+# rules is a bit mask: 15 sets every bit, so every rule is on; 3 is every
+# rule but components (4)
 CASES = [
     # k, sigma, length, pdb_only, rules, prefix, collect_limit
     (2, 3, 7, False, 15, (), 1),
     (2, 3, 7, False, 15, (), 0),
     (3, 3, 12, True, 15, (), 0),
-    (3, 3, 12, True, 7, (), 0),      # duplicate-window rule off
+    (3, 3, 12, True, 6, (), 0),      # duplicate-window rule off
     (3, 3, 12, False, 15, (0, 1), 1),
     (2, 4, 12, False, 15, (), 1),
     (4, 3, 18, True, 15, (), 0),
@@ -36,6 +38,21 @@ CASES = [
     (2, 3, 7, True, 1, (0, 0, 0), 0),  # the prefix repeats a window
     (3, 3, 12, True, 1, (0, 1, 2, 0, 0), 0),
     (30, 2, 1200, False, 15, (), 1),  # deeper than the recursion limit
+    # components on and off, covering and perfect-cover targets
+    (3, 3, 11, False, 3, (), 0),
+    (2, 4, 13, False, 3, (), 0),
+    (4, 3, 18, True, 3, (), 0),
+    (3, 3, 12, True, 4, (), 0),      # components alone
+    (4, 3, 19, False, 4, (), 0),
+    (4, 3, 19, False, 15, (0, 0, 0, 0, 1), 0),
+    (4, 3, 19, False, 3, (0, 0, 0, 0, 1), 0),
+    (5, 3, 26, False, 15, (0, 0, 0, 0, 0, 1), 0),
+    (3, 3, 12, True, 5, (0, 1, 1), 0),
+    (3, 3, 12, True, 6, (0, 1, 2, 0), 0),  # a duplicate window placed
+    (5, 2, 10, True, 15, (), 0),     # the grid is a path
+    (3, 4, 22, False, 15, (), 0),
+    (2, 5, 16, False, 15, (), 0),
+    (3, 5, 37, False, 15, (0, 0, 0, 1, 1, 1, 2, 2, 2, 0, 0, 3), 1),
 ]
 
 
@@ -43,7 +60,7 @@ CASES = [
 @pytest.mark.parametrize("case", CASES)
 def test_identical_traces(case):
     k, sigma, length, pdb_only, rules, prefix, limit = case
-    tables = _build_tables(k, sigma, bool(rules & 8))
+    tables = _build_tables(k, sigma)
     a = K.fixed_length_search(k, sigma, length, tables, pdb_only, rules,
                               prefix, limit, 10**8)
     b = pure.fixed_length_search(k, sigma, length, tables, pdb_only, rules,
@@ -59,12 +76,14 @@ def test_identical_traces(case):
     (3, 3, 12, True, 15),
     (2, 5, 16, True, 1),     # duplicate-window rule alone
     (2, 4, 12, False, 0),    # no rules, every solution
+    (4, 3, 19, False, 4),    # components alone
+    (3, 3, 12, True, 4),
 ])
 def test_prefix_tasks_count_each_node_once(search, k, sigma, length,
                                            pdb_only, rules):
     # the tasks at any depth, run in prefix order, visit the nodes of the
     # whole tree once each and find its solutions in the same order
-    tables = _build_tables(k, sigma, bool(rules & 8))
+    tables = _build_tables(k, sigma)
     whole = search(k, sigma, length, tables, pdb_only, rules, (), 0, 0)
     prefixes = [()]
     for _depth in range(4):
@@ -81,14 +100,14 @@ def test_prefix_tasks_count_each_node_once(search, k, sigma, length,
 @pytest.mark.parametrize("k,sigma,length", [(2, 3, 6), (2, 3, 7), (3, 2, 6),
                                             (2, 4, 11), (3, 3, 11)])
 def test_naive_enumerator_parity(k, sigma, length):
-    tables = _build_tables(k, sigma, False)
+    tables = _build_tables(k, sigma)
     assert (K.find_covering_naive(k, sigma, length, tables)
             == pure.find_covering_naive(k, sigma, length, tables))
 
 
 @needs_compiled
 def test_budget_exhaustion_parity():
-    tables = _build_tables(3, 3, True)
+    tables = _build_tables(3, 3)
     a = K.fixed_length_search(3, 3, 12, tables, False, 15, (), 1, 100)
     b = pure.fixed_length_search(3, 3, 12, tables, False, 15, (), 1, 100)
     assert a == b
@@ -97,8 +116,9 @@ def test_budget_exhaustion_parity():
 
 @needs_compiled
 def test_progress_exception_propagates():
-    # the perfect-cover search for (sigma=5, k=4) takes 12.9M nodes, so the
-    # first checkpoint comes at 10M nodes, inside the compiled search
+    # without the components rule the perfect-cover search for (sigma=5,
+    # k=4) takes 12.9M nodes, so the first checkpoint comes at 1M nodes,
+    # inside the compiled search
     class Stop(Exception):
         pass
 
@@ -108,10 +128,11 @@ def test_progress_exception_propagates():
         calls.append(nodes)
         raise Stop
 
-    tables = _build_tables(4, 5, True)
+    tables = _build_tables(4, 5)
     with pytest.raises(Stop):
-        K.fixed_length_search(4, 5, perfect_length(4, 5), tables, True, 15,
-                              (), 1, 0, progress)
+        K.fixed_length_search(4, 5, perfect_length(4, 5), tables, True,
+                              K.ALL_RULES & ~K.RULE_COMPONENTS, (), 1, 0,
+                              progress)
     assert calls == [K.PROGRESS_INTERVAL]
 
 
@@ -120,7 +141,7 @@ def test_progress_exception_propagates():
 def test_compiled_rejects_prefix_it_cannot_place(prefix):
     # a letter outside the alphabet or a prefix longer than the word would
     # index past the C arrays
-    tables = _build_tables(2, 3, True)
+    tables = _build_tables(2, 3)
     with pytest.raises(ValueError):
         K.fixed_length_search(2, 3, 7, tables, False, 15, prefix, 1, 0)
 
@@ -138,9 +159,22 @@ def test_kernel_source_is_strict_c99():
 def test_compiled_rejects_tables_of_another_instance(k, sigma):
     # the shift table of (k=3, sigma=3) would lead the windows of another
     # instance to rank -1 or past the C arrays
-    tables = _build_tables(3, 3, True)
+    tables = _build_tables(3, 3)
     with pytest.raises(ValueError):
         K.fixed_length_search(k, sigma, 12, tables, False, 15, (), 1, 0)
+
+
+@needs_compiled
+def test_compiled_rejects_more_than_256_letters():
+    # a letter is a byte; the shift table passes for its length alone,
+    # and the check comes before it is read
+    class Shifts:
+        def __len__(self):
+            return 257 ** 3
+
+    with pytest.raises(ValueError):
+        K.fixed_length_search(1, 257, 257, (257, Shifts()), False, 15, (), 1,
+                              0)
 
 
 def test_pure_kernel_env_override(monkeypatch):
@@ -169,20 +203,52 @@ def test_fallback_without_compiler(monkeypatch, tmp_path):
 
 @needs_compiled
 def test_new_build_removes_stale_builds(monkeypatch, tmp_path):
-    # a build of another source, another process's build in progress, a
-    # stale name that cannot be unlinked (a directory) and a foreign file
+    # builds of other sources loaded in the order of their names, another
+    # process's build in progress, a stale name that cannot be unlinked (a
+    # directory, loaded first of all) and a foreign file
     cache = tmp_path / "parikhgrid"
     cache.mkdir()
-    (cache / "_kernel-00000000.so").write_bytes(b"stale")
+    for i in range(K.KEEP_BUILDS):
+        build = cache / ("_kernel-%08x.so" % i)
+        build.write_bytes(b"stale")
+        os.utime(build, (1000 + i, 1000 + i))
     (cache / "_kernel-00000000.so.4242.tmp").write_bytes(b"in progress")
     (cache / "_kernel-11111111.so").mkdir()
+    os.utime(cache / "_kernel-11111111.so", (0, 0))
     (cache / "notes.txt").write_text("kept")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     target = K._build()
-    assert sorted(os.listdir(cache)) == sorted([
-        os.path.basename(target), "_kernel-00000000.so.4242.tmp",
-        "_kernel-11111111.so", "notes.txt"])
-    # the build is found, not rebuilt, and nothing else is touched
+    # the new build and the KEEP_BUILDS - 1 builds loaded last stay
+    assert sorted(os.listdir(cache)) == sorted(
+        [os.path.basename(target), "_kernel-00000000.so.4242.tmp",
+         "_kernel-11111111.so", "notes.txt"]
+        + ["_kernel-%08x.so" % i for i in range(1, K.KEEP_BUILDS)])
+    # the build is found, not rebuilt, nothing else is touched, and it
+    # counts as loaded last
+    os.utime(target, (500, 500))
     (cache / "_kernel-22222222.so").write_bytes(b"stale")
     assert K._build() == target
     assert (cache / "_kernel-22222222.so").exists()
+    assert os.stat(target).st_mtime > 1000 + K.KEEP_BUILDS
+
+
+@pytest.mark.parametrize("search", [
+    pure.fixed_length_search,
+    pytest.param(K.fixed_length_search, marks=needs_compiled)])
+@pytest.mark.parametrize("k,sigma,length,pdb_only", [
+    (3, 3, 12, True), (4, 3, 18, True), (2, 5, 16, True), (5, 2, 10, True),
+    (2, 3, 7, False), (2, 3, 8, False), (2, 3, 9, False),
+    (3, 2, 6, False), (3, 2, 7, False), (3, 2, 8, False),
+    (3, 3, 12, False), (3, 3, 13, False), (2, 4, 12, False),
+    (4, 3, 19, False),
+])
+def test_components_rule_keeps_every_solution(search, k, sigma, length,
+                                              pdb_only):
+    # the rule cuts only subtrees without a solution
+    tables = _build_tables(k, sigma)
+    without = K.ALL_RULES & ~K.RULE_COMPONENTS
+    on = search(k, sigma, length, tables, pdb_only, K.ALL_RULES, (), 0, 0)
+    off = search(k, sigma, length, tables, pdb_only, without, (), 0, 0)
+    assert on[0] and off[0]
+    assert on[1] == off[1]
+    assert on[2] <= off[2]

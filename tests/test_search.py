@@ -10,8 +10,7 @@ from parikhgrid import search as S
 from parikhgrid import vectors as V
 from parikhgrid.errors import CapacityExceeded
 
-from helpers import (colex_vectors, covering_word_exists_naive,
-                     grid_distances, grid_step)
+from helpers import colex_vectors, covering_word_exists_naive, grid_step
 
 # (k, sigma) -> expected shortest covering length
 SHORTEST = {(2, 3): 7, (3, 3): 12, (2, 4): 12, (2, 5): 16, (4, 3): 19,
@@ -65,16 +64,16 @@ class TestShortestCovering:
         assert one[:2] == (S.STATUS_BUDGET, budget + 1)
         assert run(2) == one
 
-    @pytest.mark.parametrize("budget", [46_016, 46_017, 123_457])
+    @pytest.mark.parametrize("budget", [3_212, 3_213, 12_345])
     def test_one_budget_for_all_lengths(self, budget):
-        # length 25 is refuted in exactly 46,016 nodes, and length 26 runs
+        # length 25 is refuted in exactly 3,212 nodes, and length 26 runs
         # out of what is left, even when nothing is left
         out = S.search_shortest_covering(
             S.SearchConfig(k=5, sigma=3, node_budget=budget))
         assert out.status == S.STATUS_BUDGET
         assert out.refuted_up_to == 25
         assert out.stats.nodes == budget + 1
-        if budget == 46_016:
+        if budget == 3_212:
             # nothing of length 26 was placed
             below = S.search_shortest_covering(
                 S.SearchConfig(k=5, sigma=3, max_len=25))
@@ -120,27 +119,41 @@ class TestPdbExistence:
 
 class TestTables:
     @pytest.mark.parametrize("k,sigma", [(3, 1), (3, 3), (4, 5), (2, 15)])
-    def test_shift_and_dist_match_the_grid(self, k, sigma):
-        n_vec, shift, _m_min, dist, diameter = S._build_tables(k, sigma, True)
+    def test_shift_matches_the_grid(self, k, sigma):
+        n_vec, shift = S._build_tables(k, sigma)
         vectors = colex_vectors(k, sigma)
         rank = {p: i for i, p in enumerate(vectors)}
         assert n_vec == len(vectors)
         assert shift == [
             rank.get(grid_step(p, out, into), -1)
             for p in vectors for out in range(sigma) for into in range(sigma)]
-        oracle = grid_distances(vectors)
-        assert dist == [oracle[p, q] for p in vectors for q in vectors]
-        assert diameter == max(dist)
 
     def test_bound_is_checked_before_the_tables_are_built(self, monkeypatch):
-        # 3,003 vectors fit without their 3,003^2 distances
-        assert S._build_tables(10, 6, False)[0] == 3003
+        # 50,388 vectors of (k=12, sigma=8) fit in 3,224,844 ints; the
+        # 77,520 of (k=13, sigma=8) would take 4,961,293
+        assert S._build_tables(12, 8)[0] == 50388
         monkeypatch.setattr(V, "enumerate_pv", None)
         with pytest.raises(CapacityExceeded, match="MAX_TABLE_ENTRIES"):
-            S._build_tables(10, 6, True)
+            S._build_tables(13, 8)
         # one vector, but the kernel's state grows with words of k letters
         with pytest.raises(CapacityExceeded, match="MAX_TABLE_ENTRIES"):
-            S._build_tables(S.MAX_TABLE_ENTRIES, 1, True)
+            S._build_tables(S.MAX_TABLE_ENTRIES, 1)
+
+    @pytest.mark.parametrize("cfg", [
+        S.SearchConfig(k=2, sigma=2, target=S.TARGET_AT_LENGTH,
+                       target_length=S.MAX_TABLE_ENTRIES - 11),
+        S.SearchConfig(k=2, sigma=2, max_len=3_000_000_000),
+        S.SearchConfig(k=3, sigma=4, target=S.TARGET_AT_LENGTH,
+                       target_length=3_000_000_000),
+    ])
+    def test_length_is_checked_before_the_tables_are_built(self, monkeypatch,
+                                                           cfg):
+        # the kernels keep a few ints per letter: the 3 * 2^2 shifts of
+        # (k=2, sigma=2) leave room for MAX_TABLE_ENTRIES - 12 letters
+        assert S._longest_word(2, 2) == S.MAX_TABLE_ENTRIES - 12
+        monkeypatch.setattr(V, "enumerate_pv", None)
+        with pytest.raises(CapacityExceeded, match="MAX_TABLE_ENTRIES"):
+            S.run_search(cfg)
 
 
 class TestMinimalityCertificates:
@@ -151,15 +164,15 @@ class TestMinimalityCertificates:
         assert not covering_word_exists_naive(2, 3, 6)
 
     def test_3_3_naive_kernel(self):
-        tables = S._build_tables(3, 3, False)
+        tables = S._build_tables(3, 3)
         assert kernel.find_covering_naive(3, 3, 11, tables) is None
 
     def test_2_4_naive_kernel(self):
-        tables = S._build_tables(2, 4, False)
+        tables = S._build_tables(2, 4)
         assert kernel.find_covering_naive(2, 4, 11, tables) is None
 
     def test_naive_finds_when_one_exists(self):
-        tables = S._build_tables(2, 3, False)
+        tables = S._build_tables(2, 3)
         word = kernel.find_covering_naive(2, 3, 7, tables)
         assert word is not None
         rendered = V.Alphabet(3).indices_to_word(list(word))
@@ -169,7 +182,7 @@ class TestMinimalityCertificates:
         # cross-check the kernel enumerator against itertools enumeration
         for k, sigma, length in [(2, 2, 3), (2, 2, 4), (2, 3, 6), (2, 3, 7),
                                  (3, 2, 5), (3, 2, 6)]:
-            tables = S._build_tables(k, sigma, False)
+            tables = S._build_tables(k, sigma)
             got = kernel.find_covering_naive(k, sigma, length, tables)
             assert (got is not None) == covering_word_exists_naive(
                 k, sigma, length)
@@ -181,7 +194,7 @@ class TestMinimalityCertificates:
         # 15 windows for 15 vectors, i.e. be a perfect cover; enumerating
         # all 3^18 words with no pruning and no symmetry confirms there is
         # none, independently of the backtracking search
-        tables = S._build_tables(4, 3, False)
+        tables = S._build_tables(4, 3)
         assert kernel.find_covering_naive(4, 3, 18, tables) is None
 
 
@@ -208,13 +221,22 @@ class TestPruningRules:
             return S.search_pdb_existence(k, sigma, cfg)
         return S.search_shortest_covering(cfg)
 
-    def test_letter_budget_rule_matches_count_bound(self):
-        # the rule prunes exactly when some letter cannot reach the minimum
-        for k, sigma in [(2, 3), (3, 3), (2, 4)]:
-            m_min = C.min_letter_occurrences(k, sigma)
-            out = S.search_shortest_covering(S.SearchConfig(k=k, sigma=sigma))
-            counts = V.pv_of(out.witness, sigma)
-            assert min(counts) >= m_min
+    @pytest.mark.parametrize("target,k,sigma,witness", [
+        (S.TARGET_PDB, 6, 3, None),
+        (S.TARGET_SHORTEST, 5, 3, "aaaaabbbacccccbbbbbaacaaccb"),
+    ])
+    def test_components_rule_prunes(self, target, k, sigma, witness):
+        # the same answer from fewer nodes
+        def run(rules):
+            return S.run_search(S.SearchConfig(k=k, sigma=sigma, target=target,
+                                               rules=rules, node_budget=0))
+
+        on = run(S.ALL_RULES)
+        off = run(S.ALL_RULES - {"components"})
+        assert (on.status, on.witness, on.refuted_up_to) == (
+            off.status, off.witness, off.refuted_up_to)
+        assert on.witness == witness
+        assert on.stats.nodes < off.stats.nodes
 
 
 class TestDeterminism:
@@ -258,6 +280,10 @@ class TestDeterminism:
                      id="pdb-k6-s4-budget-1000"),
         pytest.param(S.TARGET_PDB, 6, 4, S.ALL_RULES, 123_457,
                      id="pdb-k6-s4-budget-123457"),
+        pytest.param(S.TARGET_SHORTEST, 5, 3, frozenset({"components"}),
+                     S.DEFAULT_NODE_BUDGET, id="shortest-k5-s3-components"),
+        pytest.param(S.TARGET_PDB, 6, 3, S.ALL_RULES, S.DEFAULT_NODE_BUDGET,
+                     id="pdb-k6-s3"),
     ])
     def test_two_workers_match_one(self, target, k, sigma, rules, budget):
         # each node is counted in exactly one task and the budget is merged
@@ -269,7 +295,9 @@ class TestDeterminism:
             return (out.status, out.witness, out.refuted_up_to,
                     out.stats.nodes, out.stats.max_depth)
 
-        assert run(1) == run(2)
+        one = run(1)
+        assert run(2) == one
+        assert run(3) == one
 
     def test_one_pool_per_search_call(self, monkeypatch):
         # shortest (k=5, sigma=3) refutes lengths 25 and 26 before its
@@ -332,7 +360,7 @@ class TestWorkerStop:
 
         def init(k, sigma, stopped):
             stop = multiprocessing.RawValue("b", stopped)
-            S._init_worker(S._build_tables(k, sigma, True), stop)
+            S._init_worker(S._build_tables(k, sigma), stop)
             return stop
         return init
 
@@ -347,10 +375,11 @@ class TestWorkerStop:
         assert calls == []
 
     @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
-                        reason="10^7 nodes to the first checkpoint")
+                        reason="10^6 nodes to the first checkpoint")
     def test_task_stops_at_its_next_checkpoint(self, worker, monkeypatch):
-        # the perfect-cover search for (sigma=5, k=4) takes 12.9M nodes;
-        # the flag is set at its first checkpoint, at 10M nodes
+        # without the components rule the perfect-cover search for
+        # (sigma=5, k=4) takes 12.9M nodes; the flag is set at its first
+        # checkpoint, at 1M nodes
         stop = worker(4, 5, 0)
         search = kernel.fixed_length_search
         checkpoints = []
@@ -367,7 +396,7 @@ class TestWorkerStop:
         monkeypatch.setattr(kernel, "fixed_length_search",
                             stopped_at_first_checkpoint)
         job = (4, 5, C.perfect_length(4, 5), True,
-               S._rules_mask(S.ALL_RULES), (), 1, 0)
+               S._rules_mask(S.ALL_RULES - {"components"}), (), 1, 0)
         assert S._subtree_task(job) is None
         assert checkpoints == [kernel.PROGRESS_INTERVAL]
 
@@ -375,9 +404,11 @@ class TestWorkerStop:
                         reason="the task alone runs 10^8 nodes")
     def test_workers_stop_the_task_after_the_witness(self):
         # task (0,0,0,0,1,2), the 5th, starts beside the witness's and runs
-        # to its 10^8-node cap if nothing stops it
-        tables = S._build_tables(4, 5, True)
-        job = (4, 5, C.perfect_length(4, 5), True, S._rules_mask(S.ALL_RULES),
+        # to its 10^8-node cap if nothing stops it; without the components
+        # rule that takes well under a second
+        rules = S.ALL_RULES - {"components"}
+        tables = S._build_tables(4, 5)
+        job = (4, 5, C.perfect_length(4, 5), True, S._rules_mask(rules),
                (0, 0, 0, 0, 1, 2), 1, S.DEFAULT_NODE_BUDGET)
         start = time.perf_counter()
         complete, _sols, nodes, _depth = S._subtree_task(job, tables)
@@ -385,12 +416,12 @@ class TestWorkerStop:
         assert not complete and nodes > S.DEFAULT_NODE_BUDGET
         start = time.perf_counter()
         out = S.search_pdb_existence(
-            4, 5, S.SearchConfig(k=4, sigma=5, worker_count=2))
+            4, 5, S.SearchConfig(k=4, sigma=5, worker_count=2, rules=rules))
         assert out.status == S.STATUS_FOUND
         assert time.perf_counter() - start < alone
 
     def test_jobs_carry_no_tables(self, monkeypatch):
-        # the (sigma=4, k=7) tables pickle to about 34 KB; a job holds the
+        # the (sigma=5, k=8) tables pickle to about 41 KB; a job holds the
         # task's parameters only
         sizes = []
 
@@ -400,9 +431,9 @@ class TestWorkerStop:
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(S, "ProcessPoolExecutor", SizedPool)
-        assert len(pickle.dumps(S._build_tables(7, 4, True))) > 20_000
-        out = S.search_pdb_existence(7, 4, S.SearchConfig(
-            k=7, sigma=4, worker_count=2, node_budget=1_000))
+        assert len(pickle.dumps(S._build_tables(8, 5))) > 20_000
+        out = S.search_pdb_existence(8, 5, S.SearchConfig(
+            k=8, sigma=5, worker_count=2, node_budget=1_000))
         assert out.status == S.STATUS_BUDGET
         assert sizes and max(sizes) < 1_024
 
