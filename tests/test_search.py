@@ -1,3 +1,4 @@
+from collections import deque
 import multiprocessing
 import pickle
 import time
@@ -64,19 +65,33 @@ class TestShortestCovering:
         assert one[:2] == (S.STATUS_BUDGET, budget + 1)
         assert run(2) == one
 
-    @pytest.mark.parametrize("budget", [3_212, 3_213, 12_345])
+    @pytest.mark.parametrize("budget", [3_212, 3_213, 12_345, 45_015,
+                                        46_016, 46_017, 123_457])
     def test_one_budget_for_all_lengths(self, budget):
-        # length 25 is refuted in exactly 3,212 nodes, and length 26 runs
-        # out of what is left, even when nothing is left
-        out = S.search_shortest_covering(
-            S.SearchConfig(k=5, sigma=3, node_budget=budget))
+        # lengths 25 and 26 are refuted in exactly 3,212 and 45,015 nodes in
+        # all, and the length after runs out of what is left, even when
+        # nothing is left; the whole search, found at 27, fits in 123,457
+        def run(**kw):
+            return S.search_shortest_covering(S.SearchConfig(k=5, sigma=3,
+                                                             **kw))
+
+        out = run(node_budget=budget)
+        if budget == 123_457:
+            whole = run(node_budget=0)
+            assert whole.status == S.STATUS_FOUND
+            assert whole.stats.nodes < budget
+            assert (out.status, out.witness, out.stats.nodes,
+                    out.stats.max_depth) == (whole.status, whole.witness,
+                                             whole.stats.nodes,
+                                             whole.stats.max_depth)
+            return
+        refuted = 25 if budget < 45_015 else 26
         assert out.status == S.STATUS_BUDGET
-        assert out.refuted_up_to == 25
+        assert out.refuted_up_to == refuted
         assert out.stats.nodes == budget + 1
-        if budget == 3_212:
-            # nothing of length 26 was placed
-            below = S.search_shortest_covering(
-                S.SearchConfig(k=5, sigma=3, max_len=25))
+        if budget in (3_212, 45_015):
+            # nothing of the next length was placed
+            below = run(max_len=refuted)
             assert below.stats.nodes == budget
             assert out.stats.max_depth == below.stats.max_depth
 
@@ -119,7 +134,7 @@ class TestPdbExistence:
 
 class TestTables:
     @pytest.mark.parametrize("k,sigma", [(3, 1), (3, 3), (4, 5), (2, 15)])
-    def test_shift_matches_the_grid(self, k, sigma):
+    def test_shift_and_dist_match_the_grid(self, k, sigma):
         n_vec, shift = S._build_tables(k, sigma)
         vectors = colex_vectors(k, sigma)
         rank = {p: i for i, p in enumerate(vectors)}
@@ -127,6 +142,23 @@ class TestTables:
         assert shift == [
             rank.get(grid_step(p, out, into), -1)
             for p in vectors for out in range(sigma) for into in range(sigma)]
+        # the components rule walks the shift entries other than -1 and the
+        # vector itself: the fewest steps between two vectors is the grid
+        # distance k - sum(min(p_i, q_i)), so the grid is one component
+        width = sigma * sigma
+        dist = []
+        for start in range(n_vec):
+            seen = {start: 0}
+            queue = deque([start])
+            while queue:
+                v = queue.popleft()
+                for x in shift[v * width:(v + 1) * width]:
+                    if x >= 0 and x not in seen:
+                        seen[x] = seen[v] + 1
+                        queue.append(x)
+            dist.extend(seen.get(q) for q in range(n_vec))
+        assert dist == [k - sum(map(min, p, q))
+                        for p in vectors for q in vectors]
 
     def test_bound_is_checked_before_the_tables_are_built(self, monkeypatch):
         # 50,388 vectors of (k=12, sigma=8) fit in 3,224,844 ints; the
