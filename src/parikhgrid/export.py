@@ -142,10 +142,17 @@ def from_json(text):
 
 
 def grid_to_dict(grid, include_directed=False):
-    vertices = grid.vertices()
-    pos = None
-    if grid.sigma == 3:
-        pos = layout_2d(grid)
+    pos = layout_2d(grid) if grid.sigma == 3 else None
+    letters = [grid.alphabet.letter(c) for c in range(grid.sigma)]
+    edges, bows, arcs = [], [], []
+    for i, j, out, into in grid.arcs():
+        if out == into:
+            bows.append({"vertex": i, "letter": letters[out]})
+        elif i < j:
+            edges.append([i, j])
+        if include_directed:
+            arcs.append({"from": i, "to": j,
+                         "out": letters[out], "in": letters[into]})
     out = {
         "schema": SCHEMA, "kind": "grid",
         "k": grid.k, "sigma": grid.sigma,
@@ -155,19 +162,13 @@ def grid_to_dict(grid, include_directed=False):
         "vertices": [
             {"rank": i, "vector": _vec(p),
              **({"pos": [pos[p][0], pos[p][1]]} if pos else {})}
-            for i, p in enumerate(vertices)
+            for i, p in enumerate(grid.vertices())
         ],
-        "undirected_edges": [[grid.rank(p), grid.rank(q)]
-                             for p, q in grid.undirected_edges()],
-        "bows": [{"vertex": grid.rank(p), "letter": label.out_letter}
-                 for p in vertices for label in grid.bows(p)],
+        "undirected_edges": edges,
+        "bows": bows,
     }
     if include_directed:
-        out["directed_edges"] = [
-            {"from": grid.rank(p), "to": grid.rank(q),
-             "out": lab.out_letter, "in": lab.in_letter}
-            for p, q, lab in grid.directed_edges()
-        ]
+        out["directed_edges"] = arcs
     return out
 
 
@@ -184,12 +185,14 @@ def grid_to_dot(grid):
         if pos is not None:
             attrs.append('pos="%.4f,%.4f!"' % pos[p])
         lines.append("  v%d [%s];" % (i, " ".join(attrs)))
-    for p, q in grid.undirected_edges():
-        lines.append("  v%d -- v%d;" % (grid.rank(p), grid.rank(q)))
-    for p in grid.vertices():
-        for label in grid.bows(p):
-            lines.append('  v%d -- v%d [label="%s"];'
-                         % (grid.rank(p), grid.rank(p), label.out_letter))
+    letters = [grid.alphabet.letter(c) for c in range(grid.sigma)]
+    bows = []
+    for i, j, out, into in grid.arcs():
+        if out == into:
+            bows.append('  v%d -- v%d [label="%s"];' % (i, i, letters[out]))
+        elif i < j:
+            lines.append("  v%d -- v%d;" % (i, j))
+    lines += bows
     lines.append("}")
     return "\n".join(lines) + "\n"
 

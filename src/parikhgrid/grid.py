@@ -7,8 +7,9 @@ anti-parallel labeled arcs per neighbor pair, plus one labeled self-loop
 do not change the vector.
 
 Adjacency is computed arithmetically from the vector, so grids stay cheap
-even when the vertex count is large; explicit edge lists are only produced
-by the export iterators.
+even when the vertex count is large.  Explicit edge lists come from one
+generator of labeled arcs by rank, :meth:`PdbGrid.arcs`, read off the same
+map (:func:`up_ranks`) as the search kernel's shift table.
 """
 
 import math
@@ -27,6 +28,18 @@ SINGLETON = "singleton"
 # Vertex enumeration is materialized by exports and by several operations,
 # so grids are capped well below the 64-bit vector-count bound.
 MAX_GRID_VERTICES = 5_000_000
+
+
+def up_ranks(k, sigma):
+    """The labeled grid by rank: the order-k vectors in rank order, and a
+    map from every order-(k-1) vector q to the ranks of q + e_0, ...,
+    q + e_{sigma-1}.  The arc that takes letter ``out`` from p and brings
+    letter ``in`` ends at ``up[p - e_out][in]``."""
+    vectors = V.enumerate_pv(k, sigma)
+    index = {p: i for i, p in enumerate(vectors)}
+    up = {q: [index[q[:c] + (q[c] + 1,) + q[c + 1:]] for c in range(sigma)]
+          for q in V.enumerate_pv(k - 1, sigma)}
+    return vectors, up
 
 
 @dataclass(frozen=True)
@@ -115,28 +128,46 @@ class PdbGrid:
         return EdgeLabel(self.alphabet.letter(out_i), self.alphabet.letter(in_i))
 
     # -- aggregate structure (materialized on demand) ----------------------
+    #
+    # Every edge list is read from arcs(): by source rank, then leaving
+    # letter, then entering letter.
+
+    def arcs(self):
+        """Every labeled arc, bows included, as rank and letter indices
+        (i, j, out, in): the vertex of rank j is p - e_out + e_in for p of
+        rank i, and bows are the arcs with out == in."""
+        vectors, up = up_ranks(self.k, self.sigma)
+        for i, p in enumerate(vectors):
+            for out, count in enumerate(p):
+                if count:
+                    row = up[p[:out] + (count - 1,) + p[out + 1:]]
+                    for into, j in enumerate(row):
+                        yield i, j, out, into
 
     def undirected_edges(self):
         """Each neighbor pair once, as (p, q) with rank(p) < rank(q)."""
-        for p in self.vertices():
-            rp = V.pv_rank(p)
-            for q in V.neighbors(p):
-                if V.pv_rank(q) > rp:
-                    yield p, q
+        vectors = self.vertices()
+        for i, j, _out, _into in self.arcs():
+            if i < j:
+                yield vectors[i], vectors[j]
 
     def directed_edges(self):
         """All labeled arcs, bows included, as (p, q, label)."""
-        for p in self.vertices():
-            for label in self.bows(p):
-                yield p, p, label
-            for q in V.neighbors(p):
-                yield p, q, self.edge_label(p, q)
-
-    def undirected_edge_count(self):
-        return sum(V.support_size(p) for p in self.vertices()) * (self.sigma - 1) // 2
+        vectors = self.vertices()
+        letters = [self.alphabet.letter(c) for c in range(self.sigma)]
+        labels = [[EdgeLabel(a, b) for b in letters] for a in letters]
+        for i, j, out, into in self.arcs():
+            yield vectors[i], vectors[j], labels[out][into]
 
     def bow_count(self):
-        return sum(V.support_size(p) for p in self.vertices())
+        """sigma * C(k+sigma-2, sigma-1): a bow (p, i) with p[i] >= 1 is an
+        order-(k-1) vector p - e_i and a letter i."""
+        return self.sigma * math.comb(self.k + self.sigma - 2, self.sigma - 1)
+
+    def undirected_edge_count(self):
+        """Each bow (p, i) starts sigma - 1 arcs p -> p - e_i + e_j, and each
+        edge is two arcs."""
+        return self.bow_count() * (self.sigma - 1) // 2
 
     # -- order-(k +/- 1) simplices -----------------------------------------
 

@@ -39,48 +39,66 @@ def _as_vector_set(pi):
     return members, k, len(some)
 
 
-def _components(members):
-    """Connected components of the induced subgraph, by rank order."""
-    remaining = set(members)
+def _adjacency(ordered):
+    """Neighbor lists of the members, by position in ``ordered`` (rank
+    order), each list in rank order.  Two vectors are neighbors exactly
+    when they share a child p - e_i, and a neighbor pair shares only its
+    meet, so grouping the members by child lists every pair once."""
+    by_child = {}
+    for i, p in enumerate(ordered):
+        for c, count in enumerate(p):
+            if count:
+                by_child.setdefault(p[:c] + (count - 1,) + p[c + 1:],
+                                    []).append(i)
+    adj = [[] for _ in ordered]
+    for group in by_child.values():
+        for i in group:
+            adj[i].extend(j for j in group if j != i)
+    for near in adj:
+        near.sort()
+    return adj
+
+
+def _components(adj):
+    """Connected components of the member graph, as sorted position lists,
+    ordered by their first position."""
+    seen = [False] * len(adj)
     comps = []
-    while remaining:
-        start = min(remaining, key=V.pv_rank)
-        comp, stack = {start}, [start]
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, stack = [start], [start]
         while stack:
-            p = stack.pop()
-            for q in V.neighbors(p):
-                if q in remaining and q not in comp:
-                    comp.add(q)
-                    stack.append(q)
-        comps.append(tuple(sorted(comp, key=V.pv_rank)))
-        remaining -= comp
+            for j in adj[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+                    stack.append(j)
+        comps.append(sorted(comp))
     return comps
 
 
-def _covering_itinerary(members):
-    """Bowfree walk visiting every member of a connected set: depth-first
-    order with parent revisits on backtrack, trailing returns trimmed."""
-    rank = {p: V.pv_rank(p) for p in members}
-
-    def members_near(p):
-        return iter(sorted(V.neighbors(p) & members, key=rank.__getitem__))
-
-    start = min(members, key=rank.__getitem__)
-    tour = [start]
-    seen = {start}
+def _covering_itinerary(adj):
+    """Bowfree walk, by position, visiting every member of a connected set:
+    depth-first order from the first member with parent revisits on
+    backtrack, trailing returns trimmed."""
+    tour = [0]
+    seen = [False] * len(adj)
+    seen[0] = True
     last_new = 0
-    stack = [(start, members_near(start))]
+    stack = [(0, iter(adj[0]))]
     while stack:
-        q = next((q for q in stack[-1][1] if q not in seen), None)
+        q = next((q for q in stack[-1][1] if not seen[q]), None)
         if q is None:
             stack.pop()
             if stack:
                 tour.append(stack[-1][0])
             continue
-        seen.add(q)
+        seen[q] = True
         last_new = len(tour)
         tour.append(q)
-        stack.append((q, members_near(q)))
+        stack.append((q, iter(adj[q])))
     return tour[:last_new + 1]
 
 
@@ -92,12 +110,17 @@ def is_realizable_set(pi, sigma=None, alphabet=None):
         raise InvalidInput("sigma=%d does not match vectors of length %d"
                            % (sigma, vec_sigma))
     alphabet = V.as_alphabet(alphabet if alphabet is not None else vec_sigma)
-    comps = _components(members)
+    # colex order, the last coordinate slowest, is rank order
+    ordered = sorted(members, key=lambda p: p[::-1])
+    adj = _adjacency(ordered)
+    comps = _components(adj)
     if len(comps) > 1:
-        return RealizabilityResult(realizable=False, k=k, sigma=vec_sigma,
-                                   refutation=(comps[0], comps[1]))
-    witness = walks.string_from_itinerary(_covering_itinerary(members), k,
-                                          alphabet)
+        return RealizabilityResult(
+            realizable=False, k=k, sigma=vec_sigma,
+            refutation=tuple(tuple(ordered[i] for i in comp)
+                             for comp in comps[:2]))
+    itinerary = [ordered[i] for i in _covering_itinerary(adj)]
+    witness = walks.string_from_itinerary(itinerary, k, alphabet)
     got = V.parikh_set(witness, k, alphabet).members
     if got != members:
         raise AssertionError(

@@ -42,6 +42,7 @@ from functools import partial
 from . import covering, kernel
 from . import vectors as V
 from .errors import CapacityExceeded, InvalidInput
+from .grid import up_ranks
 
 TARGET_SHORTEST = "shortest_covering"
 TARGET_PDB = "pdb_only"
@@ -129,11 +130,7 @@ def _build_tables(k, sigma):
             "search tables for k=%d sigma=%d and a word of k letters exceed "
             "the MAX_TABLE_ENTRIES bound of %d ints"
             % (k, sigma, MAX_TABLE_ENTRIES))
-    vectors = V.enumerate_pv(k, sigma)
-    index = {p: i for i, p in enumerate(vectors)}
-    # the ranks of q + e_c for every vector q of order k - 1
-    up = {q: [index[q[:c] + (q[c] + 1,) + q[c + 1:]] for c in range(sigma)]
-          for q in V.enumerate_pv(k - 1, sigma)}
+    vectors, up = up_ranks(k, sigma)
     shift = []
     for p in vectors:
         for out in range(sigma):

@@ -42,13 +42,22 @@ W54 = "aaaaabbbbbcaaaadbbbcccccdddddaaaccdbcbaccaccddbddbadacddbbbb"
 LETTERS = string.ascii_lowercase
 
 
+def letter_indices(word, sigma):
+    """Letter indices of a word: letters up to 26, comma-separated indices
+    beyond."""
+    if sigma <= len(LETTERS):
+        return [LETTERS.index(ch) for ch in word]
+    return [int(part) for part in word.split(",")] if word else []
+
+
 def naive_parikh_set(word, k, sigma):
     """Window set recomputed from scratch for every window."""
+    letters = letter_indices(word, sigma)
     out = set()
-    for i in range(len(word) - k + 1):
+    for i in range(len(letters) - k + 1):
         counts = [0] * sigma
-        for ch in word[i:i + k]:
-            counts[LETTERS.index(ch)] += 1
+        for c in letters[i:i + k]:
+            counts[c] += 1
         out.add(tuple(counts))
     return out
 

@@ -79,6 +79,39 @@ class TestDot:
         assert dot.count("--") == 6  # 3 edges + 3 bows
         assert 'label="a"' in dot and 'label="c"' in dot
 
+    def test_golden_k2_s3(self):
+        # edges once and then bows, both in arc order: by source rank, then
+        # leaving letter, then entering letter
+        assert export.grid_to_dot(build_grid(2, 3)) == """\
+graph grid_k2_s3 {
+  node [shape=circle];
+  v0 [label="(2,0,0)" pos="0.0000,0.0000!"];
+  v1 [label="(1,1,0)" pos="1.0000,0.0000!"];
+  v2 [label="(0,2,0)" pos="2.0000,0.0000!"];
+  v3 [label="(1,0,1)" pos="0.5000,0.8660!"];
+  v4 [label="(0,1,1)" pos="1.5000,0.8660!"];
+  v5 [label="(0,0,2)" pos="1.0000,1.7321!"];
+  v0 -- v1;
+  v0 -- v3;
+  v1 -- v2;
+  v1 -- v4;
+  v1 -- v3;
+  v2 -- v4;
+  v3 -- v4;
+  v3 -- v5;
+  v4 -- v5;
+  v0 -- v0 [label="a"];
+  v1 -- v1 [label="a"];
+  v1 -- v1 [label="b"];
+  v2 -- v2 [label="b"];
+  v3 -- v3 [label="a"];
+  v3 -- v3 [label="c"];
+  v4 -- v4 [label="b"];
+  v4 -- v4 [label="c"];
+  v5 -- v5 [label="c"];
+}
+"""
+
     def test_positions_in_dot_for_sigma3(self):
         dot = export.grid_to_dot(build_grid(4, 3))
         assert 'pos="0.0000,0.0000!"' in dot

@@ -28,6 +28,14 @@ class TestBuildGrid:
             assert g.bow_count() == bows
             assert len(list(g.undirected_edges())) == edges
 
+    def test_closed_form_counts_match_vertex_sums(self):
+        for k in range(1, 7):
+            for sigma in range(1, 7):
+                g = G.build_grid(k, sigma)
+                bows = sum(V.support_size(p) for p in g.vertices())
+                assert g.bow_count() == bows
+                assert g.undirected_edge_count() == bows * (sigma - 1) // 2
+
     def test_unary_alphabet(self):
         g = G.build_grid(5, 1)
         assert g.vertex_count == 1
@@ -76,6 +84,25 @@ class TestDirectedEdges:
         assert all(lab.out_letter == lab.in_letter for _, _, lab in loops)
         # each anti-parallel partner present exactly once
         assert sorted(proper) == sorted((q, p) for p, q in proper)
+
+    def test_arc_order_k2_s3(self):
+        # by source rank, then leaving letter, then entering letter
+        v = G.build_grid(2, 3).vertices()
+        assert v == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1),
+                     (0, 0, 2)]
+        want = [
+            (0, 0, "aa"), (0, 1, "ab"), (0, 3, "ac"),
+            (1, 1, "aa"), (1, 2, "ab"), (1, 4, "ac"),
+            (1, 0, "ba"), (1, 1, "bb"), (1, 3, "bc"),
+            (2, 1, "ba"), (2, 2, "bb"), (2, 4, "bc"),
+            (3, 3, "aa"), (3, 4, "ab"), (3, 5, "ac"),
+            (3, 0, "ca"), (3, 1, "cb"), (3, 3, "cc"),
+            (4, 3, "ba"), (4, 4, "bb"), (4, 5, "bc"),
+            (4, 1, "ca"), (4, 2, "cb"), (4, 4, "cc"),
+            (5, 3, "ca"), (5, 4, "cb"), (5, 5, "cc"),
+        ]
+        assert list(G.build_grid(2, 3).directed_edges()) == [
+            (v[i], v[j], G.EdgeLabel(lab[0], lab[1])) for i, j, lab in want]
 
     def test_bow_requires_positive_coordinate(self):
         g = G.build_grid(3, 3)

@@ -38,6 +38,20 @@ class TestShortestCovering:
                                                      else sigma // 2)
             assert len(out.witness) == expected
 
+    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
+                        reason="10^8 nodes; slow on the pure kernel")
+    def test_k2_s6_beyond_the_default_budget(self):
+        # the closed form is 24 letters; with every rule on, the default
+        # budget runs out in length 24 after refuting 23
+        out = S.search_shortest_covering(S.SearchConfig(k=2, sigma=6))
+        if out.status == S.STATUS_FOUND:
+            assert len(out.witness) == 24 and out.minimal
+        else:
+            assert out.status == S.STATUS_BUDGET
+            assert out.refuted_up_to <= 23
+        word = C.construct_family("k2_eulerian", 2, 6)
+        assert len(word) == 24 and C.verify(word, 2, 6).is_covering
+
     def test_max_len_refutation(self):
         out = S.search_shortest_covering(
             S.SearchConfig(k=3, sigma=3, max_len=11))
