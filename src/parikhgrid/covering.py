@@ -13,8 +13,10 @@ sigma >= 3, a k-covering word whose (k-1)-window vectors omit
 (k-3, 1, 1, 0, ..., 0).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice
 from math import comb
 
 from . import vectors as V
@@ -70,24 +72,6 @@ def min_letter_occurrences(k, sigma):
     return -(-comb(sigma + k - 1, k - 1) // k)
 
 
-def _window_multiplicities(word, k, alphabet):
-    letters = alphabet.word_to_indices(word)
-    n = len(letters)
-    mult = {}
-    if n < k:
-        return mult
-    window = [0] * alphabet.size
-    for i in letters[:k]:
-        window[i] += 1
-    mult[tuple(window)] = 1
-    for pos in range(k, n):
-        window[letters[pos - k]] -= 1
-        window[letters[pos]] += 1
-        key = tuple(window)
-        mult[key] = mult.get(key, 0) + 1
-    return mult
-
-
 def verify(word, k, sigma):
     """Count window multiplicities and report covering / perfect-covering
     status, excess, missing vectors, and duplicated vectors."""
@@ -101,7 +85,7 @@ def verify(word, k, sigma):
                                "above the %d bound" % (total, MAX_VERIFY_VECTORS))
     letters = alphabet.word_to_indices(word)
     length = len(letters)
-    mult = _window_multiplicities(word, k, alphabet)
+    mult = Counter(V.window_vectors(letters, k, sigma))
     covering = len(mult) == total
     missing = (() if covering else
                tuple(p for p in V.enumerate_pv(k, sigma) if p not in mult))
@@ -127,20 +111,6 @@ def verify(word, k, sigma):
                        missing=missing, duplicated=duplicated)
 
 
-def _is_covering_fast(letters, k, sigma, total):
-    if len(letters) - k + 1 < total:
-        return False
-    window = [0] * sigma
-    for i in letters[:k]:
-        window[i] += 1
-    seen = {tuple(window)}
-    for pos in range(k, len(letters)):
-        window[letters[pos - k]] -= 1
-        window[letters[pos]] += 1
-        seen.add(tuple(window))
-    return len(seen) == total
-
-
 def covset(word, sigma):
     """All k for which the word is k-covering."""
     alphabet = V.as_alphabet(sigma)
@@ -148,7 +118,8 @@ def covset(word, sigma):
     out = set()
     for k in range(1, len(letters) + 1):
         total = comb(k + alphabet.size - 1, alphabet.size - 1)
-        if _is_covering_fast(letters, k, alphabet.size, total):
+        if (len(letters) - k + 1 >= total and len(set(
+                V.window_vectors(letters, k, alphabet.size))) == total):
             out.add(k)
     return frozenset(out)
 
@@ -208,15 +179,11 @@ def is_universal_cycle(word, k, sigma):
     total = V.ensure_capacity(k, alphabet.size)
     if n != total:
         return False
-    window = [0] * alphabet.size
-    for i in letters[:k]:
-        window[i] += 1
-    seen = {tuple(window)}
-    for pos in range(k, n + k - 1):
-        window[letters[(pos - k) % n]] -= 1
-        window[letters[pos % n]] += 1
-        seen.add(tuple(window))
-    return len(seen) == total and n == total
+    # the cyclic windows are the linear windows of the word with its first
+    # k - 1 letters wrapped on; a word shorter than k - 1 wraps round more
+    # than once
+    wrapped = list(islice(cycle(letters), n + k - 1))
+    return len(set(V.window_vectors(wrapped, k, alphabet.size))) == total
 
 
 def wrap_cycle(word, k, sigma=None):

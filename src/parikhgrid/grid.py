@@ -121,10 +121,10 @@ class PdbGrid:
         """Label of the directed edge p -> q (q a neighbor of p)."""
         self._check_vertex(p)
         self._check_vertex(q)
-        if not V.is_neighbor(p, q):
+        shift = V.step(p, q)
+        if shift is None:
             raise InvalidInput("%r and %r are not neighbors" % (p, q))
-        out_i = next(i for i in range(self.sigma) if q[i] < p[i])
-        in_i = next(i for i in range(self.sigma) if q[i] > p[i])
+        out_i, in_i = shift
         return EdgeLabel(self.alphabet.letter(out_i), self.alphabet.letter(in_i))
 
     # -- aggregate structure (materialized on demand) ----------------------
@@ -208,7 +208,7 @@ def classify_clique(vs):
         return CliqueClassification(kind=SINGLETON)
     for i, p in enumerate(vs):
         for q in vs[i + 1:]:
-            if not V.is_neighbor(p, q):
+            if V.step(p, q) is None:
                 return CliqueClassification(kind=NOT_A_CLIQUE)
     low = V.meet(vs)
     high = V.join(vs)

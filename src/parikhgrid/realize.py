@@ -134,10 +134,10 @@ def realizable_pair_witness(p, q, alphabet=None):
     """Witness for a neighbor pair {p, q}: the leaving letter, then the
     canonical word of the pair's meet, then the entering letter."""
     p, q = tuple(p), tuple(q)
-    if not V.is_neighbor(p, q):
+    shift = V.step(p, q)
+    if shift is None:
         raise InvalidInput("%r and %r are not neighbors" % (p, q))
     alphabet = V.as_alphabet(alphabet if alphabet is not None else len(p))
-    out_i = next(i for i in range(len(p)) if q[i] < p[i])
-    in_i = next(i for i in range(len(p)) if q[i] > p[i])
+    out_i, in_i = shift
     middle = V.canonical_word(V.meet([p, q]), alphabet)
     return alphabet.letter(out_i) + middle + alphabet.letter(in_i)

@@ -8,6 +8,11 @@ canonical order, the neighbor/parent/child relations induced by sliding a
 window one position, componentwise meet and join, and the set of window
 vectors of a string.
 
+Two functions here are the package's only reading of a window shift, in
+which one letter leaves the window and one enters: :func:`window_vectors`
+slides a window along a word, and :func:`step` recovers the two letters
+from a pair of vectors.
+
 Vectors are plain tuples of non-negative ints and are never mutated.
 """
 
@@ -160,16 +165,6 @@ def parse_vector(text):
     return p
 
 
-def _iter_pv(k, sigma):
-    # Colexicographic: the last coordinate varies slowest.
-    if sigma == 1:
-        yield (k,)
-        return
-    for last in range(k + 1):
-        for rest in _iter_pv(k - last, sigma - 1):
-            yield rest + (last,)
-
-
 def enumerate_pv(k, sigma):
     """All order-k vectors over sigma letters, in colexicographic order.
 
@@ -177,7 +172,22 @@ def enumerate_pv(k, sigma):
     canonical rank used throughout the package.
     """
     ensure_capacity(k, sigma)
-    return list(_iter_pv(k, sigma))
+    # Colex successor: the last coordinate varies slowest.  With i the first
+    # non-zero coordinate, one unit moves up to i + 1 and the rest of p[i]
+    # drops back to coordinate 0.
+    p = [k] + [0] * (sigma - 1)
+    out = []
+    while True:
+        out.append(tuple(p))
+        i = 0
+        while i < sigma - 1 and p[i] == 0:
+            i += 1
+        if i == sigma - 1:
+            return out
+        t = p[i]
+        p[i] = 0
+        p[i + 1] += 1
+        p[0] = t - 1
 
 
 def pv_count(k, sigma):
@@ -222,18 +232,18 @@ def pv_unrank(i, k, sigma):
 def neighbors(p):
     """Vectors reachable by one window shift: p - e_i + e_j with i != j."""
     sigma = len(p)
-    out = []
+    out = set()
     for i in range(sigma):
         if p[i] == 0:
             continue
+        q = list(p)
+        q[i] -= 1
         for j in range(sigma):
-            if j == i:
-                continue
-            q = list(p)
-            q[i] -= 1
-            q[j] += 1
-            out.append(tuple(q))
-    return set(out)
+            if j != i:
+                q[j] += 1
+                out.add(tuple(q))
+                q[j] -= 1
+    return out
 
 
 def parents(p):
@@ -246,20 +256,20 @@ def children(p):
     return {p[:i] + (p[i] - 1,) + p[i + 1:] for i in range(len(p)) if p[i] > 0}
 
 
-def is_neighbor(p, q):
-    """True if q = p - e_i + e_j for some i != j."""
+def step(p, q):
+    """The letters a window shift exchanges: ``(out, in)`` when
+    q = p - e_out + e_in with out != in, else None."""
     if len(p) != len(q):
-        return False
-    plus = minus = other = 0
-    for a, b in zip(p, q):
-        d = b - a
-        if d == 1:
-            plus += 1
-        elif d == -1:
-            minus += 1
-        elif d != 0:
-            other += 1
-    return plus == 1 and minus == 1 and other == 0
+        return None
+    out = into = None
+    for i, (a, b) in enumerate(zip(p, q)):
+        if a - b == 1 and out is None:
+            out = i
+        elif b - a == 1 and into is None:
+            into = i
+        elif a != b:
+            return None
+    return None if out is None or into is None else (out, into)
 
 
 def meet(ps):
@@ -309,21 +319,29 @@ class ParikhSet:
     window_exceeds_word: bool = False
 
 
+def window_vectors(letters, k, sigma):
+    """The vector of each length-k window of a letter-index list, left to
+    right: one letter leaves and one enters per shift.  A list shorter
+    than k has no window."""
+    if k > len(letters):
+        return
+    window = [0] * sigma
+    for i in letters[:k]:
+        window[i] += 1
+    yield tuple(window)
+    for out, into in zip(letters, letters[k:]):
+        window[out] -= 1
+        window[into] += 1
+        yield tuple(window)
+
+
 def parikh_set(word, k, alphabet):
-    """Sliding-window Parikh set: one letter out, one letter in per shift."""
+    """The distinct vectors of the word's length-k windows."""
     alphabet = as_alphabet(alphabet)
     if k < 1:
         raise InvalidInput("window length k must be >= 1, got %r" % (k,))
     letters = alphabet.word_to_indices(word)
-    n = len(letters)
-    if k > n:
+    if k > len(letters):
         return ParikhSet(k=k, members=frozenset(), window_exceeds_word=True)
-    window = [0] * alphabet.size
-    for i in letters[:k]:
-        window[i] += 1
-    seen = {tuple(window)}
-    for pos in range(k, n):
-        window[letters[pos - k]] -= 1
-        window[letters[pos]] += 1
-        seen.add(tuple(window))
-    return ParikhSet(k=k, members=frozenset(seen))
+    return ParikhSet(k=k, members=frozenset(
+        window_vectors(letters, k, alphabet.size)))

@@ -44,10 +44,7 @@ class Walk:
         if alphabet.size != sigma:
             raise InvalidInput("alphabet size %d does not match vectors of "
                                "length %d" % (alphabet.size, sigma))
-        for p in self.vertices:
-            if len(p) != sigma or sum(p) != self.k or min(p) < 0:
-                raise InvalidInput("walk vertex %r is not an order-%d vector"
-                                   % (p, self.k))
+        _check_vertices(self.vertices, self.k)
         steps = _classify_steps(self.vertices)
         bad = next((i for i, s in enumerate(steps) if s is None), None)
         if bad is not None:
@@ -137,19 +134,10 @@ def walk_of(word, k, alphabet=None):
         raise InvalidInput("window length k must be >= 1, got %r" % (k,))
     if n < k:
         raise InvalidInput("word of length %d has no length-%d window" % (n, k))
-    window = [0] * alphabet.size
-    for i in letters[:k]:
-        window[i] += 1
-    verts = [tuple(window)]
-    labels = []
-    for pos in range(k, n):
-        out_i, in_i = letters[pos - k], letters[pos]
-        window[out_i] -= 1
-        window[in_i] += 1
-        verts.append(tuple(window))
-        labels.append(EdgeLabel(alphabet.letter(out_i), alphabet.letter(in_i)))
-    return Walk(k=k, vertices=tuple(verts), labels=tuple(labels),
-                alphabet=alphabet)
+    verts = tuple(V.window_vectors(letters, k, alphabet.size))
+    labels = tuple(EdgeLabel(alphabet.letter(out_i), alphabet.letter(in_i))
+                   for out_i, in_i in zip(letters, letters[k:]))
+    return Walk(k=k, vertices=verts, labels=labels, alphabet=alphabet)
 
 
 def _guess_sigma(word):
@@ -169,19 +157,20 @@ def _ascii_pos(ch):
     return i
 
 
+def _check_vertices(vertices, k):
+    """Reject a vertex that is not an order-k vector of the first vertex's
+    length."""
+    sigma = len(vertices[0])
+    for p in vertices:
+        if len(p) != sigma or sum(p) != k or min(p) < 0:
+            raise InvalidInput("walk vertex %r is not an order-%d vector"
+                               % (p, k))
+
+
 def _classify_steps(vertices):
     """Per step: _BOW, an (out, in) coordinate pair, or None if not an edge."""
-    steps = []
-    for p, q in zip(vertices, vertices[1:]):
-        if p == q:
-            steps.append(_BOW)
-        elif V.is_neighbor(p, q):
-            out_i = next(i for i in range(len(p)) if q[i] < p[i])
-            in_i = next(i for i in range(len(p)) if q[i] > p[i])
-            steps.append((out_i, in_i))
-        else:
-            steps.append(None)
-    return steps
+    return [_BOW if p == q else V.step(p, q)
+            for p, q in zip(vertices, vertices[1:])]
 
 
 def _solve_spelling(vertices, k, alphabet, forced_bow_letters=None):
@@ -264,6 +253,7 @@ def _walk_parts(walk_or_vertices, k=None, alphabet=None):
     if k is None:
         k = sum(vertices[0])
     alphabet = V.as_alphabet(alphabet if alphabet is not None else len(vertices[0]))
+    _check_vertices(vertices, k)
     return vertices, k, alphabet, None
 
 
@@ -275,9 +265,6 @@ def is_realizable_walk(walk_or_vertices, k=None, alphabet=None):
     constraint.
     """
     vertices, k, alphabet, _ = _walk_parts(walk_or_vertices, k, alphabet)
-    for p in vertices:
-        if sum(p) != k:
-            raise InvalidInput("vertex %r does not have order %d" % (p, k))
     word, refuted = _solve_spelling(vertices, k, alphabet)
     if word is None:
         return WalkRealizability(realizable=False, refutation_index=refuted)
@@ -325,11 +312,11 @@ def string_from_itinerary(itinerary, k, alphabet=None):
     alphabet = V.as_alphabet(alphabet if alphabet is not None else len(vertices[0]))
     word = alphabet.word_to_indices(V.canonical_word(vertices[0], alphabet))
     for prev, nxt in zip(vertices, vertices[1:]):
-        if not V.is_neighbor(prev, nxt):
+        shift = V.step(prev, nxt)
+        if shift is None:
             raise InvalidInput("itinerary vertices %r and %r are not neighbors"
                                % (prev, nxt))
-        out_i = next(i for i in range(len(prev)) if nxt[i] < prev[i])
-        in_i = next(i for i in range(len(prev)) if nxt[i] > prev[i])
+        out_i, in_i = shift
         window = word[-k:]
         g = window.index(out_i)
         word.extend(window[:g])

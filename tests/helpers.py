@@ -63,11 +63,12 @@ def naive_parikh_set(word, k, sigma):
 
 
 def naive_window_multiplicities(word, k, sigma):
+    letters = letter_indices(word, sigma)
     mult = {}
-    for i in range(len(word) - k + 1):
+    for i in range(len(letters) - k + 1):
         counts = [0] * sigma
-        for ch in word[i:i + k]:
-            counts[LETTERS.index(ch)] += 1
+        for c in letters[i:i + k]:
+            counts[c] += 1
         key = tuple(counts)
         mult[key] = mult.get(key, 0) + 1
     return mult
@@ -122,11 +123,12 @@ def achievable_window_sets(k, sigma):
 
 
 def walk_vertices_of(word, k, sigma):
+    letters = letter_indices(word, sigma)
     out = []
-    for i in range(len(word) - k + 1):
+    for i in range(len(letters) - k + 1):
         counts = [0] * sigma
-        for ch in word[i:i + k]:
-            counts[LETTERS.index(ch)] += 1
+        for c in letters[i:i + k]:
+            counts[c] += 1
         out.append(tuple(counts))
     return tuple(out)
 

@@ -159,6 +159,12 @@ class TestUniversalCycles:
     def test_wrong_length_immediately_false(self):
         assert not C.is_universal_cycle("abbbcccaaabc", 3, 3)
 
+    def test_unary_cycle_shorter_than_its_window(self):
+        # "a" is the universal cycle over one letter for every k; its
+        # cyclic windows wrap round the word more than once
+        for k in range(1, 7):
+            assert C.is_universal_cycle("a", k, 1)
+
     def test_exhaustive_agreement_with_wrap(self):
         # every length-C word: cycle <=> its wrap is a perfect cover whose
         # windows also wrap around

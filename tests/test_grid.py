@@ -22,7 +22,7 @@ class TestBuildGrid:
             g = G.build_grid(k, sigma)
             vs = g.vertices()
             edges = sum(1 for i, p in enumerate(vs) for q in vs[i + 1:]
-                        if V.is_neighbor(p, q))
+                        if V.step(p, q) is not None)
             bows = sum(sum(1 for c in p if c) for p in vs)
             assert g.undirected_edge_count() == edges
             assert g.bow_count() == bows

@@ -1,17 +1,24 @@
-"""Property tests of the grid iterators and of realizability against the
-package-free oracles in helpers.py, at small random (k, sigma): sigma = 1
-included, and sigma = 27, where letters are written as indices."""
+"""Property tests of the grid iterators, realizability, the window scan
+and the shift decoder against the package-free oracles in helpers.py, at
+small random (k, sigma): sigma = 1 included, and sigma = 27, where letters
+are written as indices."""
 
 from collections import deque
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parikhgrid import covering as C
 from parikhgrid import export
 from parikhgrid import realize as R
+from parikhgrid import vectors as V
+from parikhgrid import walks as W
 from parikhgrid.grid import build_grid
 
-from helpers import LETTERS, colex_vectors, grid_step, naive_parikh_set
+from helpers import (LETTERS, colex_vectors, grid_step, letter_indices,
+                     naive_parikh_set, naive_window_multiplicities,
+                     walk_vertices_of)
 
 # Derandomized, so that every run of the suite draws the same examples.
 PROPERTY = settings(max_examples=200, deadline=None, database=None,
@@ -27,6 +34,11 @@ SIZES = st.one_of(
 
 def _letter(sigma, i):
     return LETTERS[i] if sigma <= len(LETTERS) else str(i)
+
+
+def _word(sigma, letters):
+    return ("" if sigma <= len(LETTERS) else ",").join(
+        _letter(sigma, i) for i in letters)
 
 
 def _oracle_arcs(k, sigma):
@@ -101,9 +113,7 @@ def vector_sets(draw):
     if draw(st.booleans()):
         word = draw(st.lists(st.integers(0, sigma - 1), min_size=k,
                              max_size=k + 20))
-        text = ("".join(LETTERS[i] for i in word) if sigma <= len(LETTERS)
-                else ",".join(map(str, word)))
-        members = naive_parikh_set(text, k, sigma)
+        members = naive_parikh_set(_word(sigma, word), k, sigma)
         members |= set(draw(st.lists(st.sampled_from(vectors), max_size=2)))
     else:
         members = set(draw(st.lists(st.sampled_from(vectors), min_size=1,
@@ -124,3 +134,63 @@ def test_realizable_iff_connected(case):
     assert a and b and not a & b and a | b <= members
     assert not any(grid_step(p, out, into) in b for p in a
                    for out in range(sigma) for into in range(sigma))
+
+
+@st.composite
+def words(draw, min_windows=0, covering=True):
+    """(k, sigma, word): random letters, or, when ``covering``, the sorted
+    words of every order-k vector in random order, which covers."""
+    k, sigma = draw(SIZES)
+    if covering and draw(st.booleans()):
+        letters = [i for p in draw(st.permutations(colex_vectors(k, sigma)))
+                   for i, c in enumerate(p) for _ in range(c)]
+    else:
+        letters = draw(st.lists(st.integers(0, sigma - 1),
+                                min_size=max(0, k - 1 + min_windows),
+                                max_size=k + 20))
+    return k, sigma, _word(sigma, letters)
+
+
+@PROPERTY
+@given(words(min_windows=1))
+def test_walk_of_and_spell_round_trip(case):
+    k, sigma, word = case
+    walk = W.walk_of(word, k, sigma)
+    assert walk.vertices == walk_vertices_of(word, k, sigma)
+    assert W.walk_of(W.spell(walk), k, sigma) == walk
+
+
+@PROPERTY
+@given(words())
+def test_verify_matches_window_multiplicities(case):
+    k, sigma, word = case
+    report = C.verify(word, k, sigma)
+    mult = naive_window_multiplicities(word, k, sigma)
+    vectors = colex_vectors(k, sigma)
+    assert report.missing == tuple(p for p in vectors if p not in mult)
+    assert report.duplicated == tuple((p, mult[p]) for p in vectors
+                                      if mult.get(p, 0) > 1)
+    assert report.is_covering == (len(mult) == len(vectors))
+    assert report.is_pdb == (report.is_covering and not report.duplicated)
+
+
+@PROPERTY
+@given(words(covering=False))
+def test_covset_matches_naive_window_sets(case):
+    _, sigma, word = case
+    n = len(letter_indices(word, sigma))
+    assert C.covset(word, sigma) == {
+        j for j in range(1, n + 1)
+        if len(naive_parikh_set(word, j, sigma)) == comb(j + sigma - 1, j)}
+
+
+@PROPERTY
+@given(st.data())
+def test_step_inverts_grid_step(data):
+    k, sigma = data.draw(SIZES)
+    vectors = colex_vectors(k, sigma)
+    p = data.draw(st.sampled_from(vectors))
+    shifts = {grid_step(p, out, into): (out, into)
+              for out in range(sigma) for into in range(sigma) if out != into}
+    shifts.pop(None, None)
+    assert [V.step(p, q) for q in vectors] == [shifts.get(q) for q in vectors]

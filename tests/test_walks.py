@@ -252,6 +252,18 @@ class TestWalkValidation:
             W.Walk(k=2, vertices=((2, 0), (1, 1)),
                    labels=(EdgeLabel("b", "a"),))
 
+    def test_raw_vertices_checked_like_a_walk(self):
+        # a negative count, a vertex of another order and vertices of
+        # mixed lengths are no walk: rejected, not spelled or refuted
+        for vertices, k in [([(-1, 4)], 3), ([(1, 2)], 5),
+                            ([(1, 2), (1, 2, 0)], 3)]:
+            with pytest.raises(InvalidInput):
+                W.Walk(k=k, vertices=tuple(vertices))
+            with pytest.raises(InvalidInput):
+                W.is_realizable_walk(vertices, k)
+            with pytest.raises(InvalidInput):
+                W.spell(vertices, k)
+
     def test_itinerary_rejects_consecutive_duplicates(self):
         with pytest.raises(InvalidInput):
             W.Itinerary(vertices=((1, 1), (1, 1)))
