@@ -19,7 +19,12 @@ The components rule prunes exactly where the pure kernel's does; only its
 bookkeeping for covering targets differs.  The pure kernel counts the
 components of G[U] from scratch where the bound could fire.  Here the count
 is carried along the word, and each window on a new vector updates it by a
-search around that vector (split_of).
+search around that vector (split_of).  For perfect-cover targets the
+degrees of the vectors in U + {current} change once per level, not once per
+letter: any fresh window at `pos` leaves U and becomes current, so the set
+loses exactly the previous window, whatever the letter.  dfs makes that move
+on the way down and undoes it on the way up; a letter only takes its window
+out of the low-degree counts, or adds it back to the set when it repeats.
 */
 
 #include <limits.h>
@@ -67,8 +72,9 @@ typedef struct {
     int *comps, *seen, *queue;
     int stamp;
     /* The components rule, perfect-cover targets (NULL otherwise): per
-       vector, its neighbours in U and the current window; the uncovered
-       vectors with at most one such neighbour, and with none. */
+       vector, its neighbours in U + {current}; the uncovered vectors with
+       at most one such neighbour, and with none.  At a level with no letter
+       placed yet, deg counts the neighbours in U alone. */
     int *deg;
     int ends, isolated;
 } State;
@@ -107,16 +113,16 @@ static void count_ends(State *s, int v, int sign)
 /* Vector v enters (delta 1) or leaves (delta -1) the set U + {current}. */
 static void move_degrees(State *s, int v, int delta)
 {
+    int ends = 0, isolated = 0;
     for (const int *x_at = neighbours(s, v); *x_at >= 0; x_at++) {
-        int x = *x_at;
-        if (s->mult[x] == 0) {
-            count_ends(s, x, -1);
-            s->deg[x] += delta;
-            count_ends(s, x, 1);
-        } else {
-            s->deg[x] += delta;
-        }
+        int x = *x_at, before = s->deg[x], after = before + delta;
+        int in_u = s->mult[x] == 0;
+        s->deg[x] = after;
+        ends += in_u * ((after <= 1) - (before <= 1));
+        isolated += in_u * ((after == 0) - (before == 0));
     }
+    s->ends += ends;
+    s->isolated += isolated;
 }
 
 static int find(int *root, int a)
@@ -195,29 +201,22 @@ static int split_of(State *s, int idx, int limit)
 
 static void place(State *s, int pos, int c, int idx)
 {
-    int fresh;
     s->word[pos] = (unsigned char)c;
     s->at[pos] = idx;
     if (pos + 1 > s->max_depth)
         s->max_depth = pos + 1;
     if (pos < s->k - 1)
         return;
-    fresh = ++s->mult[idx] == 1;
-    if (fresh)
+    /* dfs took the previous window out of U + {current}; a fresh idx is in
+       it already and leaves only U, a repeated one comes back */
+    if (++s->mult[idx] == 1) {
         s->uncovered--;
-    else
-        s->dups++;
-    if (s->deg != NULL) {
-        /* U + {current} loses the previous window, and gains idx unless
-           idx was uncovered, in U already */
-        int prev = pos >= s->k ? s->at[pos - 1] : idx;
-        if (fresh)
+        if (s->deg != NULL)
             count_ends(s, idx, -1);
-        if (prev != idx) {
-            move_degrees(s, prev, -1);
-            if (!fresh)
-                move_degrees(s, idx, 1);
-        }
+    } else {
+        s->dups++;
+        if (s->deg != NULL)
+            move_degrees(s, idx, 1);
     }
 }
 
@@ -226,20 +225,14 @@ static void unplace(State *s, int pos)
     int idx = s->at[pos];
     if (pos < s->k - 1)
         return;
-    if (s->deg != NULL) {
-        int prev = pos >= s->k ? s->at[pos - 1] : idx;
-        if (prev != idx) {
-            if (s->mult[idx] > 1)
-                move_degrees(s, idx, -1);
-            move_degrees(s, prev, 1);
-        }
-    }
     if (--s->mult[idx] == 0) {
         s->uncovered++;
         if (s->deg != NULL)
             count_ends(s, idx, 1);
     } else {
         s->dups--;
+        if (s->deg != NULL)
+            move_degrees(s, idx, -1);
     }
 }
 
@@ -335,10 +328,14 @@ static int dfs(State *s, const unsigned char *prefix, int prefix_len,
             used = c < used ? used : c + 1;
             pos++;
             c = pos < prefix_len ? prefix[pos] : 0;
+            if (s->deg != NULL && pos >= s->k)
+                move_degrees(s, s->at[pos - 1], -1);
             continue;
         }
         if (pos == 0)
             return 0;
+        if (s->deg != NULL && pos >= s->k)
+            move_degrees(s, s->at[pos - 1], 1);
         pos--;
         c = s->word[pos];
         used = s->used_at[pos];

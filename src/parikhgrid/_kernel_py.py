@@ -23,7 +23,9 @@ current letter:
                        Perfect-cover targets: the rest of the word is a path
                        through U from the current window, so some vector of
                        U has no neighbour in U + {current}, or two have at
-                       most one.
+                       most one.  Its degrees change once per level: any
+                       fresh window leaves U and becomes current, so the
+                       set loses the previous window whatever the letter.
 """
 
 PROGRESS_INTERVAL = 1_000_000
@@ -61,9 +63,9 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
     # The components rule.  Covering targets: per position, the number of
     # components of G[U] after the window that ends there (-1: not known),
     # counted only when the bound could fire and kept while U stays the
-    # same.  Perfect-cover targets: deg[v] is the number of v's neighbours
-    # in U + {current}, and ends and isolated count the vectors of U with at
-    # most one and with none.
+    # same.  Perfect-cover targets: deg[v] counts v's neighbours in U +
+    # {current} (in U alone between levels), and ends and isolated count the
+    # vectors of U with at most one and with none.
     neighbours = comps = deg = None
     ends = isolated = 0
     if rule_comp:
@@ -86,12 +88,13 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
 
     def move_degrees(v, delta):
         # v enters (delta 1) or leaves (delta -1) the set U + {current}
+        nonlocal ends, isolated
         for x in neighbours[v]:
+            before = deg[x]
+            deg[x] = after = before + delta
             if mult[x] == 0:
-                count_ends(x, -1)
-            deg[x] += delta
-            if mult[x] == 0:
-                count_ends(x, 1)
+                ends += (after <= 1) - (before <= 1)
+                isolated += (after == 0) - (before == 0)
 
     def count_components(limit):
         # components of G[U], stopping at limit + 1
@@ -125,30 +128,19 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
             uncovered -= 1
         else:
             dups += 1
-        if deg is not None:
-            # U + {current} loses the previous window, and gains idx unless
-            # idx was uncovered, in U already
-            prev = at[pos - 1] if pos >= k else idx
-            if fresh:
-                count_ends(idx, -1)
-            if prev != idx:
-                move_degrees(prev, -1)
-                if not fresh:
-                    move_degrees(idx, 1)
-        elif comps is not None:
+        if comps is not None:
             comps[pos] = -1 if fresh else comps[pos - 1]
+        elif deg is not None and fresh:
+            count_ends(idx, -1)
+        elif deg is not None:
+            # the level took the previous window out; a repeated idx is back
+            move_degrees(idx, 1)
 
     def unplace(pos):
         nonlocal uncovered, dups
         if pos < k - 1:
             return
         idx = at[pos]
-        if deg is not None:
-            prev = at[pos - 1] if pos >= k else idx
-            if prev != idx:
-                if mult[idx] > 1:
-                    move_degrees(idx, -1)
-                move_degrees(prev, 1)
         mult[idx] -= 1
         if mult[idx] == 0:
             uncovered += 1
@@ -156,6 +148,8 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
                 count_ends(idx, 1)
         else:
             dups -= 1
+            if deg is not None:
+                move_degrees(idx, -1)
 
     def pruned(pos):
         if pos < k - 1:
@@ -185,7 +179,8 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
 
     # The loop of dfs in _kernel.c: level ``pos`` tries letters c .. top-1;
     # descending saves ``used`` in used_at[pos], and backing up resumes
-    # after word[pos].
+    # after word[pos].  Perfect covers: a level pos >= k takes the previous
+    # window out of U + {current} on the way down, back in on the way up.
     pos = used = 0
     c = prefix[0] if prefix else 0
     while length > 0:
@@ -221,9 +216,13 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
             used = max(used, c + 1)
             pos += 1
             c = prefix[pos] if pos < len(prefix) else 0
+            if deg is not None and pos >= k:
+                move_degrees(at[pos - 1], -1)
             continue
         if pos == 0:
             break
+        if deg is not None and pos >= k:
+            move_degrees(at[pos - 1], 1)
         pos -= 1
         c = word[pos]
         used = used_at[pos]

@@ -200,6 +200,8 @@ def classify_clique(vs):
     vs = list(set(vs))
     if not vs:
         raise InvalidInput("cannot classify an empty vertex set")
+    for p in vs:
+        V.validate_vector(p)
     k = sum(vs[0])
     if any(len(p) != len(vs[0]) or sum(p) != k for p in vs):
         raise InvalidInput("clique classification needs vectors of one order "

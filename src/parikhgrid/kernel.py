@@ -115,9 +115,10 @@ def _remove_stale_builds(directory):
             pass
 
 
-def _load():
-    """The ctypes handle of the compiled kernel, argument types declared."""
-    lib = ctypes.CDLL(_build())
+def _load(path):
+    """The ctypes handle of the kernel library at ``path``, argument types
+    declared."""
+    lib = ctypes.CDLL(path)
     lib.pg_fixed_length_search.argtypes = (
         ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
         _INTS, ctypes.c_int, ctypes.c_int, ctypes.c_char_p, ctypes.c_int,
@@ -210,7 +211,7 @@ if os.environ.get("PARIKHGRID_PURE_KERNEL"):
     FALLBACK_REASON = "PARIKHGRID_PURE_KERNEL is set"
 else:
     try:
-        _lib = _load()
+        _lib = _load(_build())
     except OSError as exc:
         FALLBACK_REASON = "compiled kernel unavailable: %s" % exc
 

@@ -134,6 +134,8 @@ def realizable_pair_witness(p, q, alphabet=None):
     """Witness for a neighbor pair {p, q}: the leaving letter, then the
     canonical word of the pair's meet, then the entering letter."""
     p, q = tuple(p), tuple(q)
+    V.validate_vector(p)
+    V.validate_vector(q)
     shift = V.step(p, q)
     if shift is None:
         raise InvalidInput("%r and %r are not neighbors" % (p, q))

@@ -361,11 +361,13 @@ def search_pdb_existence(k, sigma, cfg=None, progress=None):
     repeating a vector; refutation means no such word exists at all."""
     cfg = replace(cfg or SearchConfig(k=k, sigma=sigma), k=k, sigma=sigma,
                   target=TARGET_PDB)
-    length = covering.perfect_length(k, sigma)
-    if not covering.bounds(k, sigma).pdb_possible_by_bounds:
+    # bounds() rejects a k or sigma below 1
+    bounds = covering.bounds(k, sigma)
+    if not bounds.pdb_possible_by_bounds:
         # the counting bound: no covering word is as short as a perfect one
-        return _search(cfg, TARGET_PDB, [], True, True, length)
-    return _search(cfg, TARGET_PDB, [length], True, True, progress=progress)
+        return _search(cfg, TARGET_PDB, [], True, True, bounds.pdb_length)
+    return _search(cfg, TARGET_PDB, [bounds.pdb_length], True, True,
+                   progress=progress)
 
 
 def iter_covering_words(k, sigma, max_len, node_budget=None):

@@ -115,9 +115,10 @@ def ensure_capacity(k, sigma):
                            % (k, sigma))
     count = comb(k + sigma - 1, sigma - 1)
     if count > MAX_VECTOR_COUNT:
+        # the count itself can have more digits than str() converts
         raise CapacityExceeded(
-            "C(%d, %d) = %d vectors of order %d over %d letters exceeds the "
-            "2^63-1 capacity bound" % (k + sigma - 1, sigma - 1, count, k, sigma))
+            "C(%d, %d) vectors of order %d over %d letters exceed the "
+            "2^63-1 capacity bound" % (k + sigma - 1, sigma - 1, k, sigma))
     return count
 
 

@@ -41,10 +41,7 @@ class Walk:
         sigma = len(self.vertices[0])
         alphabet = self.alphabet or V.Alphabet(sigma)
         object.__setattr__(self, "alphabet", alphabet)
-        if alphabet.size != sigma:
-            raise InvalidInput("alphabet size %d does not match vectors of "
-                               "length %d" % (alphabet.size, sigma))
-        _check_vertices(self.vertices, self.k)
+        _check_vertices(self.vertices, self.k, alphabet)
         steps = _classify_steps(self.vertices)
         bad = next((i for i, s in enumerate(steps) if s is None), None)
         if bad is not None:
@@ -157,10 +154,13 @@ def _ascii_pos(ch):
     return i
 
 
-def _check_vertices(vertices, k):
-    """Reject a vertex that is not an order-k vector of the first vertex's
-    length."""
+def _check_vertices(vertices, k, alphabet):
+    """Reject an alphabet of another size than the first vertex's length and
+    a vertex that is not an order-k vector of that length."""
     sigma = len(vertices[0])
+    if alphabet.size != sigma:
+        raise InvalidInput("alphabet size %d does not match vectors of "
+                           "length %d" % (alphabet.size, sigma))
     for p in vertices:
         if len(p) != sigma or sum(p) != k or min(p) < 0:
             raise InvalidInput("walk vertex %r is not an order-%d vector"
@@ -253,7 +253,7 @@ def _walk_parts(walk_or_vertices, k=None, alphabet=None):
     if k is None:
         k = sum(vertices[0])
     alphabet = V.as_alphabet(alphabet if alphabet is not None else len(vertices[0]))
-    _check_vertices(vertices, k)
+    _check_vertices(vertices, k, alphabet)
     return vertices, k, alphabet, None
 
 

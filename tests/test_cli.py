@@ -1,5 +1,10 @@
 import json
+import os
+import random
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -133,6 +138,18 @@ class TestSearchCommand:
         assert json.loads(out)["stats"]["nodes"] <= 1001
         assert time.monotonic() - start < 30
 
+    def test_pdb_target_out_of_range_exit_two(self, capsys):
+        # rejected by the bounds, not a ValueError from the perfect length
+        code, _, err = run(capsys, "search", "--k", "2", "--sigma", "-2",
+                           "--target", "pdb")
+        assert code == 2 and "sigma >= 1" in err
+
+    def test_vector_count_too_long_to_print_exit_two(self, capsys):
+        # C(10^20 + 299, 299) has more digits than str() converts
+        code, _, err = run(capsys, "verify", "a", "--k", "9" * 20,
+                           "--sigma", "300")
+        assert code == 2 and "capacity bound" in err
+
     def test_negative_budget_exit_two(self, capsys):
         code, _, err = run(capsys, "search", "--k", "2", "--sigma", "3",
                            "--node-budget", "-1")
@@ -247,3 +264,127 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "abc"])  # missing --k/--sigma
         assert exc.value.code == 2
+
+
+# Values each option is drawn from, in range and out of range.  A node
+# budget of 0 means no cap, so it is never drawn.
+FUZZ_IN_RANGE = {
+    "--k": ["1", "2", "3", "4", "6"],
+    "--sigma": ["2", "3", "4", "5"],
+    "--target": ["shortest", "pdb", "length"],
+    "--length": ["5", "12", "22", "40"],
+    "--max-len": ["12", "22", "40"],
+    "--threads": ["1", "2"],
+    "--node-budget": ["1", "1000", "100000"],
+}
+FUZZ_OUT_OF_RANGE = {
+    "--k": ["0", "-1", "99999999999999999999"],
+    "--sigma": ["0", "-2", "1", "300"],
+    "--length": ["0", "-1"],
+    "--max-len": ["0", "-1"],
+    "--threads": ["0", "-1"],
+    "--node-budget": ["-5"],
+}
+FUZZ_COMMANDS = {
+    "search": ["--k", "--sigma", "--target", "--length", "--max-len",
+               "--threads", "--node-budget", "--format"],
+    "verify": ["--k", "--sigma", "--format"],
+    "grid": ["--k", "--sigma", "--format"],
+    "realize": ["--k", "--sigma"],
+    "walk": ["--k", "--sigma"],
+}
+FUZZ_FORMATS = {"search": ["json", "table"], "verify": ["json", "table"],
+                "grid": ["json", "dot"]}
+# Positional arguments of no instance in particular.
+FUZZ_WORDS = ["", "zz", "a-b", "\u00e9"]
+FUZZ_VECTORS = ["(1,-1),(0,0)", "((", "(a,b)", "", "(3,0,0),(0,3,0)"]
+# Malformed values, at most one per call; None drops the option.
+FUZZ_MALFORMED = ["x", "2.5", "", "xml", None]
+# Seconds one call may take, process start included.
+FUZZ_CAP = 20
+
+
+def _small(text, default):
+    # the drawn --k or --sigma when it is a small instance's
+    try:
+        value = int(text)
+    except (TypeError, ValueError):
+        return default
+    return value if 1 <= value <= 6 else default
+
+
+def _fuzz_argvs(count, seed=0xC11F):
+    # Mostly calls that get past argument parsing, with words and vectors of
+    # the drawn instance; then out-of-range and malformed values, dropped
+    # options, and positional arguments of no instance.
+    rng = random.Random(seed)
+    argvs = []
+    for i in range(count):
+        command = sorted(FUZZ_COMMANDS)[i % len(FUZZ_COMMANDS)]
+        options = FUZZ_COMMANDS[command]
+        malformed = rng.choice(options) if rng.random() < 0.3 else None
+        values = {}
+        for option in options:
+            if option == malformed:
+                # without --node-budget a search may take 10^8 nodes
+                values[option] = rng.choice(
+                    FUZZ_MALFORMED[:-1] if option == "--node-budget"
+                    else FUZZ_MALFORMED)
+            elif option == "--format":
+                values[option] = rng.choice(FUZZ_FORMATS[command])
+            elif (option not in ("--k", "--sigma", "--node-budget")
+                  and rng.random() < 0.3):
+                values[option] = None
+            elif option in FUZZ_OUT_OF_RANGE and rng.random() < 0.15:
+                values[option] = rng.choice(FUZZ_OUT_OF_RANGE[option])
+            else:
+                values[option] = rng.choice(FUZZ_IN_RANGE[option])
+        k = _small(values["--k"], 2)
+        sigma = _small(values["--sigma"], 3)
+        argv = [command]
+        if command in ("verify", "walk"):
+            argv.append(rng.choice(FUZZ_WORDS) if rng.random() < 0.2 else
+                        "".join(rng.choice("abcdef"[:sigma])
+                                for _ in range(rng.randrange(20))))
+        elif command == "realize":
+            vectors = []
+            for _ in range(rng.randint(1, 5)):
+                counts = [0] * sigma
+                for _ in range(k):
+                    counts[rng.randrange(sigma)] += 1
+                vectors.append("(%s)" % ",".join(map(str, counts)))
+            argv.append(rng.choice(FUZZ_VECTORS) if rng.random() < 0.2 else
+                        ",".join(vectors))
+        for option, value in values.items():
+            if value is not None:
+                argv += [option, value]
+        if rng.random() < 0.05:
+            argv.append("--bogus")
+        argvs.append(argv)
+    return argvs
+
+
+def test_fuzzed_arguments_end_cleanly(tmp_path):
+    # every call ends with exit code 0, 1 or 2, within the cap and without a
+    # traceback, whatever its arguments
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(cli.__file__)))
+    env.pop("PARIKHGRID_THREADS", None)
+
+    def call(argv):
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "parikhgrid.cli", *argv],
+                capture_output=True, text=True, env=env, cwd=tmp_path,
+                timeout=FUZZ_CAP)
+        except subprocess.TimeoutExpired:
+            return argv, None, "timed out"
+        return argv, proc.returncode, proc.stderr
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(call, _fuzz_argvs(40)))
+    bad = [(argv, code, err[-300:]) for argv, code, err in results
+           if code not in (0, 1, 2) or "Traceback" in err]
+    assert not bad
+    assert {argv[0] for argv, _, _ in results} == set(FUZZ_COMMANDS)
+    assert {code for _, code, _ in results} >= {0, 2}

@@ -134,6 +134,11 @@ class TestCliqueClassification:
         with pytest.raises(InvalidInput):
             G.classify_clique({(1, 2, 0), (1, 1, 0)})
 
+    def test_negative_counts_rejected(self):
+        # pairwise one shift apart, yet (1, -1) is no Parikh vector
+        with pytest.raises(InvalidInput, match="negative count"):
+            G.classify_clique([(1, -1), (0, 0)])
+
     def test_exhaustive_sigma_cliques(self):
         # every sigma-sized clique shares exactly one of child/parent
         # (both for sigma = 2), for all k, sigma <= 5

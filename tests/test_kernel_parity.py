@@ -5,6 +5,7 @@ import importlib
 import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -105,6 +106,43 @@ def test_naive_enumerator_parity(k, sigma, length):
             == pure.find_covering_naive(k, sigma, length, tables))
 
 
+# Perfect-cover searches pinned to their full traces.  Both kernels keep
+# the degrees of the components rule the same way, so the parity test
+# alone cannot catch a fault they share.  The budget, well above every
+# pinned count, ends a search that prunes too little.
+def _pinned(search, k, sigma, length, rules, prefix, limit):
+    complete, solutions, nodes, max_depth = search(
+        k, sigma, length, _build_tables(k, sigma), True, rules, prefix, limit,
+        10**7)
+    words = ["".join("abcde"[c] for c in w) for w in solutions]
+    return complete, nodes, max_depth, words
+
+
+@pytest.mark.parametrize("search", [
+    pure.fixed_length_search,
+    pytest.param(K.fixed_length_search, marks=needs_compiled)])
+def test_perfect_cover_traces_pinned(search):
+    # (sigma=3, k=6) has no perfect cover: the whole tree is refuted
+    assert _pinned(search, 6, 3, 33, 15, (), 0) == (True, 73195, 28, [])
+    # components alone, after a prefix: repeated windows are placed, and
+    # only a word without one is a solution
+    assert _pinned(search, 3, 3, 12, 4, (0, 1), 0) == (
+        True, 27031, 12, ["abbbcccaaabc", "abcccaaabbbc"])
+
+
+@needs_compiled
+@pytest.mark.parametrize("k,sigma,nodes,witness", [
+    (4, 5, 984596, "aaaabbbbcaaadbbbeaaccbbddaaeaebcccadbeeeadddcccceeeedddd"
+                   "bebecbdcdeceacdad"),
+    (5, 4, 1254578,
+     "aaaaabbbbbcaaaadbbbcccccdddddaaaccdbcbaccaccddbddbadacddbbbb"),
+])
+def test_perfect_cover_first_witness_pinned(k, sigma, nodes, witness):
+    length = perfect_length(k, sigma)
+    assert _pinned(K.fixed_length_search, k, sigma, length, K.ALL_RULES, (),
+                   1) == (True, nodes, length, [witness])
+
+
 @needs_compiled
 def test_budget_exhaustion_parity():
     tables = _build_tables(3, 3)
@@ -147,11 +185,59 @@ def test_compiled_rejects_prefix_it_cannot_place(prefix):
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
-def test_kernel_source_is_strict_c99():
+def test_kernel_source_is_strict_c99(tmp_path):
+    # optimised, since some warnings come only from the optimiser's analyses
     proc = subprocess.run(["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic",
-                           "-Werror", "-fsyntax-only", K._SOURCE],
+                           "-Werror", "-O2", "-c", "-o",
+                           str(tmp_path / "_kernel.o"), K._SOURCE],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def _libasan():
+    # cc prints the bare name when it has no such library
+    if shutil.which("cc") is None:
+        return None
+    path = subprocess.run(["cc", "-print-file-name=libasan.so"],
+                          capture_output=True, text=True,
+                          timeout=60).stdout.strip()
+    return path if os.path.isabs(path) and os.path.exists(path) else None
+
+
+# Run in a child process with the sanitizer runtime preloaded: the compiled
+# kernel built with address and undefined-behaviour checks against the pure
+# kernel on every parity case.  A fault aborts the child.
+_SANITIZED_PARITY = """
+import sys
+import parikhgrid.kernel as K
+from parikhgrid import _kernel_py as pure
+from parikhgrid.search import _build_tables
+from test_kernel_parity import CASES
+K._lib = K._load(sys.argv[1])
+for k, sigma, length, pdb_only, rules, prefix, limit in CASES:
+    tables = _build_tables(k, sigma)
+    args = (k, sigma, length, tables, pdb_only, rules, prefix, limit, 10**8)
+    assert K._compiled_search(*args) == pure.fixed_length_search(*args)
+"""
+
+
+@pytest.mark.skipif(_libasan() is None, reason="no cc with libasan")
+def test_sanitized_kernel_parity(tmp_path):
+    library = str(tmp_path / "_kernel_asan.so")
+    build = subprocess.run(
+        ["cc", "-O1", "-g", "-shared", "-fPIC", "-fno-omit-frame-pointer",
+         "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+         "-o", library, K._SOURCE],
+        capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr
+    env = dict(os.environ, LD_PRELOAD=_libasan(),
+               ASAN_OPTIONS="detect_leaks=0", PARIKHGRID_PURE_KERNEL="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(K.__file__)),
+         os.path.dirname(os.path.abspath(__file__))])
+    run = subprocess.run([sys.executable, "-c", _SANITIZED_PARITY, library],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr[-4000:]
 
 
 @needs_compiled

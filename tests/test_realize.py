@@ -57,6 +57,13 @@ class TestPairWitness:
         with pytest.raises(InvalidInput):
             R.realizable_pair_witness((3, 0, 0), (1, 1, 1))
 
+    def test_rejects_negative_counts(self):
+        # (1, -1) and (0, 0) differ by one letter shift, but no word has a
+        # window with a negative count
+        for p, q in [((1, -1), (0, 0)), ((0, 0), (1, -1))]:
+            with pytest.raises(InvalidInput, match="negative count"):
+                R.realizable_pair_witness(p, q)
+
     def test_all_neighbor_pairs_small(self):
         for k, sigma in [(3, 3), (2, 4)]:
             for p in V.enumerate_pv(k, sigma):

@@ -264,6 +264,17 @@ class TestWalkValidation:
             with pytest.raises(InvalidInput):
                 W.spell(vertices, k)
 
+    def test_raw_vertices_checked_against_the_alphabet(self):
+        # three letters for vectors of one coordinate: rejected as Walk
+        # rejects it, not spelled "a"
+        for alphabet in (3, V.Alphabet(3)):
+            with pytest.raises(InvalidInput, match="alphabet size 3"):
+                W.Walk(k=1, vertices=((1,),), alphabet=V.as_alphabet(alphabet))
+            with pytest.raises(InvalidInput, match="alphabet size 3"):
+                W.is_realizable_walk([(1,)], 1, alphabet)
+            with pytest.raises(InvalidInput, match="alphabet size 3"):
+                W.spell([(1,)], 1, alphabet)
+
     def test_itinerary_rejects_consecutive_duplicates(self):
         with pytest.raises(InvalidInput):
             W.Itinerary(vertices=((1, 1), (1, 1)))
