@@ -218,13 +218,17 @@ def build_parser():
                    help="target length (with --target length)")
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("PARIKHGRID_THREADS", "1")))
+                   default=int(os.environ.get("PARIKHGRID_THREADS", "1")),
+                   help="worker processes; a search runs inline until its "
+                        "first 10^6-node checkpoint, and only one that "
+                        "gets that far forks the workers")
     p.add_argument("--node-budget", type=int,
                    default=search.DEFAULT_NODE_BUDGET)
     p.add_argument("--progress", action="store_true",
                    help="JSON checkpoint lines on stderr: every 10^6 "
-                        "nodes on one thread, after each merged task that "
-                        "moves the counts on more")
+                        "nodes on one thread; with more, after each merged "
+                        "task that moves the counts on, once the search "
+                        "has forked its workers")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_search)
 

@@ -8,7 +8,7 @@ import json
 from fractions import Fraction
 
 from .covering import BoundsReport, CoverReport, KnownVerdict, MincovReport
-from .errors import InvalidInput
+from .errors import CapacityExceeded, InvalidInput
 from .grid import layout_2d
 from .realize import RealizabilityResult
 from .search import SearchOutcome, SearchStats
@@ -140,8 +140,30 @@ def from_json(text):
 
 # -- grid exports -----------------------------------------------------------
 
+# Bound on the entries of a grid export: its vertices, undirected edges and
+# bows, plus its arcs when they are included.  The whole export is held in
+# memory; a JSON export with arcs takes up to about 1 KB per entry at its
+# peak, DOT about 0.2 KB, so an export stays within about 0.5 GB.
+MAX_EXPORT_ENTRIES = 500_000
+
+
+def _check_export_size(grid, include_directed=False):
+    """Refuses, before anything is built, an export over
+    MAX_EXPORT_ENTRIES; every count is a closed form."""
+    edges, bows = grid.undirected_edge_count(), grid.bow_count()
+    # each edge is two arcs and each bow one
+    entries = (grid.vertex_count + edges + bows
+               + (2 * edges + bows if include_directed else 0))
+    if entries > MAX_EXPORT_ENTRIES:
+        raise CapacityExceeded(
+            "an export of the k=%d sigma=%d grid would have %d vertices, "
+            "edges, bows%s, above the MAX_EXPORT_ENTRIES bound of %d"
+            % (grid.k, grid.sigma, entries,
+               " and arcs" if include_directed else "", MAX_EXPORT_ENTRIES))
+
 
 def grid_to_dict(grid, include_directed=False):
+    _check_export_size(grid, include_directed)
     pos = layout_2d(grid) if grid.sigma == 3 else None
     letters = [grid.alphabet.letter(c) for c in range(grid.sigma)]
     edges, bows, arcs = [], [], []
@@ -175,6 +197,7 @@ def grid_to_dict(grid, include_directed=False):
 def grid_to_dot(grid):
     """Undirected DOT rendering: vector-labeled nodes (positioned for
     sigma=3), each neighbor edge once, bows as letter-labeled self-loops."""
+    _check_export_size(grid)
     from .vectors import format_vector
 
     pos = layout_2d(grid) if grid.sigma == 3 else None

@@ -8,9 +8,14 @@ alphabet order, so the first witness is the lexicographically smallest
 canonical one; refutations are exhaustive over canonical words, which
 suffices because the target predicates are invariant under relabeling.
 
-The kernel tables are built once per search call.  The tree of one length
-is split only for workers: one worker runs the whole tree inline, N workers
-share the canonical prefixes of the shallowest depth that gives
+The kernel tables are built once per search call.  Every length first runs
+its whole tree inline, as one worker does.  With N workers that inline run
+ends at the kernel's first checkpoint, every kernel.PROGRESS_INTERVAL
+(10^6) nodes: only a length that outgrows it forks the call's process pool
+and is split, its inline run discarded, and the later lengths of the call
+go straight to that pool.  A search that ends before its first checkpoint
+thus forks no process, whatever the worker count.  The split gives N
+workers the canonical prefixes of the shallowest depth that gives
 TASKS_PER_WORKER * N tasks (Embarrassingly Parallel Search, Regin et al.,
 CP 2013).  Tasks are merged in prefix order (first task with a witness
 wins), and the node budget caps the whole search call: it is exhausted at
@@ -19,23 +24,19 @@ counts every node in exactly one task, so outcome, node count and depth
 are the same for any worker count.  The inner loop lives in the kernel
 module (compiled when available, pure Python otherwise).
 
-With N workers a search call keeps one process pool for all its lengths.
-The pool initializer gives each worker the tables and a one-byte shared
-stop flag once, so the jobs carry only the task's parameters.  The merge
+A search call keeps at most one process pool for all its lengths.  The
+pool initializer gives each worker the tables and a one-byte shared stop
+flag once, so the jobs carry only the task's parameters.  The merge
 settles only at a task whose predecessors are all folded, so the tasks
 still running then come after it and their results would be discarded;
 and every settle ends the search call.  On leaving the call the flag is
 set: queued tasks return at once and running ones at their next kernel
-checkpoint, every kernel.PROGRESS_INTERVAL (10^6) nodes.  That is 0.05 to
-0.15 s on the compiled kernel, which with the components rule explores 7 to
-20 million nodes per second; the pure-Python fallback stops only at the
-same checkpoint, which it reaches far later.
+checkpoint.  That is 0.05 to 0.15 s on the compiled kernel, which with the
+components rule explores 7 to 20 million nodes per second; the pure-Python
+fallback stops only at the same checkpoint, which it reaches far later.
 """
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -176,7 +177,9 @@ _worker_tables = _worker_stop = None
 
 
 class _Stopped(Exception):
-    """Raised at a kernel checkpoint in a worker once the stop flag is set."""
+    """Raised at a kernel checkpoint to stop a task: in a worker once the
+    stop flag is set, inline at the first checkpoint of a run that is split
+    if it gets that far."""
 
 
 def _init_worker(tables, stop):
@@ -189,30 +192,47 @@ def _check_stop(_nodes, _depth, _found):
         raise _Stopped
 
 
-@contextmanager
-def _pool(cfg, tables):
-    """One pool per search call, forking its workers once for all lengths;
-    on leaving, by any path, it stops the tasks still queued or running and
-    waits for its workers.  None for one worker, and for a call with no
-    tables because it has no length to search."""
-    if cfg.worker_count <= 1 or tables is None:
-        yield None
-        return
-    stop = multiprocessing.RawValue("b", 0)
-    pool = ProcessPoolExecutor(max_workers=cfg.worker_count,
-                               initializer=_init_worker,
-                               initargs=(tables, stop))
-    try:
-        yield pool
-    finally:
-        stop.value = 1
-        pool.shutdown(wait=True, cancel_futures=True)
+def _stop_at_checkpoint(_nodes, _depth, _found):
+    raise _Stopped
+
+
+class _Pool:
+    """The process pool of one search call, for its ``worker_count``
+    workers.  No process is forked before start(), which forks the workers
+    once for all the call's lengths.  On leaving the ``with`` block, by any
+    path, a started pool stops the tasks still queued or running and waits
+    for its workers."""
+
+    def __init__(self, worker_count, tables):
+        self.worker_count, self.tables = worker_count, tables
+        self.executor = self.stop = None
+
+    def start(self):
+        if self.executor is None:
+            # imported here: most searches never fork, and neither the
+            # import of the package nor such a search loads these modules
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            self.stop = multiprocessing.RawValue("b", 0)
+            self.executor = ProcessPoolExecutor(
+                max_workers=self.worker_count, initializer=_init_worker,
+                initargs=(self.tables, self.stop))
+        return self.executor
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        if self.executor is not None:
+            self.stop.value = 1
+            self.executor.shutdown(wait=True, cancel_futures=True)
 
 
 def _subtree_task(job, tables=None, progress=None):
     """Runs one task, the subtree below its prefix: inline on ``tables``,
-    or, the worker entry point, on the worker's tables.  A worker's task
-    returns None once the stop flag is set, at its next checkpoint."""
+    or, the worker entry point, on the worker's tables.  A task returns None
+    when a checkpoint raises _Stopped: a worker's once the stop flag is
+    set, at its next checkpoint."""
     k, sigma, length, pdb_only, mask, prefix, collect_limit, cap = job
     if tables is None:
         if _worker_stop.value:
@@ -231,9 +251,12 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
     """Explore one fixed length; returns (complete, solutions, nodes, depth).
 
     ``budget`` is what the search call may still spend (None: no cap).
-    Tasks run on ``pool`` and merge in prefix order; the length is exhausted
-    at the first task where the running total passes the budget, and
-    reports budget + 1 nodes, as one task over the whole tree would.
+    The length runs inline until ``pool`` (a _Pool, or None for one worker)
+    has started; with N workers a length that reaches the kernel's first
+    checkpoint starts it.  Tasks run on the pool and merge in prefix order;
+    the length is exhausted at the first task where the running total
+    passes the budget, and reports budget + 1 nodes, as one task over the
+    whole tree would.
     """
     if budget == 0:
         # the first node of any length is over; the kernel reads 0 as no cap
@@ -244,7 +267,6 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
         return (cfg.k, cfg.sigma, length, pdb_only, mask, prefix,
                 collect_limit, cap or 0)
 
-    prefixes = _task_prefixes(cfg.sigma, length, cfg.worker_count)
     complete, solutions, nodes, max_depth = True, [], 0, 0
 
     def fold(prefix, result):
@@ -266,16 +288,25 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
         solutions.extend(sols)
         return bool(sols) and 0 < collect_limit <= len(solutions)
 
-    if len(prefixes) == 1:
+    if cfg.worker_count <= 1 or pool.executor is None:
+        # the one-worker run; with N workers it is discarded at its first
+        # checkpoint, where the split takes over and counts the same nodes
         checkpoint = None
-        if progress is not None:
+        if cfg.worker_count > 1:
+            checkpoint = _stop_at_checkpoint
+        elif progress is not None:
             def checkpoint(nodes, at_depth, found):
                 progress(nodes, at_depth, found, length)
-        fold((), _subtree_task(job((), budget), tables, checkpoint))
-        return complete, solutions, nodes, max_depth
+        result = _subtree_task(job((), budget), tables, checkpoint)
+        if result is not None:
+            fold((), result)
+            return complete, solutions, nodes, max_depth
 
-    # the tasks after a settle are stopped when the search call leaves _pool
-    futures = [pool.submit(_subtree_task, job(prefix, budget))
+    # the tasks after a settle are stopped when the search call leaves the
+    # pool's block
+    prefixes = _task_prefixes(cfg.sigma, length, cfg.worker_count)
+    executor = pool.start()
+    futures = [executor.submit(_subtree_task, job(prefix, budget))
                for prefix in prefixes]
     reported = None
     for prefix, fut in zip(prefixes, futures):
@@ -322,7 +353,7 @@ def _search(cfg, target, lengths, pdb_only, minimal, refuted_up_to=None,
     start = time.perf_counter()
     tables = _prepare(cfg, lengths) if lengths else None
     complete, sols, nodes, max_depth = True, [], 0, 0
-    with _pool(cfg, tables) as pool:
+    with _Pool(cfg.worker_count, tables) as pool:
         for length in lengths:
             complete, sols, n, d = _search_length(
                 cfg, tables, length, pdb_only, 1, _budget_left(cfg, nodes),
@@ -427,7 +458,7 @@ def enumerate_all_pdb(k, sigma, cfg=None, force=False):
                   target=TARGET_PDB)
     length = covering.perfect_length(k, sigma)
     tables = _prepare(cfg, [length])
-    with _pool(cfg, tables) as pool:
+    with _Pool(cfg.worker_count, tables) as pool:
         complete, sols, _n, _d = _search_length(
             cfg, tables, length, True, 0, _budget_left(cfg, 0), pool)
     if not complete:

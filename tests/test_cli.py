@@ -61,6 +61,19 @@ class TestGridCommand:
         assert code == 2
         assert "bound" in err
 
+    @pytest.mark.parametrize("option", [(), ("--format", "dot"),
+                                        ("--directed",)])
+    def test_export_over_the_entry_bound_exit_two_at_once(self, capsys,
+                                                          option):
+        # 635,376 vertices and 8,934,975 edges and bows: within the grid's
+        # vertex bound, but an export of them would take gigabytes
+        start = time.monotonic()
+        code, out, err = run(capsys, "grid", "--k", "60", "--sigma", "5",
+                             *option)
+        assert (code, out) == (2, "")
+        assert "MAX_EXPORT_ENTRIES" in err
+        assert time.monotonic() - start < 1
+
 
 class TestRealizeCommand:
     def test_disconnected_exits_one(self, capsys):
@@ -105,18 +118,29 @@ class TestSearchCommand:
         for line in err.splitlines():
             assert json.loads(line)
 
+    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
+                        reason="10^6 nodes; slow on the pure kernel")
     def test_progress_lines_with_two_threads(self, capsys):
-        code, _, err = run(capsys, "search", "--k", "3", "--sigma", "3",
-                           "--threads", "2", "--progress")
+        # the perfect cover of (sigma=4, k=5) takes 1,254,578 nodes, so the
+        # search reaches its first checkpoint and is split for the workers
+        code, _, err = run(capsys, "search", "--k", "5", "--sigma", "4",
+                           "--target", "pdb", "--threads", "2", "--progress")
         assert code == 0
         events = [json.loads(line) for line in err.splitlines()]
-        # one line per merged task of the length-12 search that moved the
+        # one line per merged task of the length-60 search that moved the
         # node count or the number found
         assert events
-        assert all(e["event"] == "checkpoint" and e["length"] == 12
+        assert all(e["event"] == "checkpoint" and e["length"] == 60
                    for e in events)
         moved = [(e["nodes"], e["found"]) for e in events]
         assert all(a != b for a, b in zip(moved, moved[1:]))
+
+    def test_no_progress_line_below_the_first_checkpoint(self, capsys):
+        # a search that ends inline prints none, whatever the thread count
+        for threads in ("1", "2"):
+            code, _, err = run(capsys, "search", "--k", "3", "--sigma", "3",
+                               "--threads", threads, "--progress")
+            assert (code, err) == (0, "")
 
     def test_small_budget_is_the_whole_budget(self, capsys):
         start = time.monotonic()
@@ -129,7 +153,8 @@ class TestSearchCommand:
         assert time.monotonic() - start < 10
 
     def test_deep_tree_splits_in_seconds(self, capsys):
-        # the split stops at 30 tasks per worker, not at a fixed depth of
+        # the search ends inline in about 120 nodes; a split, had it come
+        # to one, would stop at 30 tasks per worker, not at a fixed depth of
         # k + 2 = 42 letters (2^41 prefixes)
         start = time.monotonic()
         code, out, _ = run(capsys, "search", "--k", "40", "--sigma", "2",

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from parikhgrid import covering, export, realize, search
-from parikhgrid.errors import InvalidInput
-from parikhgrid.grid import build_grid
+from parikhgrid.errors import CapacityExceeded, InvalidInput
+from parikhgrid.grid import PdbGrid, build_grid
 
 from helpers import check_dot
 
@@ -60,6 +60,21 @@ class TestGridExport:
         doc = export.grid_to_dict(g, include_directed=True)
         assert len(doc["directed_edges"]) == (2 * g.undirected_edge_count()
                                               + g.bow_count())
+
+    def test_entry_bound_is_checked_before_the_export_is_built(
+            self, monkeypatch):
+        # (k=25, sigma=5) has 330,876 vertices, edges and bows, and 511,875
+        # arcs besides; at the bound the export goes on to read the arcs
+        g = build_grid(25, 5)
+        monkeypatch.setattr(PdbGrid, "arcs", None)
+        with pytest.raises(CapacityExceeded, match="MAX_EXPORT_ENTRIES"):
+            export.grid_to_dict(g, include_directed=True)
+        for bound, raised in [(330_875, CapacityExceeded),
+                              (330_876, TypeError)]:
+            monkeypatch.setattr(export, "MAX_EXPORT_ENTRIES", bound)
+            for build in (export.grid_to_dict, export.grid_to_dot):
+                with pytest.raises(raised):
+                    build(g)
 
     def test_vertices_carry_rank_and_vector(self):
         g = build_grid(3, 3)

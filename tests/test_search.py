@@ -1,6 +1,11 @@
 from collections import deque
+import concurrent.futures
+import json
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 import time
 
 import pytest
@@ -16,6 +21,32 @@ from helpers import colex_vectors, covering_word_exists_naive, grid_step
 # (k, sigma) -> expected shortest covering length
 SHORTEST = {(2, 3): 7, (3, 3): 12, (2, 4): 12, (2, 5): 16, (4, 3): 19,
             (1, 3): 3, (2, 2): 4, (3, 2): 6, (4, 2): 8, (5, 2): 10}
+
+
+COMPILED_ONLY = pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
+                                   reason="10^6 nodes and more; slow on the "
+                                          "pure kernel")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The process pools that search calls start, in order; each records
+    the pickled size of every job submitted to it."""
+    started = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            self.job_sizes = []
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, *args, **kwargs):
+            self.job_sizes.append(len(pickle.dumps((fn, args, kwargs))))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountedPool)
+    return started
 
 
 class TestShortestCovering:
@@ -300,16 +331,20 @@ class TestDeterminism:
     @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
                         reason="speculative tasks take minutes on the pure "
                                "kernel")
-    def test_workers_stop_after_the_witness(self):
-        # with 2 workers this search has 202 tasks (prefixes of 6 letters);
-        # the witness is in the 4th, and 97 of the 198 after it would each
-        # run to the 10^8-node budget it is given (about 1 s compiled): the
-        # queued ones are cancelled or return at once and the running ones
-        # stop at their next checkpoint, and the search waits for its
-        # workers, so none is left running once it returns
-        out = S.search_pdb_existence(
-            4, 5, S.SearchConfig(k=4, sigma=5, worker_count=2))
+    def test_workers_stop_after_the_witness(self, pools):
+        # without the components rule this search takes 12.9M nodes, so
+        # with 2 workers its inline run reaches the first checkpoint and the
+        # length is split into 202 tasks (prefixes of 6 letters); the
+        # witness is in the 4th, and tasks after it would each run to the
+        # 10^8-node budget it is given: the queued ones are cancelled or
+        # return at once and the running ones stop at their next
+        # checkpoint, and the search waits for its workers, so none is left
+        # running once it returns
+        out = S.search_pdb_existence(4, 5, S.SearchConfig(
+            k=4, sigma=5, worker_count=2,
+            rules=S.ALL_RULES - {"components"}))
         assert out.status == S.STATUS_FOUND
+        assert len(pools) == 1 and len(pools[0].job_sizes) == 202
         deadline = time.monotonic() + 20
         while multiprocessing.active_children():
             assert time.monotonic() < deadline, "workers still running"
@@ -330,6 +365,18 @@ class TestDeterminism:
                      S.DEFAULT_NODE_BUDGET, id="shortest-k5-s3-components"),
         pytest.param(S.TARGET_PDB, 6, 3, S.ALL_RULES, S.DEFAULT_NODE_BUDGET,
                      id="pdb-k6-s3"),
+        # the searches below reach the kernel's first checkpoint, where
+        # more than one worker hands the length over to the pool: length 42
+        # ends inline, 43 is handed over and 44 runs on the started pool
+        pytest.param(S.TARGET_SHORTEST, 7, 3, S.ALL_RULES,
+                     S.DEFAULT_NODE_BUDGET, id="shortest-k7-s3-handed-over",
+                     marks=COMPILED_ONLY),
+        # the budget ends the inline run one node before its checkpoint,
+        # at it, and one node after it
+        *[pytest.param(S.TARGET_PDB, 6, 4, S.ALL_RULES,
+                       kernel.PROGRESS_INTERVAL + d,
+                       id="pdb-k6-s4-budget-checkpoint%+d" % d,
+                       marks=COMPILED_ONLY) for d in (-1, 0, 1)],
     ])
     def test_two_workers_match_one(self, target, k, sigma, rules, budget):
         # each node is counted in exactly one task and the budget is merged
@@ -345,40 +392,42 @@ class TestDeterminism:
         assert run(2) == one
         assert run(3) == one
 
-    def test_one_pool_per_search_call(self, monkeypatch):
+    def test_one_pool_per_search_call(self, pools):
         # shortest (k=5, sigma=3) refutes lengths 25 and 26 before its
-        # witness at 27; all three share one pool, so the call forks its
-        # workers once, and one worker forks none
-        pools = []
-
-        class CountedPool(S.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(S, "ProcessPoolExecutor", CountedPool)
+        # witness at 27 in 49,469 nodes, all inline below the kernel's
+        # first checkpoint, so no worker count forks a pool for it
         assert C.bounds(5, 3).shortest_lower_bound == 25
-        for workers, want in [(1, 0), (2, 1)]:
+        for workers in (1, 2):
             out = S.search_shortest_covering(
                 S.SearchConfig(k=5, sigma=3, worker_count=workers))
             assert len(out.witness) == 27
-            assert len(pools) == want
+            assert pools == []
 
-    def test_no_pool_without_a_length(self, monkeypatch):
+    @COMPILED_ONLY
+    def test_one_pool_for_the_lengths_past_the_checkpoint(self, pools):
+        # shortest (k=8, sigma=3): length 52 ends inline in 820,913 nodes,
+        # 53 outgrows the first checkpoint and forks the pool, and 54 goes
+        # straight to that pool, though its 471,601 nodes would end inline
+        out = S.search_shortest_covering(
+            S.SearchConfig(k=8, sigma=3, worker_count=2))
+        assert len(out.witness) == 54 and out.minimal
+        assert len(pools) == 1
+        assert len(pools[0].job_sizes) == sum(
+            len(S._task_prefixes(3, length, 2)) for length in (53, 54))
+
+    def test_no_pool_without_a_length(self, pools):
         # perfect covers of (k=3, sigma=6) are ruled out by bounds(), so
-        # nothing is searched and no pool is needed
-        pools = []
-
-        class CountedPool(S.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(S, "ProcessPoolExecutor", CountedPool)
-        out = S.search_pdb_existence(
-            3, 6, S.SearchConfig(k=3, sigma=6, worker_count=2))
+        # nothing is searched and no pool is needed; a search of their
+        # length would outgrow the first checkpoint and fork one
+        cfg = S.SearchConfig(k=3, sigma=6, worker_count=2,
+                             node_budget=2 * kernel.PROGRESS_INTERVAL)
+        out = S.search_pdb_existence(3, 6, cfg)
         assert out.status == S.STATUS_REFUTED
         assert pools == []
+        out = S._search(cfg, S.TARGET_PDB, [C.perfect_length(3, 6)], True,
+                        True)
+        assert out.status == S.STATUS_BUDGET
+        assert len(pools) == 1
 
     def test_task_prefixes_follow_the_worker_count(self):
         assert S._task_prefixes(4, 38, 1) == [()]
@@ -466,22 +515,43 @@ class TestWorkerStop:
         assert out.status == S.STATUS_FOUND
         assert time.perf_counter() - start < alone
 
-    def test_jobs_carry_no_tables(self, monkeypatch):
+    def test_jobs_carry_no_tables(self, pools):
         # the (sigma=5, k=8) tables pickle to about 41 KB; a job holds the
-        # task's parameters only
-        sizes = []
-
-        class SizedPool(S.ProcessPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                sizes.append(len(pickle.dumps((fn, args, kwargs))))
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(S, "ProcessPoolExecutor", SizedPool)
+        # task's parameters only.  With a budget past the first checkpoint
+        # the search forks its pool
         assert len(pickle.dumps(S._build_tables(8, 5))) > 20_000
         out = S.search_pdb_existence(8, 5, S.SearchConfig(
-            k=8, sigma=5, worker_count=2, node_budget=1_000))
+            k=8, sigma=5, worker_count=2,
+            node_budget=2 * kernel.PROGRESS_INTERVAL))
         assert out.status == S.STATUS_BUDGET
+        sizes = [size for pool in pools for size in pool.job_sizes]
         assert sizes and max(sizes) < 1_024
+
+
+def test_no_process_machinery_below_the_first_checkpoint():
+    # the package and a search that ends inline load neither the
+    # multiprocessing modules nor a worker process, whatever the worker
+    # count; (k=40, sigma=2) ends in about 120 nodes
+    script = """
+import contextlib, io, json, sys
+import parikhgrid, parikhgrid.cli
+from parikhgrid import search
+out = search.run_search(search.SearchConfig(k=5, sigma=3, worker_count=2))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = parikhgrid.cli.main(["search", "--k", "40", "--sigma", "2",
+                                "--threads", "2"])
+loaded = sorted(m for m in ("multiprocessing", "concurrent.futures")
+                if m in sys.modules)
+import multiprocessing
+print(json.dumps([out.status, code, loaded,
+                  len(multiprocessing.active_children())]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(S.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [S.STATUS_FOUND, 0, [], 0]
 
 
 class TestEnumerateAllPdb:
