@@ -6,7 +6,6 @@ negative verdicts, 2 for usage and capacity errors.
 
 import argparse
 import json
-import os
 import sys
 
 from . import covering, export, realize, search, walks
@@ -217,11 +216,11 @@ def build_parser():
     p.add_argument("--length", type=int, default=None,
                    help="target length (with --target length)")
     p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("PARIKHGRID_THREADS", "1")),
-                   help="worker processes; a search runs inline until its "
-                        "first 10^6-node checkpoint, and only one that "
-                        "gets that far forks the workers")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, at most one per usable CPU; a "
+                        "search runs inline until its first 10^6-node "
+                        "checkpoint, and only one that gets that far forks "
+                        "the workers")
     p.add_argument("--node-budget", type=int,
                    default=search.DEFAULT_NODE_BUDGET)
     p.add_argument("--progress", action="store_true",

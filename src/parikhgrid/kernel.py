@@ -67,6 +67,7 @@ def _build():
             os.utime(target)
         except OSError:
             pass
+        _remove_stale_builds(directory)
         return target
 
     import subprocess

@@ -10,12 +10,13 @@ suffices because the target predicates are invariant under relabeling.
 
 The kernel tables are built once per search call.  Every length first runs
 its whole tree inline, as one worker does.  With N workers that inline run
-ends at the kernel's first checkpoint, every kernel.PROGRESS_INTERVAL
-(10^6) nodes: only a length that outgrows it forks the call's process pool
-and is split, its inline run discarded, and the later lengths of the call
-go straight to that pool.  A search that ends before its first checkpoint
-thus forks no process, whatever the worker count.  The split gives N
-workers the canonical prefixes of the shallowest depth that gives
+is capped at the kernel's first checkpoint, kernel.PROGRESS_INTERVAL
+(10^6) nodes: only a length that outgrows the cap, when the budget allows
+more, forks the call's process pool and is split, its inline run
+discarded, and the later lengths of the call go straight to that pool.  A
+search that ends before the cap thus forks no process, whatever the worker
+count.  N is at most the number of CPUs the process may run on.  The split
+gives N workers the canonical prefixes of the shallowest depth that gives
 TASKS_PER_WORKER * N tasks (Embarrassingly Parallel Search, Regin et al.,
 CP 2013).  Tasks are merged in prefix order (first task with a witness
 wins), and the node budget caps the whole search call: it is exhausted at
@@ -25,17 +26,16 @@ are the same for any worker count.  The inner loop lives in the kernel
 module (compiled when available, pure Python otherwise).
 
 A search call keeps at most one process pool for all its lengths.  The
-pool initializer gives each worker the tables and a one-byte shared stop
-flag once, so the jobs carry only the task's parameters.  The merge
-settles only at a task whose predecessors are all folded, so the tasks
-still running then come after it and their results would be discarded;
-and every settle ends the search call.  On leaving the call the flag is
-set: queued tasks return at once and running ones at their next kernel
-checkpoint.  That is 0.05 to 0.15 s on the compiled kernel, which with the
-components rule explores 7 to 20 million nodes per second; the pure-Python
-fallback stops only at the same checkpoint, which it reaches far later.
+pool initializer gives each worker the tables once, so the jobs carry only
+the task's parameters.  The merge settles only at a task whose
+predecessors are all folded, so the tasks still queued or running then
+come after it and their results would be discarded; and every settle ends
+the search call.  On leaving the call the pool is terminated: a worker
+holds nothing but its current task, so ending it loses nothing, and the
+call does not wait for tasks past its answer.
 """
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -75,7 +75,8 @@ TASKS_PER_WORKER = 30
 @dataclass(frozen=True)
 class SearchConfig:
     """Search parameters.  ``node_budget`` caps the nodes of the whole
-    search call, all lengths together (0 or None: no cap)."""
+    search call, all lengths together (0 or None: no cap).  ``worker_count``
+    must be >= 1; at most one worker per usable CPU is started."""
 
     k: int
     sigma: int
@@ -172,78 +173,64 @@ def _task_prefixes(sigma, length, worker_count):
     return prefixes
 
 
-# A pool worker's tables and stop flag, set once by _init_worker.
-_worker_tables = _worker_stop = None
+# A pool worker's tables, set once by _init_worker.
+_worker_tables = None
 
 
-class _Stopped(Exception):
-    """Raised at a kernel checkpoint to stop a task: in a worker once the
-    stop flag is set, inline at the first checkpoint of a run that is split
-    if it gets that far."""
+def _init_worker(tables):
+    global _worker_tables
+    _worker_tables = tables
 
 
-def _init_worker(tables, stop):
-    global _worker_tables, _worker_stop
-    _worker_tables, _worker_stop = tables, stop
-
-
-def _check_stop(_nodes, _depth, _found):
-    if _worker_stop.value:
-        raise _Stopped
-
-
-def _stop_at_checkpoint(_nodes, _depth, _found):
-    raise _Stopped
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    # macOS and Windows have no affinity call
+    return os.cpu_count() or 1
 
 
 class _Pool:
-    """The process pool of one search call, for its ``worker_count``
-    workers.  No process is forked before start(), which forks the workers
-    once for all the call's lengths.  On leaving the ``with`` block, by any
-    path, a started pool stops the tasks still queued or running and waits
-    for its workers."""
+    """The process pool of one search call.  Its ``worker_count`` is the
+    configured one, at most one per usable CPU; it sizes the pool and the
+    split of each length.  No process is forked before start(), which forks
+    the workers once for all the call's lengths.  On leaving the ``with``
+    block, by any path, a started pool is terminated and its workers
+    joined."""
 
     def __init__(self, worker_count, tables):
-        self.worker_count, self.tables = worker_count, tables
-        self.executor = self.stop = None
+        if worker_count < 1:
+            raise InvalidInput("worker_count must be >= 1")
+        self.worker_count = min(worker_count, _usable_cpus())
+        self.tables = tables
+        self.mp_pool = None
 
     def start(self):
-        if self.executor is None:
+        if self.mp_pool is None:
             # imported here: most searches never fork, and neither the
-            # import of the package nor such a search loads these modules
+            # import of the package nor such a search loads this module
             import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            self.stop = multiprocessing.RawValue("b", 0)
-            self.executor = ProcessPoolExecutor(
-                max_workers=self.worker_count, initializer=_init_worker,
-                initargs=(self.tables, self.stop))
-        return self.executor
+            self.mp_pool = multiprocessing.Pool(
+                self.worker_count, _init_worker, (self.tables,))
+        return self.mp_pool
 
     def __enter__(self):
         return self
 
     def __exit__(self, *_exc):
-        if self.executor is not None:
-            self.stop.value = 1
-            self.executor.shutdown(wait=True, cancel_futures=True)
+        if self.mp_pool is not None:
+            self.mp_pool.terminate()
+            self.mp_pool.join()
 
 
 def _subtree_task(job, tables=None, progress=None):
     """Runs one task, the subtree below its prefix: inline on ``tables``,
-    or, the worker entry point, on the worker's tables.  A task returns None
-    when a checkpoint raises _Stopped: a worker's once the stop flag is
-    set, at its next checkpoint."""
+    or, the worker entry point, on the worker's tables."""
     k, sigma, length, pdb_only, mask, prefix, collect_limit, cap = job
-    if tables is None:
-        if _worker_stop.value:
-            return None
-        tables, progress = _worker_tables, _check_stop
-    try:
-        return kernel.fixed_length_search(k, sigma, length, tables, pdb_only,
-                                          mask, prefix, collect_limit, cap,
-                                          progress)
-    except _Stopped:
-        return None
+    return kernel.fixed_length_search(k, sigma, length,
+                                      tables or _worker_tables, pdb_only,
+                                      mask, prefix, collect_limit, cap,
+                                      progress)
 
 
 def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
@@ -252,8 +239,9 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
 
     ``budget`` is what the search call may still spend (None: no cap).
     The length runs inline until ``pool`` (a _Pool, or None for one worker)
-    has started; with N workers a length that reaches the kernel's first
-    checkpoint starts it.  Tasks run on the pool and merge in prefix order;
+    has started; with N workers that run is capped at the kernel's first
+    checkpoint, and a length that outgrows the cap, when the budget allows
+    more, starts the pool.  Tasks run on the pool and merge in prefix order;
     the length is exhausted at the first task where the running total
     passes the budget, and reports budget + 1 nodes, as one task over the
     whole tree would.
@@ -262,6 +250,7 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
         # the first node of any length is over; the kernel reads 0 as no cap
         return False, [], 1, 0
     mask = _rules_mask(cfg.rules)
+    workers = pool.worker_count if pool is not None else 1
 
     def job(prefix, cap):
         return (cfg.k, cfg.sigma, length, pdb_only, mask, prefix,
@@ -288,29 +277,30 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
         solutions.extend(sols)
         return bool(sols) and 0 < collect_limit <= len(solutions)
 
-    if cfg.worker_count <= 1 or pool.executor is None:
-        # the one-worker run; with N workers it is discarded at its first
-        # checkpoint, where the split takes over and counts the same nodes
-        checkpoint = None
-        if cfg.worker_count > 1:
-            checkpoint = _stop_at_checkpoint
+    if workers == 1 or pool.mp_pool is None:
+        # the one-worker run; with N workers it is capped at the first
+        # checkpoint, past which the split takes over and counts the same
+        # nodes
+        cap, checkpoint = budget, None
+        if workers > 1:
+            cap = min(budget or kernel.PROGRESS_INTERVAL,
+                      kernel.PROGRESS_INTERVAL)
         elif progress is not None:
             def checkpoint(nodes, at_depth, found):
                 progress(nodes, at_depth, found, length)
-        result = _subtree_task(job((), budget), tables, checkpoint)
-        if result is not None:
+        result = _subtree_task(job((), cap), tables, checkpoint)
+        if result[0] or cap == budget:
             fold((), result)
             return complete, solutions, nodes, max_depth
 
-    # the tasks after a settle are stopped when the search call leaves the
-    # pool's block
-    prefixes = _task_prefixes(cfg.sigma, length, cfg.worker_count)
-    executor = pool.start()
-    futures = [executor.submit(_subtree_task, job(prefix, budget))
-               for prefix in prefixes]
+    # the tasks after a settle end with the pool, when the search call
+    # leaves its block
+    prefixes = _task_prefixes(cfg.sigma, length, workers)
+    results = pool.start().imap(_subtree_task,
+                                [job(prefix, budget) for prefix in prefixes])
     reported = None
-    for prefix, fut in zip(prefixes, futures):
-        settled = fold(prefix, fut.result())
+    for prefix, result in zip(prefixes, results):
+        settled = fold(prefix, result)
         if progress is not None and reported != (nodes, len(solutions)):
             reported = nodes, len(solutions)
             progress(nodes, max_depth, len(solutions), length)
@@ -403,10 +393,12 @@ def search_pdb_existence(k, sigma, cfg=None, progress=None):
 
 def iter_covering_words(k, sigma, max_len, node_budget=None):
     """Every canonical k-covering word of length <= max_len, shortest first,
-    lexicographic within a length.  Raises on budget exhaustion rather than
-    silently truncating."""
-    cfg = SearchConfig(k=k, sigma=sigma,
-                       node_budget=node_budget or DEFAULT_NODE_BUDGET)
+    lexicographic within a length.  ``node_budget`` is as in SearchConfig
+    (0: no cap), DEFAULT_NODE_BUDGET when None.  Raises on budget
+    exhaustion rather than silently truncating."""
+    if node_budget is None:
+        node_budget = DEFAULT_NODE_BUDGET
+    cfg = SearchConfig(k=k, sigma=sigma, node_budget=node_budget)
     lengths = range(covering.bounds(k, sigma).shortest_lower_bound,
                     max_len + 1)
     tables = _prepare(cfg, lengths)

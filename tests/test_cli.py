@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from parikhgrid import cli, kernel
+from parikhgrid import cli, kernel, search
 
 from helpers import check_dot
 
@@ -120,7 +120,8 @@ class TestSearchCommand:
 
     @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
                         reason="10^6 nodes; slow on the pure kernel")
-    def test_progress_lines_with_two_threads(self, capsys):
+    def test_progress_lines_with_two_threads(self, capsys, monkeypatch):
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
         # the perfect cover of (sigma=4, k=5) takes 1,254,578 nodes, so the
         # search reaches its first checkpoint and is split for the workers
         code, _, err = run(capsys, "search", "--k", "5", "--sigma", "4",
@@ -179,6 +180,22 @@ class TestSearchCommand:
         code, _, err = run(capsys, "search", "--k", "2", "--sigma", "3",
                            "--node-budget", "-1")
         assert code == 2 and "node_budget" in err
+
+    def test_negative_threads_exit_two(self, capsys):
+        code, _, err = run(capsys, "search", "--k", "2", "--sigma", "3",
+                           "--threads", "-4")
+        assert code == 2 and "worker_count" in err
+
+    def test_no_threads_environment_variable(self, tmp_path):
+        # --threads has no default from the environment, so a malformed
+        # value there cannot break a command
+        env = dict(os.environ, PARIKHGRID_THREADS="two",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "parikhgrid.cli", "bounds", "--k", "2",
+             "--sigma", "2"], capture_output=True, text=True, env=env,
+            cwd=tmp_path, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_pdb_ruled_out_by_bounds_exits_one_at_once(self, capsys):
         start = time.monotonic()
@@ -394,7 +411,6 @@ def test_fuzzed_arguments_end_cleanly(tmp_path):
     # traceback, whatever its arguments
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(cli.__file__)))
-    env.pop("PARIKHGRID_THREADS", None)
 
     def call(argv):
         try:

@@ -309,13 +309,21 @@ def test_new_build_removes_stale_builds(monkeypatch, tmp_path):
         [os.path.basename(target), "_kernel-00000000.so.4242.tmp",
          "_kernel-11111111.so", "notes.txt"]
         + ["_kernel-%08x.so" % i for i in range(1, K.KEEP_BUILDS)])
-    # the build is found, not rebuilt, nothing else is touched, and it
-    # counts as loaded last
+    # the build is found, not rebuilt, and counts as loaded last; a cache
+    # that holds it and KEEP_BUILDS + 1 builds loaded since is pruned too
     os.utime(target, (500, 500))
-    (cache / "_kernel-22222222.so").write_bytes(b"stale")
+    for i in range(K.KEEP_BUILDS + 1):
+        build = cache / ("_kernel-%08x.so" % (0x20 + i))
+        build.write_bytes(b"stale")
+        os.utime(build, (2000 + i, 2000 + i))
+    monkeypatch.setattr(subprocess, "run", None)
     assert K._build() == target
-    assert (cache / "_kernel-22222222.so").exists()
-    assert os.stat(target).st_mtime > 1000 + K.KEEP_BUILDS
+    assert os.stat(target).st_mtime > 2000 + K.KEEP_BUILDS
+    assert sorted(os.listdir(cache)) == sorted(
+        [os.path.basename(target), "_kernel-00000000.so.4242.tmp",
+         "_kernel-11111111.so", "notes.txt"]
+        + ["_kernel-%08x.so" % (0x20 + i)
+           for i in range(2, K.KEEP_BUILDS + 1)])
 
 
 @pytest.mark.parametrize("search", [

@@ -1,7 +1,7 @@
 from collections import deque
-import concurrent.futures
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
 import pickle
 import subprocess
@@ -14,7 +14,7 @@ from parikhgrid import covering as C
 from parikhgrid import kernel
 from parikhgrid import search as S
 from parikhgrid import vectors as V
-from parikhgrid.errors import CapacityExceeded
+from parikhgrid.errors import CapacityExceeded, InvalidInput
 
 from helpers import colex_vectors, covering_word_exists_naive, grid_step
 
@@ -29,24 +29,46 @@ COMPILED_ONLY = pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
 
 
 @pytest.fixture
-def pools(monkeypatch):
+def cpus(monkeypatch):
+    """Four usable CPUs, so that searches of up to four workers fork as
+    many on any machine."""
+    monkeypatch.setattr(S, "_usable_cpus", lambda: 4)
+
+
+@pytest.fixture
+def pools(monkeypatch, cpus):
     """The process pools that search calls start, in order; each records
-    the pickled size of every job submitted to it."""
+    the pickled size of every job passed to its imap."""
     started = []
 
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+    class CountedPool(multiprocessing.pool.Pool):
         def __init__(self, *args, **kwargs):
             self.job_sizes = []
             started.append(self)
             super().__init__(*args, **kwargs)
 
-        def submit(self, fn, *args, **kwargs):
-            self.job_sizes.append(len(pickle.dumps((fn, args, kwargs))))
-            return super().submit(fn, *args, **kwargs)
+        def imap(self, func, iterable, chunksize=1):
+            jobs = list(iterable)
+            self.job_sizes += [len(pickle.dumps((func, job))) for job in jobs]
+            return super().imap(func, jobs, chunksize)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        CountedPool)
+    monkeypatch.setattr(multiprocessing, "Pool", CountedPool)
     return started
+
+
+# The search's own task, which _slow_past_the_witness wraps.
+_subtree_task = S._subtree_task
+# The witness of the search that _slow_past_the_witness slows down, as
+# letter indices; set before the search forks its workers.
+_witness = None
+
+
+def _slow_past_the_witness(job, tables=None, progress=None):
+    # a worker task whose prefix sorts after the witness's sleeps first
+    prefix = job[5]
+    if tables is None and prefix > tuple(_witness[:len(prefix)]):
+        time.sleep(30)
+    return _subtree_task(job, tables, progress)
 
 
 class TestShortestCovering:
@@ -336,19 +358,14 @@ class TestDeterminism:
         # with 2 workers its inline run reaches the first checkpoint and the
         # length is split into 202 tasks (prefixes of 6 letters); the
         # witness is in the 4th, and tasks after it would each run to the
-        # 10^8-node budget it is given: the queued ones are cancelled or
-        # return at once and the running ones stop at their next
-        # checkpoint, and the search waits for its workers, so none is left
-        # running once it returns
+        # 10^8-node budget it is given: the search terminates its pool once
+        # the witness is merged, so no worker is left when it returns
         out = S.search_pdb_existence(4, 5, S.SearchConfig(
             k=4, sigma=5, worker_count=2,
             rules=S.ALL_RULES - {"components"}))
         assert out.status == S.STATUS_FOUND
         assert len(pools) == 1 and len(pools[0].job_sizes) == 202
-        deadline = time.monotonic() + 20
-        while multiprocessing.active_children():
-            assert time.monotonic() < deadline, "workers still running"
-            time.sleep(0.1)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("target,k,sigma,rules,budget", [
         pytest.param(S.TARGET_SHORTEST, 3, 4, S.ALL_RULES,
@@ -378,7 +395,8 @@ class TestDeterminism:
                        id="pdb-k6-s4-budget-checkpoint%+d" % d,
                        marks=COMPILED_ONLY) for d in (-1, 0, 1)],
     ])
-    def test_two_workers_match_one(self, target, k, sigma, rules, budget):
+    def test_two_workers_match_one(self, cpus, target, k, sigma, rules,
+                                   budget):
         # each node is counted in exactly one task and the budget is merged
         # in prefix order, so splitting for workers changes nothing
         def run(workers):
@@ -415,6 +433,19 @@ class TestDeterminism:
         assert len(pools[0].job_sizes) == sum(
             len(S._task_prefixes(3, length, 2)) for length in (53, 54))
 
+    @pytest.mark.parametrize("over,forks", [(-1, 0), (0, 0), (1, 1)])
+    def test_pool_only_for_a_budget_past_the_cap(self, pools, monkeypatch,
+                                                 over, forks):
+        # the inline run of 2 workers is capped at the first checkpoint,
+        # here moved to 1,000 nodes; a budget that ends there has the
+        # one-worker outcome and forks nothing
+        monkeypatch.setattr(kernel, "PROGRESS_INTERVAL", 1_000)
+        out = S.search_pdb_existence(6, 4, S.SearchConfig(
+            k=6, sigma=4, worker_count=2, node_budget=1_000 + over))
+        assert (out.status, out.stats.nodes) == (S.STATUS_BUDGET,
+                                                 1_001 + over)
+        assert len(pools) == forks
+
     def test_no_pool_without_a_length(self, pools):
         # perfect covers of (k=3, sigma=6) are ruled out by bounds(), so
         # nothing is searched and no pool is needed; a search of their
@@ -445,59 +476,28 @@ class TestDeterminism:
 
 
 class TestWorkerStop:
-    """Pool workers hold the tables and the search call's stop flag; the
-    ``worker`` fixture sets them up in-process through the initializer."""
+    """Pool workers hold the tables and their current task; a search call
+    terminates its pool on return."""
 
-    @pytest.fixture
-    def worker(self, monkeypatch):
-        monkeypatch.setattr(S, "_worker_tables", None)
-        monkeypatch.setattr(S, "_worker_stop", None)
-
-        def init(k, sigma, stopped):
-            stop = multiprocessing.RawValue("b", stopped)
-            S._init_worker(S._build_tables(k, sigma), stop)
-            return stop
-        return init
-
-    def test_task_started_after_the_stop_never_runs(self, worker,
-                                                    monkeypatch):
-        calls = []
-        monkeypatch.setattr(kernel, "fixed_length_search",
-                            lambda *args: calls.append(args))
-        worker(3, 3, 1)
-        job = (3, 3, 12, False, S._rules_mask(S.ALL_RULES), (), 1, 0)
-        assert S._subtree_task(job) is None
-        assert calls == []
-
-    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
-                        reason="10^6 nodes to the first checkpoint")
-    def test_task_stops_at_its_next_checkpoint(self, worker, monkeypatch):
-        # without the components rule the perfect-cover search for
-        # (sigma=5, k=4) takes 12.9M nodes; the flag is set at its first
-        # checkpoint, at 1M nodes
-        stop = worker(4, 5, 0)
-        search = kernel.fixed_length_search
-        checkpoints = []
-
-        def stopped_at_first_checkpoint(*args):
-            *args, check = args
-
-            def checkpoint(nodes, depth, found):
-                checkpoints.append(nodes)
-                stop.value = 1
-                check(nodes, depth, found)
-            return search(*args, checkpoint)
-
-        monkeypatch.setattr(kernel, "fixed_length_search",
-                            stopped_at_first_checkpoint)
-        job = (4, 5, C.perfect_length(4, 5), True,
-               S._rules_mask(S.ALL_RULES - {"components"}), (), 1, 0)
-        assert S._subtree_task(job) is None
-        assert checkpoints == [kernel.PROGRESS_INTERVAL]
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched task reaches the workers by fork")
+    def test_tasks_past_the_witness_are_not_awaited(self, cpus, monkeypatch):
+        # the perfect cover of (sigma=4, k=5) takes 1,254,578 nodes, so 2
+        # workers split it; every worker task after the witness's sleeps 30 s
+        one = S.search_pdb_existence(5, 4)
+        monkeypatch.setattr(sys.modules[__name__], "_witness",
+                            V.Alphabet(4).word_to_indices(one.witness))
+        monkeypatch.setattr(S, "_subtree_task", _slow_past_the_witness)
+        start = time.monotonic()
+        out = S.search_pdb_existence(
+            5, 4, S.SearchConfig(k=5, sigma=4, worker_count=2))
+        assert time.monotonic() - start < 10
+        assert (out.status, out.witness) == (S.STATUS_FOUND, one.witness)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
                         reason="the task alone runs 10^8 nodes")
-    def test_workers_stop_the_task_after_the_witness(self):
+    def test_workers_stop_the_task_after_the_witness(self, cpus):
         # task (0,0,0,0,1,2), the 5th, starts beside the witness's and runs
         # to its 10^8-node cap if nothing stops it; without the components
         # rule that takes well under a second
@@ -528,6 +528,53 @@ class TestWorkerStop:
         assert sizes and max(sizes) < 1_024
 
 
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_below_one_rejected(self, workers):
+        with pytest.raises(InvalidInput, match="worker_count"):
+            S.run_search(S.SearchConfig(k=2, sigma=2, worker_count=workers))
+
+    def test_at_most_one_worker_per_cpu(self, monkeypatch):
+        # a fake pool records the worker count it is asked for and runs the
+        # tasks in-process; a cap of 1,000 nodes hands the length over to it
+        asked, jobs = [], []
+
+        class FakePool:
+            def __init__(self, processes, initializer, initargs):
+                asked.append(processes)
+                initializer(*initargs)
+
+            def imap(self, func, iterable):
+                length_jobs = list(iterable)
+                jobs.extend(length_jobs)
+                return map(func, length_jobs)
+
+            def terminate(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(S, "_worker_tables", None)
+        monkeypatch.setattr(S, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(kernel, "PROGRESS_INTERVAL", 1_000)
+
+        def run(workers):
+            out = S.search_shortest_covering(
+                S.SearchConfig(k=5, sigma=3, worker_count=workers))
+            return (out.status, out.witness, out.refuted_up_to,
+                    out.stats.nodes, out.stats.max_depth)
+
+        one = run(1)
+        assert asked == []
+        # lengths 25 (3,212 nodes), 26 and 27 all run on the pool
+        assert run(10**6) == one
+        assert asked == [3]
+        assert len(jobs) == sum(len(S._task_prefixes(3, length, 3))
+                                for length in (25, 26, 27))
+
+
 def test_no_process_machinery_below_the_first_checkpoint():
     # the package and a search that ends inline load neither the
     # multiprocessing modules nor a worker process, whatever the worker
@@ -543,6 +590,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 loaded = sorted(m for m in ("multiprocessing", "concurrent.futures")
                 if m in sys.modules)
 import multiprocessing
+import multiprocessing.pool
 print(json.dumps([out.status, code, loaded,
                   len(multiprocessing.active_children())]))
 """
@@ -635,3 +683,10 @@ class TestCoveringEnumeration:
             for word in S.iter_covering_words(k, sigma, max_len):
                 below = V.parikh_set(word, k - 1, sigma).members
                 assert below == set(V.enumerate_pv(k - 1, sigma))
+
+    def test_budget_zero_is_no_cap(self, monkeypatch):
+        # 0 means no cap, as in SearchConfig; only None takes the default
+        monkeypatch.setattr(S, "DEFAULT_NODE_BUDGET", 10)
+        assert list(S.iter_covering_words(2, 3, 7, node_budget=0))
+        with pytest.raises(CapacityExceeded, match="node budget"):
+            list(S.iter_covering_words(2, 3, 7))
