@@ -79,10 +79,7 @@ def verify(word, k, sigma):
     sigma = alphabet.size
     if k < 1:
         raise InvalidInput("window length k must be >= 1, got %r" % (k,))
-    total = V.ensure_capacity(k, sigma)
-    if total > MAX_VERIFY_VECTORS:
-        raise CapacityExceeded("verification would enumerate %d vectors, "
-                               "above the %d bound" % (total, MAX_VERIFY_VECTORS))
+    total = _verifiable(k, sigma)
     letters = alphabet.word_to_indices(word)
     length = len(letters)
     mult = Counter(V.window_vectors(letters, k, sigma))
@@ -109,6 +106,16 @@ def verify(word, k, sigma):
     return CoverReport(k=k, sigma=sigma, word=word, is_covering=covering,
                        is_pdb=covering and not duplicated, excess=excess,
                        missing=missing, duplicated=duplicated)
+
+
+def _verifiable(k, sigma):
+    """The vector count of an instance verify() accepts; raises
+    CapacityExceeded above MAX_VERIFY_VECTORS."""
+    total = V.ensure_capacity(k, sigma)
+    if total > MAX_VERIFY_VECTORS:
+        raise CapacityExceeded("verification would enumerate %d vectors, "
+                               "above the %d bound" % (total, MAX_VERIFY_VECTORS))
+    return total
 
 
 def covset(word, sigma):
@@ -210,6 +217,7 @@ def _binary_pdb(k, sigma):
         raise FamilyUnsupported("binary_pdb needs sigma=2, got %d" % sigma)
     if k < 1:
         raise FamilyUnsupported("binary_pdb needs k >= 1")
+    _verifiable(k, sigma)
     return "a" * k + "b" * k
 
 
@@ -260,31 +268,31 @@ def _k2_eulerian(k, sigma):
         raise FamilyUnsupported("k2_eulerian needs k=2, got k=%d" % k)
     if sigma < 1:
         raise FamilyUnsupported("k2_eulerian needs sigma >= 1")
+    _verifiable(k, sigma)
     alphabet = V.Alphabet(sigma)
     if sigma == 1:
         return "aa"
     return alphabet.indices_to_word(_eulerian_word(sigma))
 
 
-def _avoidance_gadget(x, k, sigma, alphabet):
+def _avoidance_gadget(x, k):
     """Infill u(x) spliced between two x^k blocks; its windows add the
     avoided vector's parent with x raised, and nothing else new."""
     a, b, c = 0, 1, 2
     if x == a:
-        infix = [b] + [a] * (k - 2) + [c]
-    elif x == b:
-        infix = [a] * (k - 3) + [b, b, c]
-    elif x == c:
-        infix = [a] * (k - 3) + [c, c, b]
-    else:
-        infix = [b] + [a] * (k - 3) + [x, c]
-    return alphabet.indices_to_word(infix)
+        return [b] + [a] * (k - 2) + [c]
+    if x == b:
+        return [a] * (k - 3) + [b, b, c]
+    if x == c:
+        return [a] * (k - 3) + [c, c, b]
+    return [b] + [a] * (k - 3) + [x, c]
 
 
 def _kcover_not_k1(k, sigma):
     if sigma < 3 or k < 4:
         raise FamilyUnsupported("kcover_not_k1 needs sigma >= 3 and k >= 4, "
                                 "got k=%d sigma=%d" % (k, sigma))
+    _verifiable(k, sigma)
     from . import realize  # deferred: realize is independent of this module
 
     alphabet = V.Alphabet(sigma)
@@ -295,15 +303,20 @@ def _kcover_not_k1(k, sigma):
     if not base.realizable:
         raise AssertionError("grid minus the parents of %r is disconnected"
                              % (avoided,))
-    word = base.witness
-    for x in range(sigma):
-        # replace the first x^k with x^k u(x) x^k; the flanking blocks keep
-        # every window that overlaps u(x) inside the gadget
-        block = alphabet.letter(x) * k
-        at = word.index(block)
-        word = (word[:at + k] + _avoidance_gadget(x, k, sigma, alphabet)
-                + block + word[at + k:])
-    return word, avoided
+    letters = alphabet.word_to_indices(base.witness)
+    first = {}  # letter x -> start of the first x^k
+    run = 0
+    for i, x in enumerate(letters):
+        run = run + 1 if i and x == letters[i - 1] else 1
+        if run == k:
+            first.setdefault(x, i - k + 1)
+    for x in sorted(first, key=first.get, reverse=True):
+        # replace the first x^k with x^k u(x) x^k, the last one first so
+        # that the earlier starts hold; the flanking blocks keep every
+        # window that overlaps u(x) inside the gadget
+        at = first[x] + k
+        letters[at:at] = _avoidance_gadget(x, k) + [x] * k
+    return alphabet.indices_to_word(letters), avoided
 
 
 def construct_family(family, k, sigma):
@@ -319,8 +332,7 @@ def construct_family(family, k, sigma):
     if family == FAMILY_K2_EULERIAN:
         word = _k2_eulerian(k, sigma)
         report = verify(word, 2, sigma)
-        expect = comb(sigma + 1, 2) + (1 if sigma % 2 else sigma // 2)
-        if not report.is_covering or len(word) != expect:
+        if report.excess != (0 if sigma % 2 else sigma // 2 - 1):
             raise AssertionError("Eulerian k=2 word failed verification")
         return word
     if family == FAMILY_KCOVER_NOT_K1:

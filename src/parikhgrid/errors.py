@@ -17,9 +17,9 @@ class CapacityExceeded(ParikhGridError):
 class WalkUnrealizable(ParikhGridError):
     """A walk spells no string.
 
-    ``refutation_index`` is the 0-based index of the earliest walk
-    constraint that cannot be satisfied (step index for a non-adjacent
-    vertex pair, window index for a label conflict).
+    ``refutation_index`` is 0-based: the step index of a non-adjacent
+    vertex pair, otherwise the first window that holds the position whose
+    letter conflicts with the steps, the labels or the first vertex.
     """
 
     def __init__(self, message, refutation_index):

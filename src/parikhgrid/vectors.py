@@ -299,6 +299,7 @@ def _check_same_sigma(ps):
 
 def canonical_word(p, alphabet=None):
     """The word realizing p with letters in alphabet order, e.g. (1,2,0) -> 'abb'."""
+    validate_vector(p)
     alphabet = as_alphabet(alphabet if alphabet is not None else len(p))
     if len(p) != alphabet.size:
         raise InvalidInput("vector length %d does not match sigma=%d"

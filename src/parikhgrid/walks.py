@@ -4,13 +4,16 @@ A string w of length n induces the walk whose i-th vertex is the Parikh
 vector of the i-th length-k window; the step from window i to window i+1 is
 labeled with the letter leaving the window and the letter entering it.  The
 converse fails: a vertex sequence spells a string only if a consistent
-letter assignment exists.  Letter choices arise only at bows (steps between
-equal vertices), and every position of the string is shared between the
-step that emits it and the step k places earlier that absorbs it, so
-realizability reduces to left-to-right propagation with backtracking over
-bow letters.  One further constraint is easy to miss: the first k letters,
-taken together, must realize the first vertex exactly.  The canonical
-non-spellable example (3,0,0),(2,1,0),(3,0,0) fails only this constraint.
+letter assignment exists.  Every position j of the string is shared between
+the step j that emits it and the step j-k that absorbs it, so the positions
+r, r+k, r+2k, ... form a chain: an edge fixes the letters on both of its
+ends, and a bow carries its letter k places on.  A chain's head, its letter
+in the first window, stays free until some position carrying it is wanted
+as a leaving letter, so one left-to-right pass spells the walk, in time
+linear in its length.  One further constraint is easy to miss: the first k
+letters, taken together, must realize the first vertex exactly.  The
+canonical non-spellable example (3,0,0),(2,1,0),(3,0,0) fails only this
+constraint.
 """
 
 from dataclasses import dataclass
@@ -163,7 +166,7 @@ def _check_vertices(vertices, k, alphabet):
                            "length %d" % (alphabet.size, sigma))
     for p in vertices:
         if len(p) != sigma or sum(p) != k or min(p) < 0:
-            raise InvalidInput("walk vertex %r is not an order-%d vector"
+            raise InvalidInput("vertex %r is not an order-%d vector"
                                % (p, k))
 
 
@@ -173,80 +176,56 @@ def _classify_steps(vertices):
             for p, q in zip(vertices, vertices[1:])]
 
 
-def _solve_spelling(vertices, k, alphabet, forced_bow_letters=None):
+def _solve_spelling(vertices, k, bow_letters):
     """Find the lexicographically smallest word spelled by the vertex
-    sequence, or the earliest violated window index.
+    sequence, or the first window holding a conflicting position.
 
-    Position j of the word is emitted by step j (as the leaving letter, for
-    j <= m-2) and absorbed by step j-k (as the entering letter, for j >= k);
-    positions inside the first window draw on the first vertex's letter
-    budget.  Returns (word_indices, None) or (None, refutation_index).
+    Position j carries a letter in along its chain (from step j-k) and is
+    wanted as a letter by step j: an edge's leaving letter, or a prescribed
+    bow letter.  A wanted letter fixes a free head, drawing on the first
+    vertex's letter budget; the heads left free take what remains of it,
+    smallest letters first.  Returns (word_indices, None) or
+    (None, refutation_index).
     """
     m = len(vertices)
     steps = _classify_steps(vertices)
     bad = next((i for i, s in enumerate(steps) if s is None), None)
     if bad is not None:
         return None, bad
-    n = m + k - 1
-    sigma = len(vertices[0])
     budget = list(vertices[0])
-    word = [None] * n
-
-    def options(j):
-        # Intersection of every constraint touching position j: the step
-        # absorbing it (j-k), the step emitting it (j), any prescribed bow
-        # letter, and the first-window letter budget.
-        allowed = list(range(sigma))
+    heads = [None] * k
+    word = []  # None at a position that carries its chain's free head
+    for j in range(m + k - 1):
+        carried = None
         if j >= k:
             s = steps[j - k]
-            fixed = word[j - k] if s == _BOW else s[1]
-            allowed = [c for c in allowed if c == fixed]
+            carried = word[j - k] if s == _BOW else s[1]
+        wanted = None
         if j <= m - 2:
             s = steps[j]
-            if s == _BOW:
-                allowed = [c for c in allowed if vertices[j][c] > 0]
-                if (forced_bow_letters is not None
-                        and forced_bow_letters[j] is not None):
-                    allowed = [c for c in allowed
-                               if c == forced_bow_letters[j]]
-            else:
-                allowed = [c for c in allowed if c == s[0]]
-        if j < k:
-            allowed = [c for c in allowed if budget[c] > 0]
-        return allowed
-
-    # depth-first over positions; tries[j] holds the letters position j
-    # has still to try, and a position re-entered from j + 1 first takes
-    # back the letter it had placed
-    tries = []
-    deepest = 0
-    j = 0
-    while j < n:
-        if len(tries) == j:
-            deepest = max(deepest, j)
-            tries.append(iter(options(j)))
-        else:
-            if j < k:
-                budget[word[j]] += 1
-            word[j] = None
-        c = next(tries[j], None)
-        if c is None:
-            if j == 0:
-                return None, max(0, deepest - k + 1)
-            tries.pop()
-            j -= 1
-            continue
-        word[j] = c
-        if j < k:
-            budget[c] -= 1
-        j += 1
-    return word, None
+            wanted = bow_letters[j] if s == _BOW else s[0]
+        if wanted is not None:
+            if carried is None:
+                heads[j % k] = carried = wanted
+                budget[wanted] -= 1
+            if carried != wanted or budget[wanted] < 0:
+                return None, max(0, j - k + 1)
+        word.append(carried)
+    spare = (c for c, count in enumerate(budget) for _ in range(count))
+    heads = [next(spare) if c is None else c for c in heads]
+    return [heads[j % k] if c is None else c for j, c in enumerate(word)], None
 
 
 def _walk_parts(walk_or_vertices, k=None, alphabet=None):
+    """Vertices, k, alphabet and, per step, the bow letter the walk's
+    labels prescribe (None at an edge, and everywhere without labels)."""
     if isinstance(walk_or_vertices, Walk):
         w = walk_or_vertices
-        return tuple(w.vertices), w.k, w.alphabet, w.labels
+        vertices = tuple(w.vertices)
+        labels = w.labels or [None] * (len(vertices) - 1)
+        return vertices, w.k, w.alphabet, [
+            w.alphabet.index(lab.out_letter) if lab and p == q else None
+            for p, q, lab in zip(vertices, vertices[1:], labels)]
     vertices = tuple(tuple(p) for p in walk_or_vertices)
     if not vertices:
         raise InvalidInput("a walk needs at least one vertex")
@@ -254,18 +233,20 @@ def _walk_parts(walk_or_vertices, k=None, alphabet=None):
         k = sum(vertices[0])
     alphabet = V.as_alphabet(alphabet if alphabet is not None else len(vertices[0]))
     _check_vertices(vertices, k, alphabet)
-    return vertices, k, alphabet, None
+    return vertices, k, alphabet, [None] * (len(vertices) - 1)
 
 
 def is_realizable_walk(walk_or_vertices, k=None, alphabet=None):
-    """Decide whether a vertex sequence spells some string.
+    """Decide whether a vertex sequence spells some string, honoring the
+    bow letters of a labeled walk.
 
     On success the result carries one consistent labeling (and the witness
     word it came from); on failure, the index of the earliest violated
     constraint.
     """
-    vertices, k, alphabet, _ = _walk_parts(walk_or_vertices, k, alphabet)
-    word, refuted = _solve_spelling(vertices, k, alphabet)
+    vertices, k, alphabet, bow_letters = _walk_parts(walk_or_vertices, k,
+                                                     alphabet)
+    word, refuted = _solve_spelling(vertices, k, bow_letters)
     if word is None:
         return WalkRealizability(realizable=False, refutation_index=refuted)
     labels = tuple(
@@ -279,13 +260,9 @@ def spell(walk_or_vertices, k=None, alphabet=None):
     """A word whose walk has this vertex sequence; honors labels when the
     input walk carries them, otherwise returns the lexicographically
     smallest consistent word.  Raises WalkUnrealizable otherwise."""
-    vertices, k, alphabet, labels = _walk_parts(walk_or_vertices, k, alphabet)
-    forced = None
-    if labels is not None:
-        steps = _classify_steps(vertices)
-        forced = [alphabet.index(lab.out_letter) if s == _BOW else None
-                  for s, lab in zip(steps, labels)]
-    word, refuted = _solve_spelling(vertices, k, alphabet, forced)
+    vertices, k, alphabet, bow_letters = _walk_parts(walk_or_vertices, k,
+                                                     alphabet)
+    word, refuted = _solve_spelling(vertices, k, bow_letters)
     if word is None:
         raise WalkUnrealizable(
             "walk spells no string (violated at constraint %d)" % refuted,
@@ -307,9 +284,8 @@ def string_from_itinerary(itinerary, k, alphabet=None):
     else:
         vertices = tuple(tuple(p) for p in itinerary)
         Itinerary(vertices=vertices)  # validates bowfreeness / non-emptiness
-    if sum(vertices[0]) != k:
-        raise InvalidInput("itinerary vertices must have order k=%d" % k)
     alphabet = V.as_alphabet(alphabet if alphabet is not None else len(vertices[0]))
+    _check_vertices(vertices, k, alphabet)
     word = alphabet.word_to_indices(V.canonical_word(vertices[0], alphabet))
     for prev, nxt in zip(vertices, vertices[1:]):
         shift = V.step(prev, nxt)

@@ -133,13 +133,56 @@ def walk_vertices_of(word, k, sigma):
     return tuple(out)
 
 
-def walk_realizable_naive(vertices, k, sigma):
-    """Does any word of the implied length induce this vertex sequence?"""
+def walk_realizable_naive(vertices, k, sigma, bow_letters=None):
+    """The first word, in lexicographic order, of the implied length that
+    induces this vertex sequence and holds letter bow_letters[i] at each
+    position i where that is not None; None if there is none."""
     n = len(vertices) + k - 1
+    prescribed = [(i, LETTERS[c]) for i, c in enumerate(bow_letters or ())
+                  if c is not None]
     for word in all_words(sigma, n):
-        if walk_vertices_of(word, k, sigma) == tuple(vertices):
+        if all(word[i] == ch for i, ch in prescribed) and all(
+                tuple(word[i:i + k].count(ch) for ch in LETTERS[:sigma]) == p
+                for i, p in enumerate(vertices)):
             return word
     return None
+
+
+def walk_refutation_naive(vertices, k, sigma, bow_letters=None):
+    """The window at which spelling the vertex sequence fails, or None if
+    some word spells it.
+
+    A step between vertices that are neither equal nor neighbors fails at
+    its own index.  Otherwise L is the longest prefix that some word fills
+    while meeting every constraint touching that prefix alone: the leaving
+    and entering letter of each edge, the equal letters of each bow and its
+    prescribed letter, and the letter counts of the first vertex.  The
+    walk fails at the first window holding position L, max(0, L - k + 1).
+    """
+    n = len(vertices) + k - 1
+    checks = [[] for _ in range(n)]  # by the last position they read
+    for i, (p, q) in enumerate(zip(vertices, vertices[1:])):
+        diff = [b - a for a, b in zip(p, q)]
+        if p == q:
+            checks[i + k].append(lambda w, i=i: w[i] == w[i + k])
+            if bow_letters and bow_letters[i] is not None:
+                checks[i].append(lambda w, i=i, c=bow_letters[i]: w[i] == c)
+        elif sorted(diff) == [-1] + [0] * (sigma - 2) + [1]:
+            out, into = diff.index(-1), diff.index(1)
+            checks[i].append(lambda w, i=i, c=out: w[i] == c)
+            checks[i + k].append(lambda w, j=i + k, c=into: w[j] == c)
+        else:
+            return i
+    for j in range(k):
+        checks[j].append(
+            lambda w, j=j: w[:j + 1].count(w[j]) <= vertices[0][w[j]])
+    longest = 0
+    for word in itertools.product(range(sigma), repeat=n):
+        filled = 0
+        while filled < n and all(check(word) for check in checks[filled]):
+            filled += 1
+        longest = max(longest, filled)
+    return None if longest == n else max(0, longest - k + 1)
 
 
 def colex_vectors(k, sigma):

@@ -275,6 +275,28 @@ class TestOtherCommands:
         code, _, err = run(capsys, "construct", "kcover-not-k1", "--k", "3",
                            "--sigma", "3")
         assert code == 2 and "error" in err
+        # a family that does not fit the instance says so, however large
+        code, _, err = run(capsys, "construct", "binary-pdb", "--k",
+                           "1000000000", "--sigma", "3")
+        assert code == 2 and "binary_pdb needs sigma=2" in err
+
+    @pytest.mark.parametrize("family,k,sigma", [
+        ("binary-pdb", "99999999999999999999", "2"),
+        ("binary-pdb", "1000000000", "2"),
+        ("kcover-not-k1", "30", "10"),
+        ("kcover-not-k1", "4", "300"),
+        ("k2-eulerian", "2", "100000"),
+    ])
+    def test_construct_over_the_verify_bound_exit_two_at_once(
+            self, capsys, family, k, sigma):
+        # refused before the word is built, which would take gigabytes or
+        # overflow a string's length; verify refuses the same instances
+        start = time.monotonic()
+        code, out, err = run(capsys, "construct", family, "--k", k,
+                             "--sigma", sigma)
+        assert (code, out) == (2, "")
+        assert "bound" in err
+        assert time.monotonic() - start < 1
 
     def test_enumerate_pdb(self, capsys):
         code, out, _ = run(capsys, "enumerate-pdb", "--k", "3", "--sigma", "3")
@@ -334,6 +356,11 @@ FUZZ_COMMANDS = {
     "grid": ["--k", "--sigma", "--format"],
     "realize": ["--k", "--sigma"],
     "walk": ["--k", "--sigma"],
+    "construct binary-pdb": ["--k", "--sigma"],
+    "construct k2-eulerian": ["--k", "--sigma"],
+    "construct kcover-not-k1": ["--k", "--sigma"],
+    "covset": ["--sigma"],
+    "bounds": ["--k", "--sigma"],
 }
 FUZZ_FORMATS = {"search": ["json", "table"], "verify": ["json", "table"],
                 "grid": ["json", "dot"]}
@@ -381,10 +408,10 @@ def _fuzz_argvs(count, seed=0xC11F):
                 values[option] = rng.choice(FUZZ_OUT_OF_RANGE[option])
             else:
                 values[option] = rng.choice(FUZZ_IN_RANGE[option])
-        k = _small(values["--k"], 2)
+        k = _small(values.get("--k"), 2)
         sigma = _small(values["--sigma"], 3)
-        argv = [command]
-        if command in ("verify", "walk"):
+        argv = command.split()
+        if command in ("verify", "walk", "covset"):
             argv.append(rng.choice(FUZZ_WORDS) if rng.random() < 0.2 else
                         "".join(rng.choice("abcdef"[:sigma])
                                 for _ in range(rng.randrange(20))))
@@ -423,9 +450,10 @@ def test_fuzzed_arguments_end_cleanly(tmp_path):
         return argv, proc.returncode, proc.stderr
 
     with ThreadPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(call, _fuzz_argvs(40)))
+        results = list(pool.map(call, _fuzz_argvs(50)))
     bad = [(argv, code, err[-300:]) for argv, code, err in results
            if code not in (0, 1, 2) or "Traceback" in err]
     assert not bad
-    assert {argv[0] for argv, _, _ in results} == set(FUZZ_COMMANDS)
+    assert {" ".join(argv[:2 if argv[0] == "construct" else 1])
+            for argv, _, _ in results} == set(FUZZ_COMMANDS)
     assert {code for _, code, _ in results} >= {0, 2}

@@ -204,6 +204,14 @@ class TestConstructions:
         avoided = (k - 3, 1, 1) + (0,) * (sigma - 3)
         assert avoided not in V.parikh_set(word, k - 1, sigma).members
 
+    def test_alphabets_written_as_indices(self):
+        # past 26 letters a word is written as comma-separated indices;
+        # each family verifies its word before returning it
+        word = C.construct_family("k2_eulerian", 2, 27)
+        assert len(V.Alphabet(27).word_to_indices(word)) == comb(28, 2) + 1
+        word = C.construct_family("kcover_not_k1", 4, 27)
+        assert set(V.Alphabet(27).word_to_indices(word)) == set(range(27))
+
     def test_unsupported_combinations(self):
         with pytest.raises(FamilyUnsupported):
             C.construct_family("binary_pdb", 3, 3)

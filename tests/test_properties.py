@@ -1,11 +1,12 @@
-"""Property tests of the grid iterators, realizability, the window scan
-and the shift decoder against the package-free oracles in helpers.py, at
+"""Property tests of the grid iterators, realizability, the window scan,
+the shift decoder and walk spelling against the package-free oracles in helpers.py, at
 small random (k, sigma): sigma = 1 included, and sigma = 27, where letters
 are written as indices."""
 
 from collections import deque
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,10 +15,12 @@ from parikhgrid import export
 from parikhgrid import realize as R
 from parikhgrid import vectors as V
 from parikhgrid import walks as W
-from parikhgrid.grid import build_grid
+from parikhgrid.errors import WalkUnrealizable
+from parikhgrid.grid import EdgeLabel, build_grid
 
 from helpers import (LETTERS, colex_vectors, grid_step, letter_indices,
                      naive_parikh_set, naive_window_multiplicities,
+                     walk_realizable_naive, walk_refutation_naive,
                      walk_vertices_of)
 
 # Derandomized, so that every run of the suite draws the same examples.
@@ -194,3 +197,55 @@ def test_step_inverts_grid_step(data):
               for out in range(sigma) for into in range(sigma) if out != into}
     shifts.pop(None, None)
     assert [V.step(p, q) for q in vectors] == [shifts.get(q) for q in vectors]
+
+
+@st.composite
+def perturbed_walks(draw):
+    """(k, sigma, vertices, bow letters or None): the walk of a word of at
+    most 8 letters with one vertex replaced by itself or a neighbor, and,
+    when the result is still a walk, maybe a letter prescribed at each bow."""
+    sigma = draw(st.integers(2, 3))
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k + 1, 8))
+    word = draw(st.lists(st.integers(0, sigma - 1), min_size=n, max_size=n))
+    vertices = list(walk_vertices_of(_word(sigma, word), k, sigma))
+    i = draw(st.integers(0, len(vertices) - 1))
+    p = vertices[i]
+    neighbors = sorted({grid_step(p, out, into) for out in range(sigma)
+                        for into in range(sigma)} - {None, p})
+    if neighbors and draw(st.booleans()):
+        vertices[i] = draw(st.sampled_from(neighbors))
+    steps = list(zip(vertices, vertices[1:]))
+    if (not draw(st.booleans())
+            or any(p != q and V.step(p, q) is None for p, q in steps)):
+        return k, sigma, tuple(vertices), None
+    bow_letters = [draw(st.sampled_from([c for c in range(sigma) if p[c]]))
+                   if p == q else None for p, q in steps]
+    return k, sigma, tuple(vertices), bow_letters
+
+
+@settings(PROPERTY, max_examples=400)
+@given(perturbed_walks())
+def test_spelling_matches_word_enumeration(case):
+    k, sigma, vertices, bow_letters = case
+    word = walk_realizable_naive(vertices, k, sigma, bow_letters)
+    refutation = walk_refutation_naive(vertices, k, sigma, bow_letters)
+    assert (word is None) == (refutation is not None)
+    walk = list(vertices)
+    if bow_letters is not None:
+        labels = tuple(EdgeLabel(LETTERS[c], LETTERS[c]) if c is not None
+                       else EdgeLabel(*(LETTERS[x] for x in V.step(p, q)))
+                       for p, q, c in zip(vertices, vertices[1:], bow_letters))
+        walk = W.Walk(k=k, vertices=vertices, labels=labels,
+                      alphabet=V.Alphabet(sigma))
+    got = W.is_realizable_walk(walk, k, sigma)
+    assert got.realizable == (word is not None)
+    if word is None:
+        assert got.refutation_index == refutation
+        with pytest.raises(WalkUnrealizable) as exc:
+            W.spell(walk, k, sigma)
+        assert exc.value.refutation_index == refutation
+        return
+    assert got.word == W.spell(walk, k, sigma) == word
+    if bow_letters is not None:
+        assert got.labels == walk.labels

@@ -203,3 +203,7 @@ class TestAlphabetRendering:
     def test_canonical_word(self):
         assert V.canonical_word((1, 2, 0)) == "abb"
         assert V.canonical_word((0, 0, 3)) == "ccc"
+
+    def test_canonical_word_rejects_a_negative_count(self):
+        with pytest.raises(InvalidInput):
+            V.canonical_word((2, -1))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -135,7 +136,7 @@ class TestSpell:
                 assert W.walk_of(respelled, k, sigma).vertices == walk.vertices
 
     def test_walk_deeper_than_the_recursion_limit(self):
-        # 2,000 letters: the spelling search goes 2,000 positions deep
+        # 2,000 letters: one pass over 2,000 positions, with no recursion
         deep = random.Random(2000)
         word = "".join(deep.choice("abc") for _ in range(2000))
         vertices = walk_vertices_of(word, 3, 3)
@@ -144,7 +145,7 @@ class TestSpell:
         assert spelled == word
         # a last step that is an edge but leaves by another letter than
         # the one the last window starts with: every earlier position is
-        # placed, and the search fails at the leaving letter, position
+        # placed, and the pass fails at the leaving letter, position
         # len(vertices) - 1, so window len(vertices) - k
         last = vertices[-1]
         out_i = next(i for i in range(3)
@@ -156,6 +157,16 @@ class TestSpell:
         got = W.is_realizable_walk(vertices + (tuple(bad),), k=3)
         assert not got.realizable
         assert got.refutation_index == len(vertices) - 3
+
+    def test_long_run_of_bows_spells_at_once(self):
+        # k + 1 bows at (h, h), then one step: each window position is
+        # fixed by its own chain, so k = 40 spells in well under a second
+        k = 40
+        vertices = [(k // 2, k // 2)] * (k + 2) + [(k // 2 + 1, k // 2 - 1)]
+        start = time.monotonic()
+        word = W.spell(vertices, k=k)
+        assert time.monotonic() - start < 1
+        assert walk_vertices_of(word, k, 2) == tuple(vertices)
 
     def test_without_labels_lexicographically_smallest(self):
         # single vertex (1,1,1): abc is the smallest of the six words
@@ -169,12 +180,18 @@ class TestSpell:
         bad = W.Walk(k=2, vertices=vertices,
                      labels=(EdgeLabel("a", "c"), EdgeLabel("b", "b"),
                              EdgeLabel("b", "b")))
-        with pytest.raises(WalkUnrealizable):
+        with pytest.raises(WalkUnrealizable) as exc:
             W.spell(bad)
+        assert exc.value.refutation_index == 1
+        got = W.is_realizable_walk(bad)
+        assert not got.realizable and got.refutation_index == 1
         good = W.Walk(k=2, vertices=vertices,
                       labels=(EdgeLabel("a", "c"), EdgeLabel("b", "b"),
                               EdgeLabel("c", "c")))
         assert W.spell(good) == "abcbc"
+        got = W.is_realizable_walk(good)
+        assert got.realizable and got.word == "abcbc"
+        assert got.labels == good.labels
 
 
 class TestStringFromItinerary:
@@ -189,6 +206,18 @@ class TestStringFromItinerary:
     def test_rejects_non_neighbors(self):
         with pytest.raises(InvalidInput):
             W.string_from_itinerary([(3, 0, 0), (1, 1, 1)], 3)
+
+    def test_rejects_vertices_that_are_no_order_k_vectors(self):
+        # a negative count after the first vertex, a negative first vertex,
+        # another order and another alphabet size: rejected as a walk's
+        # vertices are, not spelled
+        for itinerary, k, alphabet in [([(2, 0), (3, -1)], 2, None),
+                                       ([(-1, 3)], 2, None),
+                                       ([(2, 1, 0)], 2, None),
+                                       ([(2, 0), (1, 1, 0)], 2, None),
+                                       ([(2, 0)], 2, 3)]:
+            with pytest.raises(InvalidInput):
+                W.string_from_itinerary(itinerary, k, alphabet)
 
     def test_all_three_vertex_paths_in_grid_3_3(self):
         vs = V.enumerate_pv(3, 3)
