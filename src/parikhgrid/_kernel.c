@@ -18,18 +18,34 @@ Prune rules (bitmask; see _kernel_py.py for what each one prunes):
 The components rule prunes exactly where the pure kernel's does; only its
 bookkeeping for covering targets differs.  The pure kernel counts the
 components of G[U] from scratch where the bound could fire.  Here the count
-is carried along the word, and each window on a new vector updates it by a
-search around that vector (split_of).  For perfect-cover targets the
-degrees of the vectors in U + {current} change once per level, not once per
-letter: any fresh window at `pos` leaves U and becomes current, so the set
-loses exactly the previous window, whatever the letter.  dfs makes that move
-on the way down and undoes it on the way up; a letter only takes its window
-out of the low-degree counts, or adds it back to the set when it repeats.
+is carried along the word, and each window on a new vector updates it by
+the number of parts its component splits into (split_of).  That count runs
+on bitsets over vector ranks of ceil(n_vec / 64) 64-bit words: U, which
+place and unplace keep, and a mask of each vector's grid neighbours; it
+grows the parts around the window one level at a time, word-parallel.  For
+perfect-cover targets the degrees of the vectors in U + {current} change
+once per level, not once per letter: any fresh window at `pos` leaves U and
+becomes current, so the set loses exactly the previous window, whatever the
+letter.  dfs makes that move on the way down and undoes it on the way up; a
+letter only takes its window out of the low-degree counts, or adds it back
+to the set when it repeats.
 */
 
-#include <limits.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* split_of is one body for every mask width, which the compiler
+   specialises for masks of one and two words (up to 128 vectors; shortest
+   (sigma=3, k=10) has 66); pruned keeps it out of line, since the
+   perfect-cover searches never call it. */
+#ifdef __GNUC__
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#define NOINLINE __attribute__((noinline))
+#else
+#define ALWAYS_INLINE inline
+#define NOINLINE
+#endif
 
 #define PROGRESS_INTERVAL 1000000LL
 
@@ -47,7 +63,7 @@ typedef int (*pg_found_fn)(const unsigned char *word);
 typedef int (*pg_progress_fn)(long long nodes, int pos, long long found);
 
 typedef struct {
-    int k, sigma, length, n_vec;
+    int k, sigma, length;
     const int *shift;
     int pdb_only, rule_dup, rule_rem;
     long long collect_limit, node_budget;
@@ -62,20 +78,22 @@ typedef struct {
     int *used_at;          /* per position: letters used before it */
     int *at;               /* per position: the window that ends there */
 
-    /* The components rule (NULL otherwise): per vector, its grid
-       neighbours in sigma^2 ints, -1 after the last. */
-    int *nbrs;
     /* The components rule, covering targets (NULL otherwise): per
        position, the number of components of G[U] after the window that
-       ends there, exact wherever the search goes on; per vector, a visit
-       stamp and the queue of split_of. */
-    int *comps, *seen, *queue;
-    int stamp;
+       ends there, exact wherever the search goes on.  Bitsets over vector
+       ranks, `words` 64-bit words each: U, and per vector v its grid
+       neighbours, all in words span[2v] .. span[2v+1]-1.  split_of's
+       scratch: a group's next level, 0 between levels, and per group the
+       vectors it reached and then those it reached last. */
+    int *comps, *span;
+    int words;
+    uint64_t *unc, *adj, *next, *groups;
     /* The components rule, perfect-cover targets (NULL otherwise): per
-       vector, its neighbours in U + {current}; the uncovered vectors with
-       at most one such neighbour, and with none.  At a level with no letter
-       placed yet, deg counts the neighbours in U alone. */
-    int *deg;
+       vector, its grid neighbours in sigma^2 ints, -1 after the last; its
+       neighbours in U + {current}; the uncovered vectors with at most one
+       such neighbour, and with none.  At a level with no letter placed
+       yet, deg counts the neighbours in U alone. */
+    int *nbrs, *deg;
     int ends, isolated;
 } State;
 
@@ -125,78 +143,143 @@ static void move_degrees(State *s, int v, int delta)
     s->isolated += isolated;
 }
 
-static int find(int *root, int a)
+/* The bit of vector v in its word of a bitset. */
+static uint64_t bit(int v)
 {
-    while (root[a] != a)
-        a = root[a] = root[root[a]];
-    return a;
+    return (uint64_t)1 << (v & 63);
+}
+
+static int lowest_bit(uint64_t m)
+{
+#ifdef __GNUC__
+    return __builtin_ctzll(m);
+#else
+    int i = 0;
+    for (; !(m & 1); m >>= 1)
+        i++;
+    return i;
+#endif
+}
+
+/* The word of vector v in a bitset of w words: for one word a constant 0,
+   so that the word stays in a register. */
+static ALWAYS_INLINE int word_of(int v, int w)
+{
+    return w == 1 ? 0 : v >> 6;
+}
+
+/* Group g of split_of's scratch: the vectors it reached, then in the next
+   w words those it reached last. */
+static ALWAYS_INLINE uint64_t *group(const State *s, int g, int w)
+{
+    return s->groups + (size_t)g * 2 * w;
+}
+
+/* Copies group `from` over group `to`. */
+static ALWAYS_INLINE void move_group(State *s, int to, int from, int w)
+{
+    if (to != from)
+        memcpy(group(s, to, w), group(s, from, w),
+               2 * (size_t)w * sizeof *s->groups);
 }
 
 /* The number of components that the component of G[U] holding idx splits
-   into once idx is covered.  Two neighbours v - e_a + e_b and v - e_c + e_d
-   of idx are adjacent exactly when a = c or b = d, so its uncovered
-   neighbours start in groups that share out-letters or in-letters.  From
-   them a breadth-first search runs, one queue for all groups, until at most
-   one group is still searching: two groups whose searches meet are one,
-   and a group that runs out of vectors is a component of its own.  Once
-   more than `limit` components are certain it returns that many.
-   kernel.py keeps sigma <= 256, a letter being a byte. */
-static int split_of(State *s, int idx, int limit)
+   into once idx is covered: exact when it is at most `limit`, otherwise
+   some number above `limit`.  Neighbours v - e_a + e_b of idx that share
+   the out-letter a are adjacent, so the uncovered ones start in one group
+   per a.  The groups then grow one level at a time: the masks of a group's
+   front, the vectors it reached last, are ORed into its next level.
+   Groups that reach a common vector are one, and a group that stops
+   growing is a component of its own; that goes on until at most one group
+   grows.  w is s->words. */
+static ALWAYS_INLINE int split_words(State *s, int idx, int limit, int w)
 {
-    int sigma = s->sigma, head = 0, tail = 0, alive = 0, done = 0, base;
-    int root[256], pending[256], owner[256];
+    int sigma = s->sigma, alive = 0, done = 0;
     const int *row = shifts_of(s, idx);
-    /* a vector seen by group g of this search holds stamp base + g */
-    if (s->stamp > INT_MAX - sigma - 1) {
-        memset(s->seen, 0, (size_t)s->n_vec * sizeof(int));
-        s->stamp = 0;
-    }
-    base = s->stamp + 1;
-    s->stamp += sigma;
-    for (int a = 0; a < sigma; a++) {
-        root[a] = a;
-        pending[a] = 0;
-        owner[a] = -1;
-    }
-    for (int a = 0; a < sigma; a++, row += sigma)
-        for (int b = 0; b < sigma; b++) {
-            int x = row[b], g, h;
-            if (x < 0 || b == a || s->mult[x] != 0)
-                continue;
-            g = find(root, a);
-            s->seen[x] = base + a;
-            s->queue[tail++] = x;
-            alive += pending[g]++ == 0;
-            if (owner[b] < 0) {
-                owner[b] = g;
-            } else if ((h = find(root, owner[b])) != g) {
-                root[h] = g;
-                pending[g] += pending[h];
-                alive--;
-            }
+    for (int a = 0; a < sigma; a++, row += sigma) {
+        uint64_t *reach = group(s, alive, w), any = 0;
+        /* row[a] is idx itself, which is covered, unless idx holds no a */
+        if (row[a] < 0)
+            continue;
+        memset(reach, 0, (size_t)w * sizeof *reach);
+        for (int b = 0; b < sigma; b++)
+            reach[word_of(row[b], w)] |= bit(row[b]);
+        for (int j = 0; j < w; j++) {
+            reach[j] &= s->unc[j];
+            any |= reach[j];
         }
+        if (any != 0) {
+            memcpy(reach + w, reach, (size_t)w * sizeof *reach);
+            alive++;
+        }
+    }
     while (alive > 1 && done < limit) {
-        int y = s->queue[head++], g = find(root, s->seen[y] - base);
-        for (const int *x_at = neighbours(s, y); *x_at >= 0; x_at++) {
-            int x = *x_at, h;
-            if (s->mult[x] != 0)
-                continue;
-            if (s->seen[x] < base) {
-                s->seen[x] = base + g;
-                s->queue[tail++] = x;
-                pending[g]++;
-            } else if ((h = find(root, s->seen[x] - base)) != g) {
-                root[h] = g;
-                pending[g] += pending[h];
-                alive--;
+        for (int g = 0; g < alive; g++) {
+            uint64_t *reach = group(s, g, w), *front = reach + w;
+            int from = w, to = 0;
+            for (int i = 0; i < w; i++) {
+                for (uint64_t m = front[i]; m != 0; m &= m - 1) {
+                    int v = i * 64 + lowest_bit(m);
+                    const uint64_t *near = s->adj + (size_t)v * w;
+                    int first = w == 1 ? 0 : s->span[2 * v];
+                    int last = w == 1 ? 1 : s->span[2 * v + 1];
+                    for (int j = first; j < last; j++)
+                        s->next[j] |= near[j];
+                    from = first < from ? first : from;
+                    to = last > to ? last : to;
+                }
+                front[i] = 0;
+            }
+            for (int j = from; j < to; j++) {
+                front[j] = s->next[j] & s->unc[j] & ~reach[j];
+                reach[j] |= front[j];
+                s->next[j] = 0;
             }
         }
-        if (--pending[g] == 0) {
-            done++;
-            alive--;
+        /* Before this level no two groups shared a vector, and each had
+           reached every uncovered neighbour of the vectors it grew from;
+           so two share one now exactly when the front of one meets the
+           other.  A group takes in every later one that its front meets,
+           looking again after each; it then shares no vector with the
+           groups left, and is a whole component if it reached nothing
+           new. */
+        for (int g = 0; g < alive;) {
+            uint64_t *reach = group(s, g, w), *front = reach + w;
+            uint64_t grows = 0;
+            for (int h = g + 1; h < alive;) {
+                const uint64_t *its = group(s, h, w);
+                uint64_t touch = 0;
+                for (int j = 0; j < w; j++)
+                    touch |= front[j] & its[j];
+                if (touch == 0) {
+                    h++;
+                    continue;
+                }
+                for (int j = 0; j < 2 * w; j++)   /* and the front */
+                    reach[j] |= its[j];
+                move_group(s, h, --alive, w);
+                h = g + 1;
+            }
+            for (int j = 0; j < w; j++)
+                grows |= front[j];
+            if (grows != 0) {
+                g++;
+            } else {
+                done++;
+                move_group(s, g, --alive, w);
+            }
         }
     }
-    return done + (alive > 0);
+    return done + alive;
+}
+
+static NOINLINE int split_of(State *s, int idx, int limit)
+{
+    if (s->words == 1)
+        return split_words(s, idx, limit, 1);
+    if (s->words == 2)
+        return split_words(s, idx, limit, 2);
+    return split_words(s, idx, limit, s->words);
 }
 
 static void place(State *s, int pos, int c, int idx)
@@ -211,6 +294,8 @@ static void place(State *s, int pos, int c, int idx)
        it already and leaves only U, a repeated one comes back */
     if (++s->mult[idx] == 1) {
         s->uncovered--;
+        if (s->unc != NULL)
+            s->unc[idx >> 6] &= ~bit(idx);
         if (s->deg != NULL)
             count_ends(s, idx, -1);
     } else {
@@ -227,6 +312,8 @@ static void unplace(State *s, int pos)
         return;
     if (--s->mult[idx] == 0) {
         s->uncovered++;
+        if (s->unc != NULL)
+            s->unc[idx >> 6] |= bit(idx);
         if (s->deg != NULL)
             count_ends(s, idx, 1);
     } else {
@@ -360,12 +447,14 @@ int pg_fixed_length_search(int k, int sigma, int length, int n_vec,
     State s = {0};
     int status = PG_NO_MEMORY;
     int owned = prefix_len - 1;
+    int perfect = (rules & RULE_COMPONENTS) && pdb_only;
+    int covering = (rules & RULE_COMPONENTS) && !pdb_only;
     int *ints;
+    uint64_t *words;
 
     s.k = k;
     s.sigma = sigma;
     s.length = length;
-    s.n_vec = n_vec;
     s.shift = shift;
     s.pdb_only = pdb_only != 0;
     s.rule_dup = (rules & RULE_DUPLICATE) && pdb_only;
@@ -377,15 +466,23 @@ int pg_fixed_length_search(int k, int sigma, int length, int n_vec,
     s.uncovered = n_vec;
 
     s.word = calloc((size_t)length + 1, 1);
-    ints = calloc((4 + ((rules & RULE_COMPONENTS) ? (size_t)sigma * sigma : 0))
-                  * (size_t)n_vec + 3 * (size_t)length + 1, sizeof(int));
-    if (s.word == NULL || ints == NULL)
+    ints = calloc((size_t)n_vec + 3 * (size_t)length + 1
+                  + (perfect ? ((size_t)sigma * sigma + 1) * n_vec : 0)
+                  + (covering ? 2 * (size_t)n_vec : 0), sizeof(int));
+    if (covering)
+        s.words = (n_vec + 63) / 64;
+    /* U, the neighbour masks, the next level and two masks per group */
+    words = calloc(covering ? (n_vec + 2 + 2 * (size_t)sigma) * s.words : 1,
+                   sizeof *words);
+    if (s.word == NULL || ints == NULL || words == NULL)
         goto done;
     s.mult = ints;
     s.used_at = s.mult + n_vec;
     s.at = s.used_at + length;
-    if (rules & RULE_COMPONENTS) {
+    if (perfect) {
+        /* U + {current} starts as every vector */
         s.nbrs = s.at + length;
+        s.deg = s.nbrs + (size_t)n_vec * sigma * sigma;
         for (int v = 0; v < n_vec; v++) {
             const int *row = shifts_of(&s, v);
             int *near = s.nbrs + (size_t)v * sigma * sigma, m = 0;
@@ -393,20 +490,30 @@ int pg_fixed_length_search(int k, int sigma, int length, int n_vec,
                 if (row[j] >= 0 && row[j] != v)
                     near[m++] = row[j];
             near[m] = -1;   /* m <= sigma * (sigma - 1) */
-        }
-    }
-    if ((rules & RULE_COMPONENTS) && pdb_only) {
-        /* U + {current} starts as every vector */
-        s.deg = s.nbrs + (size_t)n_vec * sigma * sigma;
-        for (int v = 0; v < n_vec; v++) {
-            for (const int *x_at = neighbours(&s, v); *x_at >= 0; x_at++)
-                s.deg[v]++;
+            s.deg[v] = m;
             count_ends(&s, v, 1);
         }
-    } else if (rules & RULE_COMPONENTS) {
-        s.comps = s.nbrs + (size_t)n_vec * sigma * sigma;
-        s.seen = s.comps + length;
-        s.queue = s.seen + n_vec;
+    } else if (covering) {
+        s.comps = s.at + length;
+        s.span = s.comps + length;
+        s.unc = words;
+        s.adj = s.unc + s.words;
+        s.next = s.adj + (size_t)n_vec * s.words;
+        s.groups = s.next + s.words;
+        for (int v = 0; v < n_vec; v++) {
+            const int *row = shifts_of(&s, v);
+            uint64_t *near = s.adj + (size_t)v * s.words;
+            int *first = s.span + 2 * v, *last = first + 1;
+            s.unc[v >> 6] |= bit(v);
+            *first = s.words;
+            for (int j = 0; j < sigma * sigma; j++)
+                if (row[j] >= 0 && row[j] != v) {
+                    int i = row[j] >> 6;
+                    near[i] |= bit(row[j]);
+                    *first = i < *first ? i : *first;
+                    *last = i + 1 > *last ? i + 1 : *last;
+                }
+        }
     }
 
     /* A prefix position is a node of this search only when every prefix
@@ -424,6 +531,7 @@ int pg_fixed_length_search(int k, int sigma, int length, int n_vec,
 done:
     free(s.word);
     free(ints);
+    free(words);
     *nodes_out = s.nodes;
     *max_depth_out = s.max_depth;
     return status;

@@ -1,13 +1,18 @@
 """Pure-Python search kernel.
 
 Mirrors the compiled kernel (_kernel.c) exactly: same entry points,
-same exploration order, same node accounting.  The search enumerates
-candidate words of one fixed length, depth-first, letters in alphabet
-order, restricted to canonical form (each letter's first occurrence after
-the previous letter's).  Each placed letter moves the window along one
-labeled edge of the grid, read from the shift table in O(1).  A word starts
-from the window k*e_0 (rank 0): while pos < k the letter that leaves is one
-of its a's, and the windows that end before position k - 1 are not counted.
+same exploration order, same node accounting.  Only the components rule's
+bookkeeping differs: the compiled kernel carries the component count of a
+covering search along the word, on bitsets, where this one counts it from
+scratch, so it is the reference the compiled count is checked against.
+
+The search enumerates candidate words of one fixed length, depth-first,
+letters in alphabet order, restricted to canonical form (each letter's
+first occurrence after the previous letter's).  Each placed letter moves
+the window along one labeled edge of the grid, read from the shift table in
+O(1).  A word starts from the window k*e_0 (rank 0): while pos < k the
+letter that leaves is one of its a's, and the windows that end before
+position k - 1 are not counted.
 
 Prune rules (bitmask, each independently sound).  U is the set of
 uncovered vectors and rem the number of letters after the current one; two

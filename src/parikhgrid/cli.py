@@ -99,8 +99,8 @@ def cmd_covset(args):
 
 
 def cmd_construct(args):
-    word = covering.construct_family(args.family, args.k, args.sigma)
-    report = covering.verify(word, args.k, args.sigma)
+    # the construction's own verify() report
+    word, report = covering._construct(args.family, args.k, args.sigma)
     doc = {"schema": export.SCHEMA, "kind": "construction",
            "family": args.family.replace("-", "_"), "k": args.k,
            "sigma": args.sigma, "word": word,

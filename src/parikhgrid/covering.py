@@ -22,9 +22,10 @@ from math import comb
 from . import vectors as V
 from .errors import CapacityExceeded, FamilyUnsupported, InvalidInput
 
-# verify() materializes the missing-vector list, so it is capped separately
-# from the 64-bit enumeration bound.
-MAX_VERIFY_VECTORS = 1_000_000
+# verify() holds a sigma-long tuple for each distinct window and each
+# missing vector, so it caps vectors * sigma, separately from the 64-bit
+# enumeration bound: a million vectors over two letters.
+MAX_VERIFY_ENTRIES = 2_000_000
 
 VERDICT_EXISTS = "exists"
 VERDICT_IMPOSSIBLE = "impossible"
@@ -110,11 +111,13 @@ def verify(word, k, sigma):
 
 def _verifiable(k, sigma):
     """The vector count of an instance verify() accepts; raises
-    CapacityExceeded above MAX_VERIFY_VECTORS."""
+    CapacityExceeded when its vectors hold more than MAX_VERIFY_ENTRIES
+    letter counts."""
     total = V.ensure_capacity(k, sigma)
-    if total > MAX_VERIFY_VECTORS:
-        raise CapacityExceeded("verification would enumerate %d vectors, "
-                               "above the %d bound" % (total, MAX_VERIFY_VECTORS))
+    if total * sigma > MAX_VERIFY_ENTRIES:
+        raise CapacityExceeded(
+            "verification would hold %d vectors of %d counts each, above "
+            "the %d bound" % (total, sigma, MAX_VERIFY_ENTRIES))
     return total
 
 
@@ -322,26 +325,31 @@ def _kcover_not_k1(k, sigma):
 def construct_family(family, k, sigma):
     """Emit a word from a named construction; every output is re-verified
     against the family's contract before being returned."""
+    return _construct(family, k, sigma)[0]
+
+
+def _construct(family, k, sigma):
+    """The word of construct_family and its verify() report."""
     family = family.replace("-", "_")
     if family == FAMILY_BINARY:
         word = _binary_pdb(k, sigma)
         report = verify(word, k, 2)
         if not report.is_pdb:
             raise AssertionError("binary block word failed verification")
-        return word
+        return word, report
     if family == FAMILY_K2_EULERIAN:
         word = _k2_eulerian(k, sigma)
         report = verify(word, 2, sigma)
         if report.excess != (0 if sigma % 2 else sigma // 2 - 1):
             raise AssertionError("Eulerian k=2 word failed verification")
-        return word
+        return word, report
     if family == FAMILY_KCOVER_NOT_K1:
         word, avoided = _kcover_not_k1(k, sigma)
         report = verify(word, k, sigma)
         below = V.parikh_set(word, k - 1, sigma).members
         if not report.is_covering or avoided in below:
             raise AssertionError("avoidance construction failed verification")
-        return word
+        return word, report
     raise FamilyUnsupported("unknown construction family %r (choose from %s)"
                             % (family, ", ".join(FAMILIES)))
 

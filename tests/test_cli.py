@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from parikhgrid import cli, kernel, search
+from parikhgrid import cli, covering, export, kernel, search
 
 from helpers import check_dot
 
@@ -225,6 +225,23 @@ class TestSearchCommand:
         assert code == 2 and "MAX_TABLE_ENTRIES" in err
         assert time.monotonic() - start < 1
 
+    def test_masks_over_the_bound_exit_two_at_once(self, capsys):
+        # the shifts of 50,388 vectors fit, but not with the 318 MB of
+        # neighbour masks that a covering search under the components rule
+        # adds
+        start = time.monotonic()
+        code, out, err = run(capsys, "search", "--k", "12", "--sigma", "8")
+        assert (code, out) == (2, "") and "neighbour masks" in err
+        assert time.monotonic() - start < 1
+        # a perfect-cover search builds none, and the masks of 6,435
+        # vectors fit
+        for argv in (("--k", "12", "--sigma", "8", "--target", "pdb"),
+                     ("--k", "8", "--sigma", "8")):
+            code, out, _ = run(capsys, "search", *argv, "--node-budget",
+                               "1000")
+            assert code == 1
+            assert json.loads(out)["status"] == "budget_exhausted"
+
     @pytest.mark.parametrize("option", [
         ("--target", "length", "--length", "3000000000"),
         ("--max-len", "3000000000"),
@@ -286,6 +303,8 @@ class TestOtherCommands:
         ("kcover-not-k1", "30", "10"),
         ("kcover-not-k1", "4", "300"),
         ("k2-eulerian", "2", "100000"),
+        # 980,700 vectors, but of 1,400 counts each
+        ("k2-eulerian", "2", "1400"),
     ])
     def test_construct_over_the_verify_bound_exit_two_at_once(
             self, capsys, family, k, sigma):
@@ -297,6 +316,27 @@ class TestOtherCommands:
         assert (code, out) == (2, "")
         assert "bound" in err
         assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize("family,k,sigma", [
+        ("binary-pdb", "3", "2"), ("k2-eulerian", "2", "6"),
+        ("kcover-not-k1", "4", "3")])
+    def test_construct_verifies_once(self, capsys, monkeypatch, family, k,
+                                     sigma):
+        # the output reports the verification of the construction itself
+        calls = []
+        verify = covering.verify
+
+        def counted(*args):
+            calls.append(args)
+            return verify(*args)
+
+        monkeypatch.setattr(covering, "verify", counted)
+        code, out, _ = run(capsys, "construct", family, "--k", k, "--sigma",
+                           sigma)
+        doc = json.loads(out)
+        assert code == 0 and len(calls) == 1
+        assert doc["report"] == export.report_to_dict(
+            verify(doc["word"], int(k), int(sigma)))
 
     def test_enumerate_pdb(self, capsys):
         code, out, _ = run(capsys, "enumerate-pdb", "--k", "3", "--sigma", "3")

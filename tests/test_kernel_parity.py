@@ -57,16 +57,40 @@ CASES = [
 ]
 
 
+# Covering targets past one 64-bit word of vectors, where the compiled
+# kernel's masks take two or three words: sigma=2 at its lower bound 2k for
+# 64, 65, 128 and 129 vectors, and two instances over more letters under a
+# node budget (the pure kernel takes about 0.2 s per 10^4 nodes there).
+WIDE_CASES = [
+    # k, sigma, length, pdb_only, rules, prefix, collect_limit, node_budget
+    (63, 2, 126, False, 15, (), 1, 10**8),
+    (64, 2, 128, False, 15, (), 1, 10**8),
+    (127, 2, 254, False, 15, (), 1, 10**8),
+    (128, 2, 256, False, 15, (), 1, 10**8),
+    (10, 3, 75, False, 15, (), 1, 5 * 10**4),   # 66 vectors
+    (4, 5, 73, False, 15, (), 1, 5 * 10**4),    # 70 vectors
+]
+
+
+def _same_trace(k, sigma, length, pdb_only, rules, prefix, limit, budget):
+    tables = _build_tables(k, sigma)
+    a = K.fixed_length_search(k, sigma, length, tables, pdb_only, rules,
+                              prefix, limit, budget)
+    b = pure.fixed_length_search(k, sigma, length, tables, pdb_only, rules,
+                                 prefix, limit, budget)
+    assert a == b
+
+
 @needs_compiled
 @pytest.mark.parametrize("case", CASES)
 def test_identical_traces(case):
-    k, sigma, length, pdb_only, rules, prefix, limit = case
-    tables = _build_tables(k, sigma)
-    a = K.fixed_length_search(k, sigma, length, tables, pdb_only, rules,
-                              prefix, limit, 10**8)
-    b = pure.fixed_length_search(k, sigma, length, tables, pdb_only, rules,
-                                 prefix, limit, 10**8)
-    assert a == b
+    _same_trace(*case, 10**8)
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", WIDE_CASES)
+def test_identical_traces_past_one_mask_word(case):
+    _same_trace(*case)
 
 
 @pytest.mark.parametrize("search", [
@@ -206,17 +230,19 @@ def _libasan():
 
 # Run in a child process with the sanitizer runtime preloaded: the compiled
 # kernel built with address and undefined-behaviour checks against the pure
-# kernel on every parity case.  A fault aborts the child.
+# kernel on every parity case, those past one mask word too.  A fault aborts
+# the child.
 _SANITIZED_PARITY = """
 import sys
 import parikhgrid.kernel as K
 from parikhgrid import _kernel_py as pure
 from parikhgrid.search import _build_tables
-from test_kernel_parity import CASES
+from test_kernel_parity import CASES, WIDE_CASES
 K._lib = K._load(sys.argv[1])
-for k, sigma, length, pdb_only, rules, prefix, limit in CASES:
+for case in [case + (10**8,) for case in CASES] + WIDE_CASES:
+    k, sigma, length, pdb_only, rules, prefix, limit, budget = case
     tables = _build_tables(k, sigma)
-    args = (k, sigma, length, tables, pdb_only, rules, prefix, limit, 10**8)
+    args = (k, sigma, length, tables, pdb_only, rules, prefix, limit, budget)
     assert K._compiled_search(*args) == pure.fixed_length_search(*args)
 """
 

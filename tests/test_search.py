@@ -105,6 +105,25 @@ class TestShortestCovering:
         word = C.construct_family("k2_eulerian", 2, 6)
         assert len(word) == 24 and C.verify(word, 2, 6).is_covering
 
+    @COMPILED_ONLY
+    @pytest.mark.parametrize("k,sigma,nodes,witness", [
+        (7, 3, 9_961_588, "aabbbccbbcccabacaaabcbbbbbbbaaaaaaacccccccba"),
+        (8, 3, 20_236_432,
+         "aaaaaaaabbbbbbbbccccccccaaaaacaabbbcbabbcccacbccaaabaa"),
+        (4, 4, 9_618_268, "aabbbbcaacadbddbccacddddaaaabdbbccccdd"),
+        # 70 vectors: the compiled kernel's masks take two words
+        (4, 5, 1_030_711,
+         "aaaabbbbcaaadbbbeaaccbbddaaeaebcccadbeeeadddcccceeeeddddbebecbdcde"
+         "ceacdad"),
+    ])
+    def test_compiled_outcomes_pinned(self, k, sigma, nodes, witness):
+        # every node of a covering search reads the carried component
+        # count, so a count that is wrong anywhere moves these
+        out = S.search_shortest_covering(S.SearchConfig(k=k, sigma=sigma))
+        assert (out.status, out.witness, out.minimal, out.stats.nodes,
+                out.stats.max_depth) == (S.STATUS_FOUND, witness, True, nodes,
+                                         len(witness))
+
     def test_max_len_refutation(self):
         out = S.search_shortest_covering(
             S.SearchConfig(k=3, sigma=3, max_len=11))
@@ -237,6 +256,29 @@ class TestTables:
         # one vector, but the kernel's state grows with words of k letters
         with pytest.raises(CapacityExceeded, match="MAX_TABLE_ENTRIES"):
             S._build_tables(S.MAX_TABLE_ENTRIES, 1)
+
+    @pytest.mark.parametrize("search", [
+        lambda: S.search_shortest_covering(S.SearchConfig(k=12, sigma=8)),
+        lambda: S.run_search(S.SearchConfig(
+            k=12, sigma=8, target=S.TARGET_AT_LENGTH, target_length=50_399)),
+        lambda: list(S.iter_covering_words(12, 8, 50_399)),
+    ])
+    def test_masks_are_checked_before_the_tables_are_built(self, monkeypatch,
+                                                           search):
+        # a covering search under the components rule adds 50,388 masks of
+        # 788 words to the 3,224,832 shifts of (k=12, sigma=8); a
+        # perfect-cover search, or one without the rule, builds none
+        assert S._longest_word(12, 8, masks=True) == (
+            S.MAX_TABLE_ENTRIES - 3_224_832 - 2 * 50_388 * 788)
+        assert S._longest_word(12, 8) >= C.perfect_length(12, 8)
+        assert not S._builds_masks(S.SearchConfig(k=12, sigma=8), True)
+        assert not S._builds_masks(S.SearchConfig(
+            k=12, sigma=8, rules=S.ALL_RULES - {"components"}), False)
+        assert S._longest_word(8, 8, masks=True) == (
+            S.MAX_TABLE_ENTRIES - 6_435 * 64 - 2 * 6_435 * 101)
+        monkeypatch.setattr(V, "enumerate_pv", None)
+        with pytest.raises(CapacityExceeded, match="neighbour masks"):
+            search()
 
     @pytest.mark.parametrize("cfg", [
         S.SearchConfig(k=2, sigma=2, target=S.TARGET_AT_LENGTH,
