@@ -16,19 +16,24 @@ Prune rules (bitmask; see _kernel_py.py for what each one prunes):
   2  uncovered-count
   4  components
 The components rule prunes exactly where the pure kernel's does; only its
-bookkeeping for covering targets differs.  The pure kernel counts the
+bookkeeping differs.  For covering targets the pure kernel counts the
 components of G[U] from scratch where the bound could fire.  Here the count
 is carried along the word, and each window on a new vector updates it by
 the number of parts its component splits into (split_of).  That count runs
 on bitsets over vector ranks of ceil(n_vec / 64) 64-bit words: U, which
 place and unplace keep, and a mask of each vector's grid neighbours; it
-grows the parts around the window one level at a time, word-parallel.  For
-perfect-cover targets the degrees of the vectors in U + {current} change
-once per level, not once per letter: any fresh window at `pos` leaves U and
-becomes current, so the set loses exactly the previous window, whatever the
-letter.  dfs makes that move on the way down and undoes it on the way up; a
-letter only takes its window out of the low-degree counts, or adds it back
-to the set when it repeats.
+grows the parts around the window one level at a time, word-parallel.
+For perfect-cover targets the degrees of the vectors in U + {current} are
+bit-sliced counters over the same words, one plane per bit, and a vector's
+neighbours are one mask for each word that holds any of them, so a move
+adds or subtracts a whole word of neighbours at once and the state stays
+O(n_vec * sigma^2).  The dead-end test reads the planes and U word by word.
+The degrees change once per level, not once per letter: any fresh window
+at `pos` leaves U and becomes current, so the set loses exactly the
+previous window, whatever the letter.  dfs makes that move at the first
+letter of a level that passes the duplicate-window check, and undoes it on
+the way up only if it made it; a level where every letter repeats a window
+moves nothing.  A letter that repeats a window adds it back to the set.
 */
 
 #include <stdint.h>
@@ -88,13 +93,18 @@ typedef struct {
     int *comps, *span;
     int words;
     uint64_t *unc, *adj, *next, *groups;
-    /* The components rule, perfect-cover targets (NULL otherwise): per
-       vector, its grid neighbours in sigma^2 ints, -1 after the last; its
-       neighbours in U + {current}; the uncovered vectors with at most one
-       such neighbour, and with none.  At a level with no letter placed
-       yet, deg counts the neighbours in U alone. */
-    int *nbrs, *deg;
-    int ends, isolated;
+    /* The components rule, perfect-cover targets (NULL otherwise): U as
+       above, and the degree of each vector, its number of neighbours in
+       U + {current}, as a bit-sliced counter: bit b of the degrees of the
+       vectors in word j is in deg[j * planes + b], and planes bits, one
+       at least, hold sigma (sigma - 1).  The grid neighbours of v are the masks
+       nbr_mask[i] over words nbr_word[i], one for each word that holds
+       any, for i in nbr_first[v] .. nbr_first[v + 1] - 1.  At a level
+       with no letter placed yet, the previous window still counts as
+       current. */
+    uint64_t *deg, *nbr_mask;
+    int *nbr_first, *nbr_word;
+    int planes;
 } State;
 
 /* The row of shift whose entry c is the window that ends at `pos` with
@@ -115,38 +125,52 @@ static const int *shifts_of(const State *s, int v)
     return s->shift + (size_t)v * (size_t)s->sigma * (size_t)s->sigma;
 }
 
-/* The grid neighbours of vector v, -1 after the last. */
-static const int *neighbours(const State *s, int v)
-{
-    return s->nbrs + (size_t)v * (size_t)s->sigma * (size_t)s->sigma;
-}
-
-/* Adds `sign` to the counts of uncovered vectors of low degree for v. */
-static void count_ends(State *s, int v, int sign)
-{
-    s->ends += sign * (s->deg[v] <= 1);
-    s->isolated += sign * (s->deg[v] == 0);
-}
-
-/* Vector v enters (delta 1) or leaves (delta -1) the set U + {current}. */
-static void move_degrees(State *s, int v, int delta)
-{
-    int ends = 0, isolated = 0;
-    for (const int *x_at = neighbours(s, v); *x_at >= 0; x_at++) {
-        int x = *x_at, before = s->deg[x], after = before + delta;
-        int in_u = s->mult[x] == 0;
-        s->deg[x] = after;
-        ends += in_u * ((after <= 1) - (before <= 1));
-        isolated += in_u * ((after == 0) - (before == 0));
-    }
-    s->ends += ends;
-    s->isolated += isolated;
-}
-
 /* The bit of vector v in its word of a bitset. */
 static uint64_t bit(int v)
 {
     return (uint64_t)1 << (v & 63);
+}
+
+/* Vector v enters (delta 1) or leaves (delta -1) the set U + {current}:
+   each mask of its neighbours is added to or subtracted from the counters
+   of its word, carrying from plane to plane.  A degree stays within 0 ..
+   sigma (sigma - 1), so nothing carries out of the last plane.  The carry
+   runs through every plane: stopping where it dies out costs more, in
+   branches that cannot be predicted, than it saves. */
+static void move_degrees(State *s, int v, int delta)
+{
+    uint64_t flip = delta > 0 ? 0 : ~(uint64_t)0;
+    for (int i = s->nbr_first[v]; i < s->nbr_first[v + 1]; i++) {
+        uint64_t *deg = s->deg + (size_t)s->nbr_word[i] * s->planes;
+        uint64_t carry = s->nbr_mask[i];
+        for (int b = 0; b < s->planes; b++) {
+            uint64_t t = deg[b];
+            deg[b] = t ^ carry;
+            carry &= t ^ flip;   /* an add carries from a 1, a subtraction
+                                    borrows from a 0 */
+        }
+    }
+}
+
+/* Perfect covers: whether some vector of U has no neighbour in
+   U + {current}, or more than one has at most one.  A degree is at most
+   one when no plane above the first holds its bit. */
+static int dead_end(const State *s)
+{
+    int ends = 0;
+    for (int j = 0; j < s->words; j++) {
+        const uint64_t *deg = s->deg + (size_t)j * s->planes;
+        uint64_t high = 0, low;
+        for (int b = 1; b < s->planes; b++)
+            high |= deg[b];
+        low = s->unc[j] & ~high;
+        if (low == 0)
+            continue;
+        if ((low & ~deg[0]) != 0 || ends || (low & (low - 1)) != 0)
+            return 1;
+        ends = 1;
+    }
+    return 0;
 }
 
 static int lowest_bit(uint64_t m)
@@ -282,6 +306,36 @@ static NOINLINE int split_of(State *s, int idx, int limit)
     return split_words(s, idx, limit, s->words);
 }
 
+/* Perfect covers: lists the grid neighbours of every vector as masks, one
+   for each word that holds any, and returns how many masks there are;
+   while nbr_mask is NULL it only counts them.  slot[j] is the index of the
+   mask of word j, below nbr_first[v] while v has none there. */
+static int list_neighbours(State *s, int n_vec, int *slot)
+{
+    int count = 0;
+    for (int j = 0; j < s->words; j++)
+        slot[j] = -1;
+    for (int v = 0; v < n_vec; v++) {
+        const int *row = shifts_of(s, v);
+        s->nbr_first[v] = count;
+        for (int j = 0; j < s->sigma * s->sigma; j++) {
+            int x = row[j], *at;
+            if (x < 0 || x == v)
+                continue;
+            at = slot + (x >> 6);
+            if (*at < s->nbr_first[v]) {
+                *at = count++;
+                if (s->nbr_mask != NULL)
+                    s->nbr_word[*at] = x >> 6;
+            }
+            if (s->nbr_mask != NULL)
+                s->nbr_mask[*at] |= bit(x);
+        }
+    }
+    s->nbr_first[n_vec] = count;
+    return count;
+}
+
 static void place(State *s, int pos, int c, int idx)
 {
     s->word[pos] = (unsigned char)c;
@@ -296,8 +350,6 @@ static void place(State *s, int pos, int c, int idx)
         s->uncovered--;
         if (s->unc != NULL)
             s->unc[idx >> 6] &= ~bit(idx);
-        if (s->deg != NULL)
-            count_ends(s, idx, -1);
     } else {
         s->dups++;
         if (s->deg != NULL)
@@ -314,8 +366,6 @@ static void unplace(State *s, int pos)
         s->uncovered++;
         if (s->unc != NULL)
             s->unc[idx >> 6] |= bit(idx);
-        if (s->deg != NULL)
-            count_ends(s, idx, 1);
     } else {
         s->dups--;
         if (s->deg != NULL)
@@ -336,7 +386,7 @@ static int pruned(State *s, int pos)
        from the current window, so every vector of U has a neighbour in
        U + {current} and at most one, the far end, has only one */
     if (s->deg != NULL)
-        return s->isolated > 0 || s->ends > 1;
+        return dead_end(s);
     /* covering words: every window between two components of G[U] is on
        a covered vector, so rem >= u + c - 1.  A window on a new vector
        splits its component; before the first window U is the whole grid,
@@ -372,13 +422,16 @@ static int report(State *s)
    level `pos` tries letters c .. top-1, which is the forced letter at a
    prefix position and otherwise 0 up to one letter beyond the `used`
    letters seen so far (canonical form); descending saves `used` in
-   used_at[pos], and backing up resumes after word[pos].  Positions before
+   used_at[pos], and backing up resumes after word[pos].  `placed` says
+   whether a letter passed the duplicate-window check at this level, which
+   for perfect covers has moved the previous window out of U + {current};
+   a level that is backed up to has placed its letter.  Positions before
    `owned` are not counted as nodes.  Returns PG_ABORTED when a callback
    asked to stop, otherwise 0. */
 static int dfs(State *s, const unsigned char *prefix, int prefix_len,
                int owned)
 {
-    int pos = 0, used = 0, c = prefix_len > 0 ? prefix[0] : 0;
+    int pos = 0, used = 0, placed = 0, c = prefix_len > 0 ? prefix[0] : 0;
     for (;;) {
         int top = pos < prefix_len ? prefix[pos] + 1
                   : used < s->sigma ? used + 1 : s->sigma;
@@ -398,6 +451,11 @@ static int dfs(State *s, const unsigned char *prefix, int prefix_len,
             }
             if (s->rule_dup && pos >= s->k - 1 && s->mult[row[c]] > 0)
                 continue;
+            if (!placed) {
+                placed = 1;
+                if (s->deg != NULL && pos >= s->k)
+                    move_degrees(s, s->at[pos - 1], -1);
+            }
             place(s, pos, c, row[c]);
             if (!pruned(s, pos)) {
                 if (pos + 1 < s->length)
@@ -414,16 +472,16 @@ static int dfs(State *s, const unsigned char *prefix, int prefix_len,
             s->used_at[pos] = used;
             used = c < used ? used : c + 1;
             pos++;
+            placed = 0;
             c = pos < prefix_len ? prefix[pos] : 0;
-            if (s->deg != NULL && pos >= s->k)
-                move_degrees(s, s->at[pos - 1], -1);
             continue;
         }
         if (pos == 0)
             return 0;
-        if (s->deg != NULL && pos >= s->k)
+        if (placed && s->deg != NULL && pos >= s->k)
             move_degrees(s, s->at[pos - 1], 1);
         pos--;
+        placed = 1;
         c = s->word[pos];
         used = s->used_at[pos];
         unplace(s, pos);
@@ -466,37 +524,47 @@ int pg_fixed_length_search(int k, int sigma, int length, int n_vec,
     s.uncovered = n_vec;
 
     s.word = calloc((size_t)length + 1, 1);
-    ints = calloc((size_t)n_vec + 3 * (size_t)length + 1
-                  + (perfect ? ((size_t)sigma * sigma + 1) * n_vec : 0)
-                  + (covering ? 2 * (size_t)n_vec : 0), sizeof(int));
-    if (covering)
+    if (perfect || covering)
         s.words = (n_vec + 63) / 64;
-    /* U, the neighbour masks, the next level and two masks per group */
-    words = calloc(covering ? (n_vec + 2 + 2 * (size_t)sigma) * s.words : 1,
+    s.planes = 1;
+    while ((1 << s.planes) <= sigma * (sigma - 1))
+        s.planes++;
+    ints = calloc((size_t)n_vec + 3 * (size_t)length + 1
+                  + (perfect ? (size_t)n_vec + 1 + s.words : 0)
+                  + (covering ? 2 * (size_t)n_vec : 0), sizeof(int));
+    /* U, then the degree planes, or the neighbour masks, the next level
+       and two masks per group */
+    words = calloc(perfect ? (1 + (size_t)s.planes) * s.words
+                   : covering ? (n_vec + 2 + 2 * (size_t)sigma) * s.words : 1,
                    sizeof *words);
     if (s.word == NULL || ints == NULL || words == NULL)
         goto done;
     s.mult = ints;
     s.used_at = s.mult + n_vec;
     s.at = s.used_at + length;
+    if (perfect || covering) {
+        s.unc = words;
+        for (int v = 0; v < n_vec; v++)
+            s.unc[v >> 6] |= bit(v);
+    }
     if (perfect) {
+        int *slot, pairs;
+        s.deg = s.unc + s.words;
+        s.nbr_first = s.at + length;
+        slot = s.nbr_first + n_vec + 1;
+        pairs = list_neighbours(&s, n_vec, slot);
+        s.nbr_mask = calloc((size_t)pairs + 1,
+                            sizeof *s.nbr_mask + sizeof *s.nbr_word);
+        if (s.nbr_mask == NULL)
+            goto done;
+        s.nbr_word = (int *)(s.nbr_mask + pairs);
+        list_neighbours(&s, n_vec, slot);
         /* U + {current} starts as every vector */
-        s.nbrs = s.at + length;
-        s.deg = s.nbrs + (size_t)n_vec * sigma * sigma;
-        for (int v = 0; v < n_vec; v++) {
-            const int *row = shifts_of(&s, v);
-            int *near = s.nbrs + (size_t)v * sigma * sigma, m = 0;
-            for (int j = 0; j < sigma * sigma; j++)
-                if (row[j] >= 0 && row[j] != v)
-                    near[m++] = row[j];
-            near[m] = -1;   /* m <= sigma * (sigma - 1) */
-            s.deg[v] = m;
-            count_ends(&s, v, 1);
-        }
+        for (int v = 0; v < n_vec; v++)
+            move_degrees(&s, v, 1);
     } else if (covering) {
         s.comps = s.at + length;
         s.span = s.comps + length;
-        s.unc = words;
         s.adj = s.unc + s.words;
         s.next = s.adj + (size_t)n_vec * s.words;
         s.groups = s.next + s.words;
@@ -504,7 +572,6 @@ int pg_fixed_length_search(int k, int sigma, int length, int n_vec,
             const int *row = shifts_of(&s, v);
             uint64_t *near = s.adj + (size_t)v * s.words;
             int *first = s.span + 2 * v, *last = first + 1;
-            s.unc[v >> 6] |= bit(v);
             *first = s.words;
             for (int j = 0; j < sigma * sigma; j++)
                 if (row[j] >= 0 && row[j] != v) {
@@ -532,6 +599,7 @@ done:
     free(s.word);
     free(ints);
     free(words);
+    free(s.nbr_mask);
     *nodes_out = s.nodes;
     *max_depth_out = s.max_depth;
     return status;

@@ -2,9 +2,16 @@
 
 Mirrors the compiled kernel (_kernel.c) exactly: same entry points,
 same exploration order, same node accounting.  Only the components rule's
-bookkeeping differs: the compiled kernel carries the component count of a
-covering search along the word, on bitsets, where this one counts it from
-scratch, so it is the reference the compiled count is checked against.
+bookkeeping differs, and this kernel is the reference the compiled one is
+checked against.  For covering targets the compiled kernel carries the
+component count along the word, on bitsets, where this one counts it from
+scratch.  For perfect-cover targets this one keeps each vector's degree in
+an int, with running counts of the vectors of U of degree at most one and
+of degree zero, and moves the previous window at every level.  The
+compiled kernel keeps the degrees as bit-sliced counters over 64-bit words
+of vectors, reads the dead-end test off them word by word, and moves the
+previous window only at a level where some letter passes the
+duplicate-window check.
 
 The search enumerates candidate words of one fixed length, depth-first,
 letters in alphabet order, restricted to canonical form (each letter's
@@ -54,6 +61,7 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
     budget ran out.
     """
     n_vec, shift = tables
+    shift = list(shift)   # a list indexes faster than the table's array
     rule_dup = bool(rules & RULE_DUPLICATE) and pdb_only
     rule_rem = bool(rules & RULE_REMAINING)
     rule_comp = bool(rules & RULE_COMPONENTS)
@@ -241,6 +249,7 @@ def find_covering_naive(k, sigma, length, tables):
     or None.  Enumerates all sigma**length words: no canonical-form
     restriction, no pruning.  Independent check for refutations."""
     n_vec, shift = tables
+    shift = list(shift)
     word = [0] * length
     at = [0] * length
     mult = [0] * n_vec

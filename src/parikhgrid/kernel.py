@@ -13,7 +13,6 @@ says why.  PARIKHGRID_PURE_KERNEL=1 forces the pure-Python kernel (useful
 for benchmarking and for debugging kernel parity).
 """
 
-import array
 import ctypes
 import math
 import os
@@ -133,13 +132,10 @@ def _load(path):
     return lib
 
 
-def _int_array(values):
-    """A C int array holding ``values``; it keeps its own buffer alive."""
-    buf = array.array("i", values)
-    return (ctypes.c_int * len(buf)).from_buffer(buf)
-
-
-def _check_tables(k, sigma, tables):
+def _shifts(k, sigma, tables):
+    """The shift table of ``tables`` as a C int array over the buffer of
+    its ``array('i')``, without a copy; ValueError when the tables are not
+    those of (k, sigma)."""
     # tables of another (k, sigma) would lead the C kernel off its arrays,
     # and a letter is a byte
     n_vec, shift = tables
@@ -147,17 +143,17 @@ def _check_tables(k, sigma, tables):
             or len(shift) != n_vec * sigma * sigma):
         raise ValueError("kernel tables do not match k=%d sigma=%d"
                          % (k, sigma))
+    return (ctypes.c_int * len(shift)).from_buffer(shift)
 
 
 def _compiled_search(k, sigma, length, tables, pdb_only, rules, prefix,
                      collect_limit, node_budget, progress=None):
     """See _kernel_py.fixed_length_search; identical contract.  An exception
     raised by ``progress`` stops the search and propagates."""
-    _check_tables(k, sigma, tables)
+    shifts = _shifts(k, sigma, tables)
     if len(prefix) > length or any(not 0 <= c < sigma for c in prefix):
         raise ValueError("prefix %r is not a word of at most %d letters over "
                          "%d letters" % (tuple(prefix), length, sigma))
-    n_vec, shift = tables
     solutions = []
     raised = []
 
@@ -181,7 +177,7 @@ def _compiled_search(k, sigma, length, tables, pdb_only, rules, prefix,
                   else _PROGRESS())
     nodes, max_depth = ctypes.c_longlong(), ctypes.c_int()
     status = _lib.pg_fixed_length_search(
-        k, sigma, length, n_vec, _int_array(shift), 1 if pdb_only else 0,
+        k, sigma, length, tables[0], shifts, 1 if pdb_only else 0,
         rules, bytes(prefix), len(prefix),
         collect_limit, min(node_budget or 0, _MAX_NODES), found, checkpoint,
         ctypes.byref(nodes), ctypes.byref(max_depth))
@@ -194,13 +190,12 @@ def _compiled_search(k, sigma, length, tables, pdb_only, rules, prefix,
 
 def _compiled_naive(k, sigma, length, tables):
     """See _kernel_py.find_covering_naive; identical contract."""
-    _check_tables(k, sigma, tables)
+    shifts = _shifts(k, sigma, tables)
     if length < 1:
         return None
-    n_vec, shift = tables
     word = ctypes.create_string_buffer(length)
-    hit = _lib.pg_find_covering_naive(k, sigma, length, n_vec,
-                                      _int_array(shift), word)
+    hit = _lib.pg_find_covering_naive(k, sigma, length, tables[0], shifts,
+                                      word)
     if hit == _NO_MEMORY:
         raise MemoryError("naive enumerator could not allocate its state")
     return word.raw if hit else None

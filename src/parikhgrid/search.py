@@ -35,6 +35,7 @@ holds nothing but its current task, so ending it loses nothing, and the
 call does not wait for tasks past its answer.
 """
 
+import array
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -64,8 +65,10 @@ ALL_RULES = frozenset(RULE_NAMES)
 # shifts of its table, plus one for each letter of the word, of which the
 # kernel keeps a few ints.  A word has at least k letters.  A covering search
 # under the components rule adds its neighbour masks, n_vec * ceil(n_vec / 64)
-# 64-bit words of two ints each.  Checked before anything is allocated; it
-# keeps sigma <= 158, so a letter fits in a byte.
+# 64-bit words of two ints each.  A perfect-cover search keeps one mask for
+# each word that holds a vector's neighbours, at most sigma (sigma - 1) per
+# vector, which grow like the shifts.  Checked before anything is
+# allocated; it keeps sigma <= 158, so a letter fits in a byte.
 MAX_TABLE_ENTRIES = 4_000_000
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -138,18 +141,22 @@ def _builds_masks(cfg, pdb_only):
 def _build_tables(k, sigma):
     """The kernel's tables over vector ranks, (n_vec, shift):
     shift[(idx*sigma + out)*sigma + c] is the rank of p - e_out + e_c for p
-    of rank idx (-1 when p[out] is 0)."""
+    of rank idx (-1 when p[out] is 0).  shift is an array of C ints, which
+    the compiled kernel reads in place."""
     if _longest_word(k, sigma) < k:
         raise CapacityExceeded(
             "search tables for k=%d sigma=%d and a word of k letters exceed "
             "the MAX_TABLE_ENTRIES bound of %d ints"
             % (k, sigma, MAX_TABLE_ENTRIES))
     vectors, up = up_ranks(k, sigma)
-    shift = []
+    # extending an array by an array copies the ints as they are
+    rows = {q: array.array("i", ranks) for q, ranks in up.items()}
+    none = array.array("i", [-1] * sigma)
+    shift = array.array("i")
     for p in vectors:
         for out in range(sigma):
-            shift.extend(up[p[:out] + (p[out] - 1,) + p[out + 1:]] if p[out]
-                         else [-1] * sigma)
+            shift.extend(rows[p[:out] + (p[out] - 1,) + p[out + 1:]] if p[out]
+                         else none)
     return (len(vectors), shift)
 
 

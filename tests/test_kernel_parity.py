@@ -72,6 +72,29 @@ WIDE_CASES = [
 ]
 
 
+# Perfect covers, where the compiled kernel keeps bit-sliced degree
+# counters and a mask of neighbours for each word that holds any: the
+# instances of 70, 126 and 136 vectors take one, two and three words, and
+# sigma = 1 .. 9 take every number of planes, 1 to 7.  Then repeated
+# windows, which re-enter U + {current} without the duplicate-window rule,
+# and a prefix task.  The pure kernel takes about 0.07 s per 5 * 10^4
+# nodes there.
+PERFECT_CASES = [
+    # k, sigma, length, pdb_only, rules, prefix, collect_limit, node_budget
+    (4, 5, 73, True, 15, (), 1, 5 * 10**4),
+    (4, 6, 129, True, 15, (), 1, 5 * 10**4),
+    (15, 3, 150, True, 15, (), 1, 5 * 10**4),
+] + [
+    (k, sigma, perfect_length(k, sigma), True, 15, (), 1, 10**4)
+    for k, sigma in [(3, 1), (4, 2), (3, 3), (4, 4), (5, 5), (5, 6), (5, 7),
+                     (4, 8), (4, 9)]
+] + [
+    (4, 6, 129, True, 6, (), 1, 5 * 10**4),     # duplicate-window rule off
+    (15, 3, 150, True, 4, (), 1, 5 * 10**4),    # components alone
+    (4, 6, 129, True, 15, (0, 0, 0, 0, 1, 2), 1, 5 * 10**4),
+]
+
+
 def _same_trace(k, sigma, length, pdb_only, rules, prefix, limit, budget):
     tables = _build_tables(k, sigma)
     a = K.fixed_length_search(k, sigma, length, tables, pdb_only, rules,
@@ -91,6 +114,20 @@ def test_identical_traces(case):
 @pytest.mark.parametrize("case", WIDE_CASES)
 def test_identical_traces_past_one_mask_word(case):
     _same_trace(*case)
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", PERFECT_CASES)
+def test_identical_perfect_cover_traces(case):
+    _same_trace(*case)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None
+                    or bool(os.environ.get("PARIKHGRID_PURE_KERNEL")),
+                    reason="no cc on PATH, or the pure kernel is forced")
+def test_compiled_kernel_loads_where_it_can_be_built():
+    # otherwise every needs_compiled test would be skipped, not failed
+    assert K.KERNEL_NAME == "compiled", K.FALLBACK_REASON
 
 
 @pytest.mark.parametrize("search", [
@@ -230,16 +267,16 @@ def _libasan():
 
 # Run in a child process with the sanitizer runtime preloaded: the compiled
 # kernel built with address and undefined-behaviour checks against the pure
-# kernel on every parity case, those past one mask word too.  A fault aborts
-# the child.
+# kernel on every parity case, those past one mask word and the perfect
+# covers too.  A fault aborts the child.
 _SANITIZED_PARITY = """
 import sys
 import parikhgrid.kernel as K
 from parikhgrid import _kernel_py as pure
 from parikhgrid.search import _build_tables
-from test_kernel_parity import CASES, WIDE_CASES
+from test_kernel_parity import CASES, PERFECT_CASES, WIDE_CASES
 K._lib = K._load(sys.argv[1])
-for case in [case + (10**8,) for case in CASES] + WIDE_CASES:
+for case in [case + (10**8,) for case in CASES] + WIDE_CASES + PERFECT_CASES:
     k, sigma, length, pdb_only, rules, prefix, limit, budget = case
     tables = _build_tables(k, sigma)
     args = (k, sigma, length, tables, pdb_only, rules, prefix, limit, budget)

@@ -225,7 +225,7 @@ class TestTables:
         vectors = colex_vectors(k, sigma)
         rank = {p: i for i, p in enumerate(vectors)}
         assert n_vec == len(vectors)
-        assert shift == [
+        assert shift.tolist() == [
             rank.get(grid_step(p, out, into), -1)
             for p in vectors for out in range(sigma) for into in range(sigma)]
         # the components rule walks the shift entries other than -1 and the
