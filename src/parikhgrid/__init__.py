@@ -6,96 +6,67 @@ window shift apart.  Strings map to walks, sets of vectors are realizable
 exactly when they induce a connected subgraph, and words covering every
 vector (once: perfect covers) are verified, constructed, and searched for
 exhaustively.
+
+Importing the package loads none of its submodules.  Each name of
+``__all__`` is looked up in its home module on first use, which imports
+that module and what it needs: ``parikhgrid.verify`` loads ``covering``,
+while the kernel (and ``ctypes``) is loaded only by a search or by
+``active_kernel()``.
 """
 
-from .covering import (
-    BoundsReport,
-    CoverReport,
-    KnownVerdict,
-    MincovReport,
-    bounds,
-    construct_family,
-    covset,
-    is_universal_cycle,
-    mincov_explore,
-    perfect_length,
-    verify,
-    wrap_cycle,
-)
-from .errors import (
-    CapacityExceeded,
-    FamilyUnsupported,
-    InvalidInput,
-    LayoutUnsupported,
-    ParikhGridError,
-    WalkUnrealizable,
-)
-from .grid import (
-    CliqueClassification,
-    EdgeLabel,
-    PdbGrid,
-    build_grid,
-    classify_clique,
-    layout_2d,
-)
-from .kernel import active_kernel
-from .realize import (
-    RealizabilityResult,
-    is_realizable_set,
-    realizable_pair_witness,
-)
-from .search import (
-    SearchConfig,
-    SearchOutcome,
-    enumerate_all_pdb,
-    iter_covering_words,
-    run_search,
-    search_pdb_existence,
-    search_shortest_covering,
-)
-from .vectors import (
-    Alphabet,
-    ParikhSet,
-    canonical_word,
-    children,
-    enumerate_pv,
-    join,
-    meet,
-    neighbors,
-    parents,
-    parikh_set,
-    pv_count,
-    pv_of,
-    pv_rank,
-    pv_unrank,
-)
-from .walks import (
-    BowfreeReport,
-    Itinerary,
-    Walk,
-    WalkRealizability,
-    check_bowfree_consequences,
-    is_realizable_walk,
-    spell,
-    string_from_itinerary,
-    walk_of,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet", "BoundsReport", "BowfreeReport", "CapacityExceeded",
-    "CliqueClassification", "CoverReport", "EdgeLabel", "FamilyUnsupported",
-    "InvalidInput", "Itinerary", "KnownVerdict", "LayoutUnsupported",
-    "MincovReport", "ParikhGridError", "ParikhSet", "PdbGrid",
-    "RealizabilityResult", "SearchConfig", "SearchOutcome", "Walk",
-    "WalkRealizability", "WalkUnrealizable", "active_kernel", "bounds",
-    "build_grid", "canonical_word", "check_bowfree_consequences", "children",
-    "classify_clique", "construct_family", "covset", "enumerate_all_pdb",
-    "enumerate_pv", "is_realizable_set", "is_realizable_walk",
-    "is_universal_cycle", "iter_covering_words", "join", "layout_2d", "meet",
-    "mincov_explore", "neighbors", "parents", "parikh_set", "perfect_length",
-    "pv_count", "pv_of", "pv_rank", "pv_unrank", "realizable_pair_witness",
-    "run_search", "search_pdb_existence", "search_shortest_covering",
-    "spell", "string_from_itinerary", "verify", "walk_of", "wrap_cycle",
-]
+# Each public name and the submodule that defines it.
+_HOMES = {
+    **dict.fromkeys((
+        "BoundsReport", "CoverReport", "KnownVerdict", "MincovReport",
+        "bounds", "construct_family", "covset", "is_universal_cycle",
+        "mincov_explore", "perfect_length", "verify", "wrap_cycle",
+    ), "covering"),
+    **dict.fromkeys((
+        "CapacityExceeded", "FamilyUnsupported", "InvalidInput",
+        "LayoutUnsupported", "ParikhGridError", "WalkUnrealizable",
+    ), "errors"),
+    **dict.fromkeys((
+        "CliqueClassification", "EdgeLabel", "PdbGrid", "build_grid",
+        "classify_clique", "layout_2d",
+    ), "grid"),
+    "active_kernel": "kernel",
+    **dict.fromkeys((
+        "RealizabilityResult", "is_realizable_set", "realizable_pair_witness",
+    ), "realize"),
+    **dict.fromkeys((
+        "SearchConfig", "SearchOutcome", "enumerate_all_pdb",
+        "iter_covering_words", "run_search", "search_pdb_existence",
+        "search_shortest_covering",
+    ), "search"),
+    **dict.fromkeys((
+        "Alphabet", "ParikhSet", "canonical_word", "children", "enumerate_pv",
+        "join", "meet", "neighbors", "parents", "parikh_set", "pv_count",
+        "pv_of", "pv_rank", "pv_unrank",
+    ), "vectors"),
+    **dict.fromkeys((
+        "BowfreeReport", "Itinerary", "Walk", "WalkRealizability",
+        "check_bowfree_consequences", "is_realizable_walk", "spell",
+        "string_from_itinerary", "walk_of",
+    ), "walks"),
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    # The name is read from its home module on every access, never stored
+    # here, so a function rebound in its home module is what the package
+    # hands out, and restoring it there restores it here.
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    return getattr(importlib.import_module("." + home, __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOMES))

@@ -2,28 +2,53 @@
 
 Exit codes: 0 for positive verdicts (covering / realizable / found), 1 for
 negative verdicts, 2 for usage and capacity errors.
+
+Each command imports the modules it runs, so a call loads only those:
+``verify`` never loads the search or its kernel, and ``search`` never loads
+walks or realize.
 """
 
 import argparse
+import functools
 import json
+import os
 import sys
 
-from . import covering, export, realize, search, walks
-from . import vectors as V
-from .errors import ParikhGridError, WalkUnrealizable
-from .grid import build_grid
+from .errors import InvalidInput, ParikhGridError, WalkUnrealizable
+
+
+def _check_output(path):
+    """Refuses, before the command runs, an --output path that cannot be
+    written."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "is a directory"
+    elif not os.path.isdir(directory):
+        reason = "no such directory"
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise InvalidInput("cannot write --output %s: %s" % (path, reason))
 
 
 def _out(args, text):
-    if args.output:
+    text = text if text.endswith("\n") else text + "\n"
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInput("cannot write --output %s: %s"
+                           % (args.output, exc.strerror)) from exc
 
 
 def _parse_vectors(text):
     """Parse a list like "(3,0,0),(0,3,0)" into vector tuples."""
+    from .vectors import parse_vector
+
     parts, depth, cur = [], 0, ""
     for ch in text:
         if ch == "(":
@@ -37,10 +62,13 @@ def _parse_vectors(text):
             cur += ch
     if cur.strip():
         parts.append(cur)
-    return [V.parse_vector(p) for p in parts]
+    return [parse_vector(p) for p in parts]
 
 
 def cmd_grid(args):
+    from . import export
+    from .grid import build_grid
+
     g = build_grid(args.k, args.sigma)
     if args.format == "dot":
         _out(args, export.grid_to_dot(g))
@@ -50,6 +78,8 @@ def cmd_grid(args):
 
 
 def cmd_verify(args):
+    from . import covering, export
+
     report = covering.verify(args.word, args.k, args.sigma)
     if args.format == "table":
         _out(args, export.cover_table([report]))
@@ -59,9 +89,11 @@ def cmd_verify(args):
 
 
 def cmd_walk(args):
+    from . import export, walks
+    from .vectors import Alphabet
+
     sigma = args.sigma
-    walk = walks.walk_of(args.word, args.k,
-                         V.Alphabet(sigma) if sigma else None)
+    walk = walks.walk_of(args.word, args.k, Alphabet(sigma) if sigma else None)
     doc = {
         "schema": export.SCHEMA, "kind": "walk",
         "k": walk.k, "sigma": walk.sigma(), "word": args.word,
@@ -76,6 +108,8 @@ def cmd_walk(args):
 
 
 def cmd_realize(args):
+    from . import export, realize
+
     vectors = _parse_vectors(args.vectors)
     result = realize.is_realizable_set(vectors, sigma=args.sigma)
     if result.k != args.k:
@@ -86,11 +120,15 @@ def cmd_realize(args):
 
 
 def cmd_bounds(args):
+    from . import covering, export
+
     _out(args, export.to_json(covering.bounds(args.k, args.sigma)))
     return 0
 
 
 def cmd_covset(args):
+    from . import covering, export
+
     ks = sorted(covering.covset(args.word, args.sigma))
     _out(args, json.dumps({"schema": export.SCHEMA, "kind": "covset",
                            "sigma": args.sigma, "word": args.word,
@@ -99,6 +137,8 @@ def cmd_covset(args):
 
 
 def cmd_construct(args):
+    from . import covering, export
+
     # the construction's own verify() report
     word, report = covering._construct(args.family, args.k, args.sigma)
     doc = {"schema": export.SCHEMA, "kind": "construction",
@@ -117,12 +157,16 @@ def _progress_printer(nodes, depth, found, length):
 
 
 def cmd_search(args):
+    from . import covering, export, search
+
     target = {"shortest": search.TARGET_SHORTEST, "pdb": search.TARGET_PDB,
               "length": search.TARGET_AT_LENGTH}[args.target]
     cfg = search.SearchConfig(
         k=args.k, sigma=args.sigma, target=target,
         target_length=args.length, max_len=args.max_len,
-        worker_count=args.threads, node_budget=args.node_budget,
+        worker_count=args.threads,
+        node_budget=(search.DEFAULT_NODE_BUDGET if args.node_budget is None
+                     else args.node_budget),
     )
     outcome = search.run_search(
         cfg, progress=_progress_printer if args.progress else None)
@@ -135,6 +179,8 @@ def cmd_search(args):
 
 
 def cmd_enumerate_pdb(args):
+    from . import export, search
+
     reps = search.enumerate_all_pdb(args.k, args.sigma, force=args.force)
     _out(args, json.dumps({"schema": export.SCHEMA, "kind": "pdb_classes",
                            "k": args.k, "sigma": args.sigma,
@@ -144,6 +190,8 @@ def cmd_enumerate_pdb(args):
 
 
 def cmd_mincov(args):
+    from . import covering, export
+
     report = covering.mincov_explore(args.k, args.sigma, args.max_len,
                                      node_budget=args.node_budget)
     _out(args, export.to_json(report))
@@ -221,8 +269,7 @@ def build_parser():
                         "search runs inline until its first 10^6-node "
                         "checkpoint, and only one that gets that far forks "
                         "the workers")
-    p.add_argument("--node-budget", type=int,
-                   default=search.DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--progress", action="store_true",
                    help="JSON checkpoint lines on stderr: every 10^6 "
                         "nodes on one thread; with more, after each merged "
@@ -242,17 +289,24 @@ def build_parser():
                         help="minimum (k-1)-coverage among covering words")
     _add_common(p)
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--node-budget", type=int,
-                   default=search.DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=int, default=None)
     p.set_defaults(func=cmd_mincov)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    # built on the first call and reused: parse_args keeps no state between
+    # calls, it fills a new namespace each time
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         return args.func(args)
     except WalkUnrealizable as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -15,7 +15,6 @@ sigma >= 3, a k-covering word whose (k-1)-window vectors omit
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import cycle, islice
 from math import comb
 
@@ -363,7 +362,7 @@ class MincovReport:
     k: int
     sigma: int
     max_len: int
-    value: Fraction
+    value: "Fraction"  # fractions.Fraction, imported where one is made
     estimate_only: bool
     minimizing_word: str
     words_enumerated: int
@@ -375,6 +374,8 @@ def mincov_explore(k, sigma, max_len, node_budget=None):
     if k < 2:
         raise InvalidInput("mincov needs k >= 2 (there are no order-%d "
                            "windows)" % (k - 1,))
+    from fractions import Fraction
+
     from . import search  # deferred: search depends on this module for bounds
 
     lower = bounds(k, sigma).shortest_lower_bound

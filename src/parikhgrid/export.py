@@ -5,13 +5,11 @@ Every report kind round-trips: dict_to_report(report_to_dict(x)) == x.
 """
 
 import json
-from fractions import Fraction
+import sys
 
 from .covering import BoundsReport, CoverReport, KnownVerdict, MincovReport
 from .errors import CapacityExceeded, InvalidInput
 from .grid import layout_2d
-from .realize import RealizabilityResult
-from .search import SearchOutcome, SearchStats
 
 SCHEMA = 1
 
@@ -22,6 +20,14 @@ def _vec(p):
 
 def _vecs(ps):
     return [list(p) for p in ps]
+
+
+def _is(obj, module, name):
+    """isinstance(obj, <module>.<name>) for a submodule of this package,
+    without importing it: until the module is loaded, no instance of its
+    classes exists."""
+    loaded = sys.modules.get("%s.%s" % (__package__, module))
+    return loaded is not None and isinstance(obj, getattr(loaded, name))
 
 
 def report_to_dict(obj):
@@ -48,7 +54,7 @@ def report_to_dict(obj):
             "known_verdict": {"verdict": obj.known_verdict.verdict,
                               "reason": obj.known_verdict.reason},
         }
-    if isinstance(obj, SearchOutcome):
+    if _is(obj, "search", "SearchOutcome"):
         return {
             "schema": SCHEMA, "kind": "search_outcome",
             "k": obj.k, "sigma": obj.sigma, "target": obj.target,
@@ -57,7 +63,7 @@ def report_to_dict(obj):
             "stats": {"nodes": obj.stats.nodes, "elapsed": obj.stats.elapsed,
                       "max_depth": obj.stats.max_depth},
         }
-    if isinstance(obj, RealizabilityResult):
+    if _is(obj, "realize", "RealizabilityResult"):
         return {
             "schema": SCHEMA, "kind": "realizability_result",
             "k": obj.k, "sigma": obj.sigma, "realizable": obj.realizable,
@@ -102,6 +108,8 @@ def dict_to_report(d):
                                        reason=d["known_verdict"]["reason"]),
         )
     if kind == "search_outcome":
+        from .search import SearchOutcome, SearchStats
+
         return SearchOutcome(
             k=d["k"], sigma=d["sigma"], target=d["target"],
             status=d["status"], witness=d["witness"], minimal=d["minimal"],
@@ -111,6 +119,8 @@ def dict_to_report(d):
                               max_depth=d["stats"]["max_depth"]),
         )
     if kind == "realizability_result":
+        from .realize import RealizabilityResult
+
         ref = d["refutation"]
         return RealizabilityResult(
             realizable=d["realizable"], k=d["k"], sigma=d["sigma"],
@@ -120,6 +130,8 @@ def dict_to_report(d):
                          tuple(tuple(p) for p in ref["component_b"]))),
         )
     if kind == "mincov_report":
+        from fractions import Fraction
+
         return MincovReport(
             k=d["k"], sigma=d["sigma"], max_len=d["max_len"],
             value=Fraction(d["numerator"], d["denominator"]),

@@ -364,6 +364,57 @@ class TestOtherCommands:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["vertex_count"] == 6
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--k", "2", "--sigma", "3"],
+        # an open instance, which with no node cap would not end
+        ["search", "--k", "6", "--sigma", "4", "--target", "pdb",
+         "--node-budget", "0"],
+    ])
+    @pytest.mark.parametrize("where,reason", [
+        ("missing/x.json", "no such directory"), (".", "is a directory")])
+    def test_unwritable_output_exit_two_before_the_command_runs(
+            self, capsys, monkeypatch, tmp_path, argv, where, reason):
+        ran = []
+        monkeypatch.setattr(covering, "bounds", lambda *a: ran.append(a))
+        monkeypatch.setattr(search, "run_search", lambda *a, **kw:
+                            ran.append(a))
+        target = str(tmp_path / where)
+        code, out, err = run(capsys, *argv, "--output", target)
+        assert (code, out, ran) == (2, "", [])
+        assert err == "error: cannot write --output %s: %s\n" % (target,
+                                                                  reason)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device whose writes fail")
+    def test_failed_write_exit_two(self, capsys):
+        code, out, err = run(capsys, "bounds", "--k", "2", "--sigma", "3",
+                             "--output", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --output /dev/full: ")
+
+    def test_consecutive_calls_share_no_state(self, capsys, monkeypatch,
+                                              tmp_path):
+        # the parser is built once per process; each call starts from the
+        # defaults, whatever the call before it set
+        assert cli._parser() is cli._parser()
+        seen = []
+        run_search = search.run_search
+
+        def recorded(cfg, progress=None):
+            seen.append(progress)
+            return run_search(cfg, progress=progress)
+
+        monkeypatch.setattr(search, "run_search", recorded)
+        argv = ["search", "--k", "3", "--sigma", "3"]
+        target = tmp_path / "table.txt"
+        assert run(capsys, *argv, "--output", str(target), "--progress",
+                   "--format", "table") == (0, "", "")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert target.read_text().split()[:2] == ["sigma", "k"]
+        assert json.loads(out)["status"] == search.STATUS_FOUND
+        assert [p is None for p in seen] == [False, True]
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "abc"])  # missing --k/--sigma

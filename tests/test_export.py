@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +31,26 @@ class TestJsonRoundTrip:
             back = export.from_json(text)
             assert back == report, type(report).__name__
 
+    def test_every_report_kind_with_only_export_imported(self):
+        # export loads the report classes of search and realize only when
+        # it reads such a report
+        reports = list(_sample_reports())
+        script = """
+import json, sys
+from parikhgrid import export
+print(json.dumps([export.to_json(export.from_json(text))
+                  for text in json.load(sys.stdin)]))
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(export.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=60,
+            input=json.dumps([export.to_json(r) for r in reports]))
+        assert proc.returncode == 0, proc.stderr
+        assert [export.from_json(t) for t in json.loads(proc.stdout)] \
+            == reports
+
     def test_schema_stamp(self):
         for report in _sample_reports():
             assert json.loads(export.to_json(report))["schema"] == 1
@@ -35,6 +58,10 @@ class TestJsonRoundTrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInput):
             export.dict_to_report({"kind": "nonsense"})
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(InvalidInput, match="cannot serialize"):
+            export.report_to_dict(search.SearchStats(1, 0.0, 1))
 
     def test_vectors_as_integer_arrays(self):
         doc = json.loads(export.to_json(covering.verify("abab", 3, 3)))
