@@ -16,18 +16,18 @@ Prune rules (bitmask; see _kernel_py.py for what each one prunes):
   2  uncovered-count
   4  components
 The components rule prunes exactly where the pure kernel's does; only its
-bookkeeping differs.  For covering targets the pure kernel counts the
-components of G[U] from scratch where the bound could fire.  Here the count
-is carried along the word, and each window on a new vector updates it by
-the number of parts its component splits into (split_of).  That count runs
-on bitsets over vector ranks of ceil(n_vec / 64) 64-bit words: U, which
-place and unplace keep, and a mask of each vector's grid neighbours; it
-grows the parts around the window one level at a time, word-parallel.
-For perfect-cover targets the degrees of the vectors in U + {current} are
-bit-sliced counters over the same words, one plane per bit, and a vector's
-neighbours are one mask for each word that holds any of them, so a move
-adds or subtracts a whole word of neighbours at once and the state stays
-O(n_vec * sigma^2).  The dead-end test reads the planes and U word by word.
+bookkeeping differs.  It runs on bitsets over vector ranks of
+ceil(n_vec / 64) 64-bit words: U, which place and unplace keep, and each
+vector's grid neighbours as one mask for each word that holds any, at most
+sigma (sigma - 1), so the state stays O(n_vec * sigma^2).  For covering
+targets the number of components of G[U], which the pure kernel counts
+from scratch where the bound could fire, is carried along the word: a
+window on a new vector updates it by the parts its component splits into
+(split_of), grown one level at a time, word-parallel.  For perfect-cover
+targets the degrees of the vectors in U + {current} are bit-sliced
+counters over the same words, one plane per bit, so a move adds or
+subtracts a whole mask of neighbours at once; the dead-end test reads the
+planes and U word by word.
 The degrees change once per level, not once per letter: any fresh window
 at `pos` leaves U and becomes current, so the set loses exactly the
 previous window, whatever the letter.  dfs makes that move at the first
@@ -40,9 +40,9 @@ moves nothing.  A letter that repeats a window adds it back to the set.
 #include <stdlib.h>
 #include <string.h>
 
-/* split_of is one body for every mask width, which the compiler
-   specialises for masks of one and two words (up to 128 vectors; shortest
-   (sigma=3, k=10) has 66); pruned keeps it out of line, since the
+/* split_of is one body for every bitset width, which the compiler
+   specialises for bitsets of one and two words (up to 128 vectors;
+   shortest (sigma=3, k=10) has 66); pruned keeps it out of line, since the
    perfect-cover searches never call it. */
 #ifdef __GNUC__
 #define ALWAYS_INLINE inline __attribute__((always_inline))
@@ -83,27 +83,29 @@ typedef struct {
     int *used_at;          /* per position: letters used before it */
     int *at;               /* per position: the window that ends there */
 
-    /* The components rule, covering targets (NULL otherwise): per
-       position, the number of components of G[U] after the window that
-       ends there, exact wherever the search goes on.  Bitsets over vector
-       ranks, `words` 64-bit words each: U, and per vector v its grid
-       neighbours, all in words span[2v] .. span[2v+1]-1.  split_of's
-       scratch: a group's next level, 0 between levels, and per group the
-       vectors it reached and then those it reached last. */
-    int *comps, *span;
-    int words;
-    uint64_t *unc, *adj, *next, *groups;
-    /* The components rule, perfect-cover targets (NULL otherwise): U as
-       above, and the degree of each vector, its number of neighbours in
-       U + {current}, as a bit-sliced counter: bit b of the degrees of the
-       vectors in word j is in deg[j * planes + b], and planes bits, one
-       at least, hold sigma (sigma - 1).  The grid neighbours of v are the masks
-       nbr_mask[i] over words nbr_word[i], one for each word that holds
-       any, for i in nbr_first[v] .. nbr_first[v + 1] - 1.  At a level
-       with no letter placed yet, the previous window still counts as
-       current. */
-    uint64_t *deg, *nbr_mask;
+    /* The components rule (NULL otherwise).  Bitsets over vector ranks,
+       `words` 64-bit words each: U, which place and unplace keep.  The grid
+       neighbours of v are the masks nbr_mask[i] over words nbr_word[i],
+       one for each word that holds any, for i in nbr_first[v] ..
+       nbr_first[v + 1] - 1; with one word and sigma >= 2 that is the one
+       mask nbr_mask[v]. */
+    uint64_t *unc, *nbr_mask;
     int *nbr_first, *nbr_word;
+    int words;
+    /* Covering targets: per position, the number of components of G[U]
+       after the window that ends there, exact wherever the search goes
+       on.  split_of's scratch: a group's next level, 0 between levels,
+       and per group the vectors it reached and then those it reached
+       last. */
+    int *comps;
+    uint64_t *next, *groups;
+    /* Perfect-cover targets: the degree of each vector, its number of
+       neighbours in U + {current}, as a bit-sliced counter: bit b of the
+       degrees of the vectors in word j is in deg[j * planes + b], and
+       planes bits, one at least, hold sigma (sigma - 1).  At a level with
+       no letter placed yet, the previous window still counts as
+       current. */
+    uint64_t *deg;
     int planes;
 } State;
 
@@ -211,11 +213,11 @@ static ALWAYS_INLINE void move_group(State *s, int to, int from, int w)
    into once idx is covered: exact when it is at most `limit`, otherwise
    some number above `limit`.  Neighbours v - e_a + e_b of idx that share
    the out-letter a are adjacent, so the uncovered ones start in one group
-   per a.  The groups then grow one level at a time: the masks of a group's
-   front, the vectors it reached last, are ORed into its next level.
-   Groups that reach a common vector are one, and a group that stops
-   growing is a component of its own; that goes on until at most one group
-   grows.  w is s->words. */
+   per a.  The groups then grow one level at a time: the neighbour masks
+   of a group's front, the vectors it reached last, are ORed into its next
+   level.  Groups that reach a common vector are one, and a group that
+   stops growing is a component of its own; that goes on until at most one
+   group grows.  w is s->words. */
 static ALWAYS_INLINE int split_words(State *s, int idx, int limit, int w)
 {
     int sigma = s->sigma, alive = 0, done = 0;
@@ -240,17 +242,26 @@ static ALWAYS_INLINE int split_words(State *s, int idx, int limit, int w)
     while (alive > 1 && done < limit) {
         for (int g = 0; g < alive; g++) {
             uint64_t *reach = group(s, g, w), *front = reach + w;
-            int from = w, to = 0;
+            /* the words of the next level that the front's masks reach;
+               with at most two, scanning both costs less than tracking */
+            int from = w > 2 ? w : 0, to = w > 2 ? 0 : w;
             for (int i = 0; i < w; i++) {
                 for (uint64_t m = front[i]; m != 0; m &= m - 1) {
                     int v = i * 64 + lowest_bit(m);
-                    const uint64_t *near = s->adj + (size_t)v * w;
-                    int first = w == 1 ? 0 : s->span[2 * v];
-                    int last = w == 1 ? 1 : s->span[2 * v + 1];
-                    for (int j = first; j < last; j++)
-                        s->next[j] |= near[j];
-                    from = first < from ? first : from;
-                    to = last > to ? last : to;
+                    if (w == 1) {
+                        /* with sigma >= 2, v's one mask is the v-th */
+                        s->next[0] |= s->nbr_mask[v];
+                        continue;
+                    }
+                    for (int p = s->nbr_first[v]; p < s->nbr_first[v + 1];
+                         p++) {
+                        int j = s->nbr_word[p];
+                        s->next[j] |= s->nbr_mask[p];
+                        if (w > 2) {
+                            from = j < from ? j : from;
+                            to = j + 1 > to ? j + 1 : to;
+                        }
+                    }
                 }
                 front[i] = 0;
             }
@@ -306,34 +317,32 @@ static NOINLINE int split_of(State *s, int idx, int limit)
     return split_words(s, idx, limit, s->words);
 }
 
-/* Perfect covers: lists the grid neighbours of every vector as masks, one
-   for each word that holds any, and returns how many masks there are;
-   while nbr_mask is NULL it only counts them.  slot[j] is the index of the
-   mask of word j, below nbr_first[v] while v has none there. */
-static int list_neighbours(State *s, int n_vec, int *slot)
+/* Lists the grid neighbours of every vector as masks, one for each word
+   that holds any, in nbr_mask and nbr_word, which have room for
+   min(sigma (sigma - 1), words) of them per vector.  slot[j] is the index
+   of the mask of word j, below nbr_first[v] while v has none there. */
+static void list_neighbours(State *s, int n_vec, int *slot)
 {
-    int count = 0;
+    int count = 0, width = s->sigma * s->sigma;
     for (int j = 0; j < s->words; j++)
         slot[j] = -1;
     for (int v = 0; v < n_vec; v++) {
         const int *row = shifts_of(s, v);
-        s->nbr_first[v] = count;
-        for (int j = 0; j < s->sigma * s->sigma; j++) {
+        int first = s->nbr_first[v] = count;
+        for (int j = 0; j < width; j++) {
             int x = row[j], *at;
             if (x < 0 || x == v)
                 continue;
             at = slot + (x >> 6);
-            if (*at < s->nbr_first[v]) {
+            if (*at < first) {
                 *at = count++;
-                if (s->nbr_mask != NULL)
-                    s->nbr_word[*at] = x >> 6;
+                s->nbr_word[*at] = x >> 6;
+                s->nbr_mask[*at] = 0;
             }
-            if (s->nbr_mask != NULL)
-                s->nbr_mask[*at] |= bit(x);
+            s->nbr_mask[*at] |= bit(x);
         }
     }
     s->nbr_first[n_vec] = count;
-    return count;
 }
 
 static void place(State *s, int pos, int c, int idx)
@@ -505,8 +514,9 @@ int pg_fixed_length_search(int k, int sigma, int length, int n_vec,
     State s = {0};
     int status = PG_NO_MEMORY;
     int owned = prefix_len - 1;
-    int perfect = (rules & RULE_COMPONENTS) && pdb_only;
-    int covering = (rules & RULE_COMPONENTS) && !pdb_only;
+    int components = (rules & RULE_COMPONENTS) != 0;
+    int perfect = components && pdb_only;
+    int covering = components && !pdb_only;
     int *ints;
     uint64_t *words;
 
@@ -524,63 +534,50 @@ int pg_fixed_length_search(int k, int sigma, int length, int n_vec,
     s.uncovered = n_vec;
 
     s.word = calloc((size_t)length + 1, 1);
-    if (perfect || covering)
+    if (components)
         s.words = (n_vec + 63) / 64;
     s.planes = 1;
     while ((1 << s.planes) <= sigma * (sigma - 1))
         s.planes++;
+    /* mult, used_at and at, then nbr_first, list_neighbours' slots and
+       comps */
     ints = calloc((size_t)n_vec + 3 * (size_t)length + 1
-                  + (perfect ? (size_t)n_vec + 1 + s.words : 0)
-                  + (covering ? 2 * (size_t)n_vec : 0), sizeof(int));
-    /* U, then the degree planes, or the neighbour masks, the next level
-       and two masks per group */
+                  + (components ? (size_t)n_vec + 1 + s.words : 0),
+                  sizeof(int));
+    /* U, then the degree planes, or the next level and two masks per
+       group */
     words = calloc(perfect ? (1 + (size_t)s.planes) * s.words
-                   : covering ? (n_vec + 2 + 2 * (size_t)sigma) * s.words : 1,
+                   : covering ? (2 + 2 * (size_t)sigma) * s.words : 1,
                    sizeof *words);
     if (s.word == NULL || ints == NULL || words == NULL)
         goto done;
     s.mult = ints;
     s.used_at = s.mult + n_vec;
     s.at = s.used_at + length;
-    if (perfect || covering) {
+    if (components) {
+        /* malloc, not calloc: only the masks written take memory */
+        int most = sigma * (sigma - 1) < s.words ? sigma * (sigma - 1)
+                   : s.words;
+        size_t room = (size_t)n_vec * most + 1;
         s.unc = words;
         for (int v = 0; v < n_vec; v++)
             s.unc[v >> 6] |= bit(v);
-    }
-    if (perfect) {
-        int *slot, pairs;
-        s.deg = s.unc + s.words;
-        s.nbr_first = s.at + length;
-        slot = s.nbr_first + n_vec + 1;
-        pairs = list_neighbours(&s, n_vec, slot);
-        s.nbr_mask = calloc((size_t)pairs + 1,
-                            sizeof *s.nbr_mask + sizeof *s.nbr_word);
+        s.nbr_mask = malloc(room * (sizeof *s.nbr_mask + sizeof *s.nbr_word));
         if (s.nbr_mask == NULL)
             goto done;
-        s.nbr_word = (int *)(s.nbr_mask + pairs);
-        list_neighbours(&s, n_vec, slot);
+        s.nbr_word = (int *)(s.nbr_mask + room);
+        s.nbr_first = s.at + length;
+        list_neighbours(&s, n_vec, s.nbr_first + n_vec + 1);
+    }
+    if (perfect) {
+        s.deg = s.unc + s.words;
         /* U + {current} starts as every vector */
         for (int v = 0; v < n_vec; v++)
             move_degrees(&s, v, 1);
     } else if (covering) {
-        s.comps = s.at + length;
-        s.span = s.comps + length;
-        s.adj = s.unc + s.words;
-        s.next = s.adj + (size_t)n_vec * s.words;
+        s.comps = s.nbr_first + n_vec + 1 + s.words;
+        s.next = s.unc + s.words;
         s.groups = s.next + s.words;
-        for (int v = 0; v < n_vec; v++) {
-            const int *row = shifts_of(&s, v);
-            uint64_t *near = s.adj + (size_t)v * s.words;
-            int *first = s.span + 2 * v, *last = first + 1;
-            *first = s.words;
-            for (int j = 0; j < sigma * sigma; j++)
-                if (row[j] >= 0 && row[j] != v) {
-                    int i = row[j] >> 6;
-                    near[i] |= bit(row[j]);
-                    *first = i < *first ? i : *first;
-                    *last = i + 1 > *last ? i + 1 : *last;
-                }
-        }
     }
 
     /* A prefix position is a node of this search only when every prefix

@@ -3,15 +3,16 @@
 Mirrors the compiled kernel (_kernel.c) exactly: same entry points,
 same exploration order, same node accounting.  Only the components rule's
 bookkeeping differs, and this kernel is the reference the compiled one is
-checked against.  For covering targets the compiled kernel carries the
-component count along the word, on bitsets, where this one counts it from
+checked against.  This one lists each vector's neighbours by rank; the
+compiled kernel keeps them, for both targets, as one mask per 64-bit word
+of vectors that holds any.  For covering targets it carries the component
+count along the word on those masks, where this one counts it from
 scratch.  For perfect-cover targets this one keeps each vector's degree in
 an int, with running counts of the vectors of U of degree at most one and
-of degree zero, and moves the previous window at every level.  The
-compiled kernel keeps the degrees as bit-sliced counters over 64-bit words
-of vectors, reads the dead-end test off them word by word, and moves the
-previous window only at a level where some letter passes the
-duplicate-window check.
+of degree zero, and moves the previous window at every level; the compiled
+kernel keeps bit-sliced counters over the same words, reads the dead-end
+test off them, and moves the previous window only at a level where some
+letter passes the duplicate-window check.
 
 The search enumerates candidate words of one fixed length, depth-first,
 letters in alphabet order, restricted to canonical form (each letter's

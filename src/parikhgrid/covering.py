@@ -15,7 +15,7 @@ sigma >= 3, a k-covering word whose (k-1)-window vectors omit
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import cycle, islice
+from itertools import cycle, groupby, islice
 from math import comb
 
 from . import vectors as V
@@ -121,11 +121,16 @@ def _verifiable(k, sigma):
 
 
 def covset(word, sigma):
-    """All k for which the word is k-covering."""
+    """All k for which the word is k-covering.  Such a word holds the
+    window k * e_x, a run of k x's, for every letter x, so k is at most the
+    shortest of the letters' longest runs."""
     alphabet = V.as_alphabet(sigma)
     letters = alphabet.word_to_indices(word)
+    longest = [0] * alphabet.size
+    for x, run in groupby(letters):
+        longest[x] = max(longest[x], sum(1 for _ in run))
     out = set()
-    for k in range(1, len(letters) + 1):
+    for k in range(1, min(longest) + 1):
         total = comb(k + alphabet.size - 1, alphabet.size - 1)
         if (len(letters) - k + 1 >= total and len(set(
                 V.window_vectors(letters, k, alphabet.size))) == total):

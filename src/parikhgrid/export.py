@@ -7,9 +7,7 @@ Every report kind round-trips: dict_to_report(report_to_dict(x)) == x.
 import json
 import sys
 
-from .covering import BoundsReport, CoverReport, KnownVerdict, MincovReport
 from .errors import CapacityExceeded, InvalidInput
-from .grid import layout_2d
 
 SCHEMA = 1
 
@@ -32,7 +30,7 @@ def _is(obj, module, name):
 
 def report_to_dict(obj):
     """Serialize any report dataclass to a schema-stamped dict."""
-    if isinstance(obj, CoverReport):
+    if _is(obj, "covering", "CoverReport"):
         return {
             "schema": SCHEMA, "kind": "cover_report",
             "k": obj.k, "sigma": obj.sigma, "word": obj.word,
@@ -42,7 +40,7 @@ def report_to_dict(obj):
             "duplicated": [{"vector": _vec(p), "multiplicity": m}
                            for p, m in obj.duplicated],
         }
-    if isinstance(obj, BoundsReport):
+    if _is(obj, "covering", "BoundsReport"):
         return {
             "schema": SCHEMA, "kind": "bounds_report",
             "k": obj.k, "sigma": obj.sigma,
@@ -72,7 +70,7 @@ def report_to_dict(obj):
                            {"component_a": _vecs(obj.refutation[0]),
                             "component_b": _vecs(obj.refutation[1])}),
         }
-    if isinstance(obj, MincovReport):
+    if _is(obj, "covering", "MincovReport"):
         return {
             "schema": SCHEMA, "kind": "mincov_report",
             "k": obj.k, "sigma": obj.sigma, "max_len": obj.max_len,
@@ -89,6 +87,8 @@ def dict_to_report(d):
     """Inverse of report_to_dict."""
     kind = d.get("kind")
     if kind == "cover_report":
+        from .covering import CoverReport
+
         return CoverReport(
             k=d["k"], sigma=d["sigma"], word=d["word"],
             is_covering=d["is_covering"], is_pdb=d["is_pdb"],
@@ -98,6 +98,8 @@ def dict_to_report(d):
                              for e in d["duplicated"]),
         )
     if kind == "bounds_report":
+        from .covering import BoundsReport, KnownVerdict
+
         return BoundsReport(
             k=d["k"], sigma=d["sigma"], pdb_length=d["pdb_length"],
             counting_bound=d["counting_bound"],
@@ -131,6 +133,8 @@ def dict_to_report(d):
         )
     if kind == "mincov_report":
         from fractions import Fraction
+
+        from .covering import MincovReport
 
         return MincovReport(
             k=d["k"], sigma=d["sigma"], max_len=d["max_len"],
@@ -176,6 +180,8 @@ def _check_export_size(grid, include_directed=False):
 
 def grid_to_dict(grid, include_directed=False):
     _check_export_size(grid, include_directed)
+    from .grid import layout_2d
+
     pos = layout_2d(grid) if grid.sigma == 3 else None
     letters = [grid.alphabet.letter(c) for c in range(grid.sigma)]
     edges, bows, arcs = [], [], []
@@ -210,6 +216,7 @@ def grid_to_dot(grid):
     """Undirected DOT rendering: vector-labeled nodes (positioned for
     sigma=3), each neighbor edge once, bows as letter-labeled self-loops."""
     _check_export_size(grid)
+    from .grid import layout_2d
     from .vectors import format_vector
 
     pos = layout_2d(grid) if grid.sigma == 3 else None

@@ -63,12 +63,12 @@ ALL_RULES = frozenset(RULE_NAMES)
 
 # Bound on the kernel's state for one search length: the n_vec * sigma^2
 # shifts of its table, plus one for each letter of the word, of which the
-# kernel keeps a few ints.  A word has at least k letters.  A covering search
-# under the components rule adds its neighbour masks, n_vec * ceil(n_vec / 64)
-# 64-bit words of two ints each.  A perfect-cover search keeps one mask for
-# each word that holds a vector's neighbours, at most sigma (sigma - 1) per
-# vector, which grow like the shifts.  Checked before anything is
-# allocated; it keeps sigma <= 158, so a letter fits in a byte.
+# kernel keeps a few ints.  A word has at least k letters.  Under the
+# components rule the kernel also keeps, for each vector, one mask for each
+# 64-bit word of vectors that holds any of its neighbours, at most
+# sigma (sigma - 1), which grow like the shifts and are not counted apart.
+# Checked before anything is allocated; it keeps sigma <= 158, so a letter
+# fits in a byte.
 MAX_TABLE_ENTRIES = 4_000_000
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -122,20 +122,21 @@ def _rules_mask(rules):
     return mask
 
 
-def _longest_word(k, sigma, masks=False):
-    """The most letters a search word over the (k, sigma) tables, and with
-    ``masks`` the neighbour masks too, may have within MAX_TABLE_ENTRIES."""
-    n_vec = V.ensure_capacity(k, sigma)
-    entries = n_vec * sigma * sigma
-    if masks:
-        entries += 2 * n_vec * -(-n_vec // 64)
-    return MAX_TABLE_ENTRIES - entries
-
-
-def _builds_masks(cfg, pdb_only):
-    """Whether the kernel builds neighbour masks for this search: covering
-    targets under the components rule."""
-    return not pdb_only and "components" in cfg.rules
+def _longest_word(k, sigma):
+    """The most letters a search word over the (k, sigma) tables may have
+    within MAX_TABLE_ENTRIES.  The capacity gate of every search: it
+    refuses, before any table is built, a k or sigma below 1 and tables
+    that leave no room for a word of k letters."""
+    if k < 1 or sigma < 1:
+        raise InvalidInput("searches need k >= 1 and sigma >= 1, got k=%r "
+                           "sigma=%r" % (k, sigma))
+    longest = MAX_TABLE_ENTRIES - V.ensure_capacity(k, sigma) * sigma * sigma
+    if longest < k:
+        raise CapacityExceeded(
+            "search tables for k=%d sigma=%d and a word of k letters exceed "
+            "the MAX_TABLE_ENTRIES bound of %d ints"
+            % (k, sigma, MAX_TABLE_ENTRIES))
+    return longest
 
 
 def _build_tables(k, sigma):
@@ -143,11 +144,7 @@ def _build_tables(k, sigma):
     shift[(idx*sigma + out)*sigma + c] is the rank of p - e_out + e_c for p
     of rank idx (-1 when p[out] is 0).  shift is an array of C ints, which
     the compiled kernel reads in place."""
-    if _longest_word(k, sigma) < k:
-        raise CapacityExceeded(
-            "search tables for k=%d sigma=%d and a word of k letters exceed "
-            "the MAX_TABLE_ENTRIES bound of %d ints"
-            % (k, sigma, MAX_TABLE_ENTRIES))
+    _longest_word(k, sigma)   # refuses tables over the bound
     vectors, up = up_ranks(k, sigma)
     # extending an array by an array copies the ints as they are
     rows = {q: array.array("i", ranks) for q, ranks in up.items()}
@@ -160,20 +157,13 @@ def _build_tables(k, sigma):
     return (len(vectors), shift)
 
 
-def _prepare(cfg, lengths, pdb_only):
+def _prepare(cfg, lengths):
     """Checks the budget and the longest of ``lengths``, a range or list,
     against the kernel's state, and builds the tables, once per search
     call."""
     if cfg.node_budget is not None and cfg.node_budget < 0:
         raise InvalidInput("node_budget must be >= 0 (0: no cap)")
-    masks = _builds_masks(cfg, pdb_only)
-    longest = _longest_word(cfg.k, cfg.sigma, masks)
-    if longest < cfg.k:
-        raise CapacityExceeded(
-            "search tables%s for k=%d sigma=%d and a word of k letters "
-            "exceed the MAX_TABLE_ENTRIES bound of %d ints"
-            % (" and neighbour masks" if masks else "", cfg.k, cfg.sigma,
-               MAX_TABLE_ENTRIES))
+    longest = _longest_word(cfg.k, cfg.sigma)
     if lengths and lengths[-1] > longest:
         raise CapacityExceeded(
             "a search word of %d letters for k=%d sigma=%d exceeds the "
@@ -368,7 +358,7 @@ def _search(cfg, target, lengths, pdb_only, minimal, refuted_up_to=None,
     tables build and one node budget for all of them; ``refuted_up_to`` is
     what is refuted before the first of them."""
     start = time.perf_counter()
-    tables = _prepare(cfg, lengths, pdb_only) if lengths else None
+    tables = _prepare(cfg, lengths) if lengths else None
     complete, sols, nodes, max_depth = True, [], 0, 0
     with _Pool(cfg.worker_count, tables) as pool:
         for length in lengths:
@@ -399,8 +389,7 @@ def search_shortest_covering(cfg, progress=None):
     if top is None:
         # every length the kernel's state allows; _prepare refuses a lower
         # bound beyond them
-        top = max(lower, _longest_word(cfg.k, cfg.sigma,
-                                       _builds_masks(cfg, False)))
+        top = max(lower, _longest_word(cfg.k, cfg.sigma))
     return _search(cfg, TARGET_SHORTEST, range(lower, top + 1), False, True,
                    min(lower - 1, top), progress)
 
@@ -429,7 +418,7 @@ def iter_covering_words(k, sigma, max_len, node_budget=None):
     cfg = SearchConfig(k=k, sigma=sigma, node_budget=node_budget)
     lengths = range(covering.bounds(k, sigma).shortest_lower_bound,
                     max_len + 1)
-    tables = _prepare(cfg, lengths, False)
+    tables = _prepare(cfg, lengths)
     nodes = 0
     for length in lengths:
         complete, sols, n, _d = _search_length(
@@ -477,7 +466,7 @@ def enumerate_all_pdb(k, sigma, cfg=None, force=False):
     cfg = replace(cfg or SearchConfig(k=k, sigma=sigma), k=k, sigma=sigma,
                   target=TARGET_PDB)
     length = covering.perfect_length(k, sigma)
-    tables = _prepare(cfg, [length], True)
+    tables = _prepare(cfg, [length])
     with _Pool(cfg.worker_count, tables) as pool:
         complete, sols, _n, _d = _search_length(
             cfg, tables, length, True, 0, _budget_left(cfg, 0), pool)

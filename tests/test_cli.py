@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from parikhgrid import cli, covering, export, kernel, search
+from parikhgrid.errors import InvalidInput
 
 from helpers import check_dot
 
@@ -170,6 +171,17 @@ class TestSearchCommand:
                            "--target", "pdb")
         assert code == 2 and "sigma >= 1" in err
 
+    def test_search_below_order_one_exit_two(self, capsys):
+        # refused with the k given, not the k - 1 of the tables' up ranks
+        for argv in (("enumerate-pdb", "--k", "0", "--sigma", "2"),
+                     ("search", "--k", "0", "--sigma", "2", "--target",
+                      "length", "--length", "3")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "need k >= 1 and sigma >= 1, got k=0 " in err
+        with pytest.raises(InvalidInput, match="need k >= 1 and sigma >= 1"):
+            search.enumerate_all_pdb(0, 2)
+
     def test_vector_count_too_long_to_print_exit_two(self, capsys):
         # C(10^20 + 299, 299) has more digits than str() converts
         code, _, err = run(capsys, "verify", "a", "--k", "9" * 20,
@@ -225,22 +237,32 @@ class TestSearchCommand:
         assert code == 2 and "MAX_TABLE_ENTRIES" in err
         assert time.monotonic() - start < 1
 
-    def test_masks_over_the_bound_exit_two_at_once(self, capsys):
-        # the shifts of 50,388 vectors fit, but not with the 318 MB of
-        # neighbour masks that a covering search under the components rule
-        # adds
+    def test_covering_search_runs_where_its_shifts_fit(self, capsys):
+        # a covering search keeps its neighbour masks as a perfect cover
+        # does: the shifts of 77,520 vectors exceed the bound for either
+        # target, and those of 50,388 vectors fit for both
         start = time.monotonic()
-        code, out, err = run(capsys, "search", "--k", "12", "--sigma", "8")
-        assert (code, out) == (2, "") and "neighbour masks" in err
+        code, out, err = run(capsys, "search", "--k", "13", "--sigma", "8")
+        assert (code, out) == (2, "") and "MAX_TABLE_ENTRIES" in err
         assert time.monotonic() - start < 1
-        # a perfect-cover search builds none, and the masks of 6,435
-        # vectors fit
         for argv in (("--k", "12", "--sigma", "8", "--target", "pdb"),
                      ("--k", "8", "--sigma", "8")):
             code, out, _ = run(capsys, "search", *argv, "--node-budget",
                                "1000")
             assert code == 1
             assert json.loads(out)["status"] == "budget_exhausted"
+
+    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
+                        reason="the pure kernel counts the components of "
+                               "50,388 vectors from scratch: about 90 s")
+    def test_covering_search_over_50388_vectors_runs(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run(capsys, "search", "--k", "12", "--sigma", "8",
+                           "--node-budget", "1000")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "budget_exhausted"
+        assert doc["stats"]["nodes"] == 1001
+        assert time.monotonic() - start < 5
 
     @pytest.mark.parametrize("option", [
         ("--target", "length", "--length", "3000000000"),

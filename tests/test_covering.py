@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -12,6 +13,7 @@ from helpers import (
     LETTERS,
     REFERENCE_COVER_ROWS,
     W54,
+    naive_parikh_set,
     naive_window_multiplicities,
 )
 
@@ -94,6 +96,27 @@ class TestCovset:
             ks = C.covset(word, sigma)
             for k in range(1, n + 1):
                 assert (k in ks) == C.verify(word, k, sigma).is_covering
+
+    def test_matches_brute_force_on_random_words(self):
+        for _ in range(500):
+            sigma = rng.randint(1, 4)
+            n = rng.randint(0, 40)
+            word = "".join(rng.choice(LETTERS[:sigma]) for _ in range(n))
+            assert C.covset(word, sigma) == {
+                k for k in range(1, n + 1)
+                if len(naive_parikh_set(word, k, sigma))
+                == comb(k + sigma - 1, k)}
+
+    def test_long_binary_word_in_seconds(self):
+        # k is bounded by the letters' longest runs, here 18 a's and 12 b's,
+        # not by the 20,000 letters
+        draw = random.Random(7)
+        word = "".join(draw.choice("ab") for _ in range(20_000))
+        start = time.monotonic()
+        ks = C.covset(word, 2)
+        assert time.monotonic() - start < 2
+        assert ks == {k for k in range(1, 41)
+                      if C.verify(word, k, 2).is_covering}
 
 
 class TestBounds:

@@ -54,13 +54,15 @@ CASES = [
     (3, 4, 22, False, 15, (), 0),
     (2, 5, 16, False, 15, (), 0),
     (3, 5, 37, False, 15, (0, 0, 0, 1, 1, 1, 2, 2, 2, 0, 0, 3), 1),
+    (3, 1, 3, False, 15, (), 0),     # one vector, with no neighbour
 ]
 
 
 # Covering targets past one 64-bit word of vectors, where the compiled
-# kernel's masks take two or three words: sigma=2 at its lower bound 2k for
-# 64, 65, 128 and 129 vectors, and two instances over more letters under a
-# node budget (the pure kernel takes about 0.2 s per 10^4 nodes there).
+# kernel's bitsets take two words or more and a vector's neighbours may
+# span several masks: sigma=2 at its lower bound 2k for 64, 65, 128 and
+# 129 vectors, and instances over more letters under a node budget (the
+# pure kernel takes about 0.2 s per 10^4 nodes there).
 WIDE_CASES = [
     # k, sigma, length, pdb_only, rules, prefix, collect_limit, node_budget
     (63, 2, 126, False, 15, (), 1, 10**8),
@@ -69,6 +71,8 @@ WIDE_CASES = [
     (128, 2, 256, False, 15, (), 1, 10**8),
     (10, 3, 75, False, 15, (), 1, 5 * 10**4),   # 66 vectors
     (4, 5, 73, False, 15, (), 1, 5 * 10**4),    # 70 vectors
+    (6, 5, 215, False, 15, (), 1, 2 * 10**4),   # 210 vectors, 4 words
+    (4, 6, 129, False, 15, (), 1, 5 * 10**4),   # 126 vectors, 2 words
 ]
 
 

@@ -104,3 +104,17 @@ class TestImportFootprint:
         assert "parikhgrid.covering" in loaded
         assert not loaded & {"parikhgrid.kernel", "parikhgrid.search",
                              "ctypes"}
+
+    def test_walk_loads_no_covering(self):
+        loaded = _loaded_by(_cli("walk", "aabacabb", "--k", "4"))
+        assert "parikhgrid.walks" in loaded
+        assert "parikhgrid.covering" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "abbbcccaaabc", "--k", "3", "--sigma", "3"),
+        ("bounds", "--k", "3", "--sigma", "3"),
+    ])
+    def test_covering_commands_load_no_grid(self, argv):
+        loaded = _loaded_by(_cli(*argv))
+        assert "parikhgrid.covering" in loaded
+        assert "parikhgrid.grid" not in loaded

@@ -258,26 +258,21 @@ class TestTables:
             S._build_tables(S.MAX_TABLE_ENTRIES, 1)
 
     @pytest.mark.parametrize("search", [
-        lambda: S.search_shortest_covering(S.SearchConfig(k=12, sigma=8)),
+        lambda: S.search_shortest_covering(S.SearchConfig(k=13, sigma=8)),
         lambda: S.run_search(S.SearchConfig(
-            k=12, sigma=8, target=S.TARGET_AT_LENGTH, target_length=50_399)),
-        lambda: list(S.iter_covering_words(12, 8, 50_399)),
+            k=13, sigma=8, target=S.TARGET_AT_LENGTH, target_length=80_000)),
+        lambda: list(S.iter_covering_words(13, 8, 80_000)),
     ])
-    def test_masks_are_checked_before_the_tables_are_built(self, monkeypatch,
-                                                           search):
-        # a covering search under the components rule adds 50,388 masks of
-        # 788 words to the 3,224,832 shifts of (k=12, sigma=8); a
-        # perfect-cover search, or one without the rule, builds none
-        assert S._longest_word(12, 8, masks=True) == (
-            S.MAX_TABLE_ENTRIES - 3_224_832 - 2 * 50_388 * 788)
+    def test_covering_searches_count_only_the_shifts(self, monkeypatch,
+                                                     search):
+        # the kernel keeps a covering search's neighbour masks as it keeps a
+        # perfect cover's, so the 3,224,832 shifts of (k=12, sigma=8) leave
+        # the same room for either target, and those of (k=13, sigma=8) none
+        assert S._longest_word(12, 8) == S.MAX_TABLE_ENTRIES - 3_224_832
         assert S._longest_word(12, 8) >= C.perfect_length(12, 8)
-        assert not S._builds_masks(S.SearchConfig(k=12, sigma=8), True)
-        assert not S._builds_masks(S.SearchConfig(
-            k=12, sigma=8, rules=S.ALL_RULES - {"components"}), False)
-        assert S._longest_word(8, 8, masks=True) == (
-            S.MAX_TABLE_ENTRIES - 6_435 * 64 - 2 * 6_435 * 101)
+        assert S._longest_word(8, 8) == S.MAX_TABLE_ENTRIES - 6_435 * 64
         monkeypatch.setattr(V, "enumerate_pv", None)
-        with pytest.raises(CapacityExceeded, match="neighbour masks"):
+        with pytest.raises(CapacityExceeded, match="MAX_TABLE_ENTRIES"):
             search()
 
     @pytest.mark.parametrize("cfg", [
