@@ -5,11 +5,13 @@ accounting.  Keep the two in sync; the parity test compares full traces
 (solutions, completeness, node counts and depths) on shared instances.
 
 Plain C99 with no Python headers, so the shared library does not depend on
-the interpreter's version.  The tables are the ones search._build_tables
-makes, passed in as int arrays; the kernel reads them and never frees them.
-Each placed letter moves the window along one labeled edge of the grid,
-read from the shift table.  Solutions and progress go back through
-callbacks; a callback that returns nonzero stops the search at once.
+the interpreter's version.  pg_build_shift fills the shift table, an int
+array that Python owns, with the labeled grid by rank in two counting
+passes (_kernel_py.build_tables is its twin); the searches read it and
+never free it.  Each placed letter moves the window along one labeled edge
+of the grid, read from the shift table.  Solutions and progress go back
+through callbacks; a callback that returns nonzero stops the search at
+once.
 
 Prune rules (bitmask; see _kernel_py.py for what each one prunes):
   1  duplicate-window
@@ -647,4 +649,66 @@ int pg_find_covering_naive(int k, int sigma, int length, int n_vec,
     hit = naive(&t, 0, n_vec);
     free(t.mult);
     return hit;
+}
+
+/* Steps p to the next order-k vector in colex order, the last coordinate
+   varying slowest: with i the first non-zero coordinate, one unit moves up
+   to i + 1 and the rest of p[i] drops back to coordinate 0.  The last
+   vector, k*e_{sigma-1}, stays as it is. */
+static void next_vector(int *p, int sigma)
+{
+    int i = 0, t;
+    while (i < sigma - 1 && p[i] == 0)
+        i++;
+    if (i == sigma - 1)
+        return;
+    t = p[i];
+    p[i] = 0;
+    p[i + 1]++;
+    p[0] = t - 1;
+}
+
+/* Fills shift, n_vec * sigma^2 ints, with the shift table of the n_vec
+   order-k vectors over sigma letters: entry (i*sigma + out)*sigma + c is
+   the rank of p_i - e_out + e_c, -1 when p_i[out] is 0.  Adding e_c keeps
+   colex order, so as p runs over the order-k vectors in rank order, those
+   with p[c] > 0 arrive in the rank order of p - e_c, and one running count
+   per letter is that rank.  The first pass records, for every order-(k-1)
+   vector q, its up row: the ranks of q + e_0 .. q + e_{sigma-1}.  The
+   second copies into row (i, out) the up row of p_i - e_out.  n_vec is
+   C(k+sigma-1, sigma-1), which the caller checks; a count is below it,
+   so the up rows fit in n_vec * sigma ints.  Returns 0, or PG_NO_MEMORY. */
+int pg_build_shift(int k, int sigma, int n_vec, int *shift)
+{
+    /* the up rows, then p and the running counts */
+    int *up = malloc(((size_t)n_vec + 2) * (size_t)sigma * sizeof *up);
+    int *p, *count;
+    if (up == NULL)
+        return PG_NO_MEMORY;
+    p = up + (size_t)n_vec * sigma;
+    count = p + sigma;
+    for (int pass = 0; pass < 2; pass++) {
+        memset(p, 0, 2 * (size_t)sigma * sizeof *p);
+        p[0] = k;
+        for (int i = 0; i < n_vec; i++) {
+            for (int c = 0; c < sigma; c++) {
+                int *row = shift + ((size_t)i * sigma + c) * sigma;
+                size_t r;
+                if (p[c] == 0) {
+                    if (pass == 1)
+                        for (int x = 0; x < sigma; x++)
+                            row[x] = -1;
+                    continue;
+                }
+                r = (size_t)count[c]++;
+                if (pass == 0)
+                    up[r * sigma + c] = i;
+                else
+                    memcpy(row, up + r * sigma, (size_t)sigma * sizeof *row);
+            }
+            next_vector(p, sigma);
+        }
+    }
+    free(up);
+    return 0;
 }

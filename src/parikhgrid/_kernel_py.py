@@ -1,9 +1,9 @@
 """Pure-Python search kernel.
 
-Mirrors the compiled kernel (_kernel.c) exactly: same entry points,
-same exploration order, same node accounting.  Only the components rule's
-bookkeeping differs, and this kernel is the reference the compiled one is
-checked against.  This one lists each vector's neighbours by rank; the
+Mirrors the compiled kernel (_kernel.c) exactly: same entry points, same
+tables, same exploration order, same node accounting.  Only the components
+rule's bookkeeping differs, and this kernel is the reference the compiled
+one is checked against.  This one lists each vector's neighbours by rank; the
 compiled kernel keeps them, for both targets, as one mask per 64-bit word
 of vectors that holds any.  For covering targets it carries the component
 count along the word on those masks, where this one counts it from
@@ -51,11 +51,33 @@ ALL_RULES = 7
 KERNEL_NAME = "pure-python"
 
 
+def build_tables(k, sigma):
+    """The kernels' tables, (n_vec, shift): shift is an array of C ints,
+    and shift[(idx*sigma + out)*sigma + c] is the rank of p - e_out + e_c
+    for p of rank idx (-1 when p[out] is 0).  Row (idx, out) is the up row
+    of p - e_out in vectors.rank_map."""
+    # imported here: loading a kernel, as every CLI start does, loads
+    # neither vectors, nor dataclasses, nor array
+    from array import array
+
+    from . import vectors as V
+
+    down, up = V.rank_map(k, sigma)
+    rows = [up[r:r + sigma] for r in range(0, len(up), sigma)]
+    # the row of a missing letter, read at down rank -1
+    rows.append(array("i", [-1]) * sigma)
+    shift = array("i")
+    for r in down:
+        # extending an array by an array copies the ints as they are
+        shift.extend(rows[r])
+    return len(down) // sigma, shift
+
+
 def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
                         collect_limit, node_budget, progress=None):
     """Explore canonical words of exactly ``length`` letters.
 
-    tables: (n_vectors, shift) as built by search._build_tables.
+    tables: (n_vectors, shift) as built by build_tables.
     collect_limit <= 0 collects every solution.  Returns (complete,
     solutions, nodes, max_depth) where solutions is a list of bytes (letter
     indices) in discovery order and complete is False only when the node

@@ -123,12 +123,17 @@ def _verifiable(k, sigma):
 def covset(word, sigma):
     """All k for which the word is k-covering.  Such a word holds the
     window k * e_x, a run of k x's, for every letter x, so k is at most the
-    shortest of the letters' longest runs."""
+    shortest of the letters' longest runs.  Over one letter that is
+    enough, and over two as well: consecutive windows differ by at most one
+    b, so between a window of k a's and one of k b's the word passes every
+    vector."""
     alphabet = V.as_alphabet(sigma)
     letters = alphabet.word_to_indices(word)
     longest = [0] * alphabet.size
     for x, run in groupby(letters):
         longest[x] = max(longest[x], sum(1 for _ in run))
+    if alphabet.size <= 2:
+        return frozenset(range(1, min(longest) + 1))
     out = set()
     for k in range(1, min(longest) + 1):
         total = comb(k + alphabet.size - 1, alphabet.size - 1)
@@ -138,12 +143,30 @@ def covset(word, sigma):
     return frozenset(out)
 
 
+# Perfect covering words that certify a verdict no rule below gives, by
+# (k, sigma); verify() confirms each.
+PERFECT_COVERS = {
+    (4, 4): "aabbbbcaacadbddbccacddddaaaabdbbccccdd",
+    (5, 4): "aaaaabbbbbcaaaadbbbcccccdddddaaaccdbcbaccaccddbddbadacddbbbb",
+    (4, 5): "aaaabbbbcaaadbbbeaaccbbddaaeaebcccadbeeeadddcccceeeedddd"
+            "bebecbdcdeceacdad",
+}
+
+
 def _known_verdict(k, sigma):
-    # Only verdicts with a supporting construction or impossibility argument
-    # are encoded; everything else stays unknown.  The sigma=2 rule comes
-    # first: the k=2 parity rule below is stated for sigma >= 3.
+    # Only verdicts with a supporting construction, certificate or
+    # impossibility argument are encoded; everything else stays unknown.
+    # The sigma=2 rule comes first: the k=2 parity rule below is stated for
+    # sigma >= 3.
     if sigma == 2:
         return KnownVerdict(VERDICT_EXISTS, "block word a^k b^k")
+    if k == 1:
+        return KnownVerdict(VERDICT_EXISTS, "the alphabet once")
+    if sigma == 1 and k >= 4:
+        return KnownVerdict(VERDICT_EXISTS, "the word a^k")
+    if (k, sigma) in PERFECT_COVERS:
+        return KnownVerdict(VERDICT_EXISTS, "perfect covering word %s"
+                            % PERFECT_COVERS[k, sigma])
     if k == 2:
         if sigma % 2 == 1:
             return KnownVerdict(VERDICT_EXISTS,

@@ -9,7 +9,8 @@ do not change the vector.
 Adjacency is computed arithmetically from the vector, so grids stay cheap
 even when the vertex count is large.  Explicit edge lists come from one
 generator of labeled arcs by rank, :meth:`PdbGrid.arcs`, read off the same
-map (:func:`up_ranks`) as the search kernel's shift table.
+rank map (:func:`vectors.rank_map`) as the pure search kernel's shift
+table.
 """
 
 import math
@@ -28,18 +29,6 @@ SINGLETON = "singleton"
 # Vertex enumeration is materialized by exports and by several operations,
 # so grids are capped well below the 64-bit vector-count bound.
 MAX_GRID_VERTICES = 5_000_000
-
-
-def up_ranks(k, sigma):
-    """The labeled grid by rank: the order-k vectors in rank order, and a
-    map from every order-(k-1) vector q to the ranks of q + e_0, ...,
-    q + e_{sigma-1}.  The arc that takes letter ``out`` from p and brings
-    letter ``in`` ends at ``up[p - e_out][in]``."""
-    vectors = V.enumerate_pv(k, sigma)
-    index = {p: i for i, p in enumerate(vectors)}
-    up = {q: [index[q[:c] + (q[c] + 1,) + q[c + 1:]] for c in range(sigma)]
-          for q in V.enumerate_pv(k - 1, sigma)}
-    return vectors, up
 
 
 @dataclass(frozen=True)
@@ -136,13 +125,13 @@ class PdbGrid:
         """Every labeled arc, bows included, as rank and letter indices
         (i, j, out, in): the vertex of rank j is p - e_out + e_in for p of
         rank i, and bows are the arcs with out == in."""
-        vectors, up = up_ranks(self.k, self.sigma)
-        for i, p in enumerate(vectors):
-            for out, count in enumerate(p):
-                if count:
-                    row = up[p[:out] + (count - 1,) + p[out + 1:]]
-                    for into, j in enumerate(row):
-                        yield i, j, out, into
+        sigma = self.sigma
+        down, up = V.rank_map(self.k, sigma)
+        for slot, r in enumerate(down):
+            if r >= 0:
+                i, out = divmod(slot, sigma)
+                for into, j in enumerate(up[r * sigma:(r + 1) * sigma]):
+                    yield i, j, out, into
 
     def undirected_edges(self):
         """Each neighbor pair once, as (p, q) with rank(p) < rank(q)."""

@@ -1,16 +1,20 @@
-"""Selects the search kernel at import time.
+"""Selects the search kernel, and the builder of its tables, at import
+time.
 
 The compiled kernel is the plain C file ``_kernel.c`` next to this module,
-loaded through ctypes.  On import it is compiled with ``cc -O2 -shared
--fPIC`` into ``$XDG_CACHE_HOME/parikhgrid`` (``~/.cache/parikhgrid`` when
-that is unset) under a name keyed by a checksum of the source, the flags
-and the machine, so an edited source is rebuilt and an unchanged one is
-built once.  The cache keeps the KEEP_BUILDS builds loaded most recently,
+loaded through ctypes; it also builds the kernels' tables
+(``build_tables``), in two counting passes over the vectors in rank order.
+On import it is compiled with ``cc -O2 -shared -fPIC`` into
+``$XDG_CACHE_HOME/parikhgrid`` (``~/.cache/parikhgrid`` when that is
+unset) under a name keyed by a checksum of the source, the flags and the
+machine, so an edited source is rebuilt and an unchanged one is built
+once.  The cache keeps the KEEP_BUILDS builds loaded most recently,
 so checkouts of a few sources that share it do not rebuild.  When
 there is no compiler, the build fails or the cache cannot be written, the
-pure-Python twin (``_kernel_py``) is used instead and ``FALLBACK_REASON``
-says why.  PARIKHGRID_PURE_KERNEL=1 forces the pure-Python kernel (useful
-for benchmarking and for debugging kernel parity).
+pure-Python twin (``_kernel_py``) is used instead, for the search and for
+the tables, and ``FALLBACK_REASON`` says why.  PARIKHGRID_PURE_KERNEL=1
+forces the pure-Python kernel (useful for benchmarking and for debugging
+kernel parity).
 """
 
 import ctypes
@@ -129,6 +133,9 @@ def _load(path):
         ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
         _INTS, ctypes.c_char_p)
     lib.pg_find_covering_naive.restype = ctypes.c_int
+    lib.pg_build_shift.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.c_int,
+                                   _INTS)
+    lib.pg_build_shift.restype = ctypes.c_int
     return lib
 
 
@@ -144,6 +151,18 @@ def _shifts(k, sigma, tables):
         raise ValueError("kernel tables do not match k=%d sigma=%d"
                          % (k, sigma))
     return (ctypes.c_int * len(shift)).from_buffer(shift)
+
+
+def _compiled_tables(k, sigma):
+    """See _kernel_py.build_tables; identical tables."""
+    import array   # imported here, as in _kernel_py.build_tables
+
+    n_vec = math.comb(k + sigma - 1, sigma - 1)
+    tables = (n_vec, array.array("i", [0]) * (n_vec * sigma * sigma))
+    if _lib.pg_build_shift(k, sigma, n_vec,
+                           _shifts(k, sigma, tables)) == _NO_MEMORY:
+        raise MemoryError("table builder could not allocate its state")
+    return tables
 
 
 def _compiled_search(k, sigma, length, tables, pdb_only, rules, prefix,
@@ -212,10 +231,12 @@ else:
         FALLBACK_REASON = "compiled kernel unavailable: %s" % exc
 
 if _lib is None:
+    build_tables = _kernel_py.build_tables
     fixed_length_search = _kernel_py.fixed_length_search
     find_covering_naive = _kernel_py.find_covering_naive
     KERNEL_NAME = _kernel_py.KERNEL_NAME
 else:
+    build_tables = _compiled_tables
     fixed_length_search = _compiled_search
     find_covering_naive = _compiled_naive
     KERNEL_NAME = "compiled"

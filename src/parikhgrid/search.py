@@ -35,7 +35,6 @@ holds nothing but its current task, so ending it loses nothing, and the
 call does not wait for tasks past its answer.
 """
 
-import array
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -44,7 +43,6 @@ from functools import partial
 from . import covering, kernel
 from . import vectors as V
 from .errors import CapacityExceeded, InvalidInput
-from .grid import up_ranks
 
 TARGET_SHORTEST = "shortest_covering"
 TARGET_PDB = "pdb_only"
@@ -145,16 +143,7 @@ def _build_tables(k, sigma):
     of rank idx (-1 when p[out] is 0).  shift is an array of C ints, which
     the compiled kernel reads in place."""
     _longest_word(k, sigma)   # refuses tables over the bound
-    vectors, up = up_ranks(k, sigma)
-    # extending an array by an array copies the ints as they are
-    rows = {q: array.array("i", ranks) for q, ranks in up.items()}
-    none = array.array("i", [-1] * sigma)
-    shift = array.array("i")
-    for p in vectors:
-        for out in range(sigma):
-            shift.extend(rows[p[:out] + (p[out] - 1,) + p[out + 1:]] if p[out]
-                         else none)
-    return (len(vectors), shift)
+    return kernel.build_tables(k, sigma)
 
 
 def _prepare(cfg, lengths):

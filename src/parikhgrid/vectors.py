@@ -8,14 +8,16 @@ canonical order, the neighbor/parent/child relations induced by sliding a
 window one position, componentwise meet and join, and the set of window
 vectors of a string.
 
-Two functions here are the package's only reading of a window shift, in
+Three functions here are the package's only reading of a window shift, in
 which one letter leaves the window and one enters: :func:`window_vectors`
-slides a window along a word, and :func:`step` recovers the two letters
-from a pair of vectors.
+slides a window along a word, :func:`step` recovers the two letters from a
+pair of vectors, and :func:`rank_map` gives every shift of the grid at
+once, by rank, for the grid's arcs and the pure kernel's shift table.
 
 Vectors are plain tuples of non-negative ints and are never mutated.
 """
 
+from array import array
 from dataclasses import dataclass, field
 from math import comb
 
@@ -166,6 +168,26 @@ def parse_vector(text):
     return p
 
 
+def _colex(k, sigma):
+    """The order-k vectors over sigma letters in colexicographic order, as
+    one list that each step changes in place."""
+    # Colex successor: the last coordinate varies slowest.  With i the first
+    # non-zero coordinate, one unit moves up to i + 1 and the rest of p[i]
+    # drops back to coordinate 0.
+    p = [k] + [0] * (sigma - 1)
+    while True:
+        yield p
+        i = 0
+        while i < sigma - 1 and p[i] == 0:
+            i += 1
+        if i == sigma - 1:
+            return
+        t = p[i]
+        p[i] = 0
+        p[i + 1] += 1
+        p[0] = t - 1
+
+
 def enumerate_pv(k, sigma):
     """All order-k vectors over sigma letters, in colexicographic order.
 
@@ -173,22 +195,36 @@ def enumerate_pv(k, sigma):
     canonical rank used throughout the package.
     """
     ensure_capacity(k, sigma)
-    # Colex successor: the last coordinate varies slowest.  With i the first
-    # non-zero coordinate, one unit moves up to i + 1 and the rest of p[i]
-    # drops back to coordinate 0.
-    p = [k] + [0] * (sigma - 1)
-    out = []
-    while True:
-        out.append(tuple(p))
-        i = 0
-        while i < sigma - 1 and p[i] == 0:
-            i += 1
-        if i == sigma - 1:
-            return out
-        t = p[i]
-        p[i] = 0
-        p[i + 1] += 1
-        p[0] = t - 1
+    return [tuple(p) for p in _colex(k, sigma)]
+
+
+def rank_map(k, sigma):
+    """The grid's shifts by rank, as two arrays of C ints.  For the
+    order-k vector p of rank i, ``down[i*sigma + c]`` is the rank of
+    p - e_c among the order-(k-1) vectors (-1 when p[c] is 0); for the
+    order-(k-1) vector q of rank r, ``up[r*sigma + c]`` is the rank of
+    q + e_c.  The shift that takes letter ``out`` from p and brings letter
+    ``in`` ends at ``up[down[i*sigma + out]*sigma + in]``.
+
+    Adding e_c keeps colex order, so as p runs over the order-k vectors in
+    rank order, those with p[c] > 0 arrive in the rank order of p - e_c:
+    one running count per letter is that rank, and one pass fills both
+    arrays."""
+    n = ensure_capacity(k, sigma)
+    down = array("i", [-1]) * (n * sigma)
+    up = array("i", [0]) * ((comb(k + sigma - 2, sigma - 1) if k else 0)
+                            * sigma)
+    count = [0] * sigma
+    slot = 0
+    for i, p in enumerate(_colex(k, sigma)):
+        for c, x in enumerate(p):
+            if x:
+                r = count[c]
+                count[c] = r + 1
+                down[slot + c] = r
+                up[r * sigma + c] = i
+        slot += sigma
+    return down, up
 
 
 def pv_count(k, sigma):

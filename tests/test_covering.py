@@ -107,6 +107,16 @@ class TestCovset:
                 if len(naive_parikh_set(word, k, sigma))
                 == comb(k + sigma - 1, k)}
 
+    def test_two_long_runs_in_under_a_second(self):
+        # a^m b^m is k-covering for every k <= m; over two letters the runs
+        # settle it, with no window scanned
+        word = "a" * 20_000 + "b" * 20_000
+        start = time.monotonic()
+        ks = C.covset(word, 2)
+        assert time.monotonic() - start < 1
+        assert ks == frozenset(range(1, 20_001))
+        assert C.covset("a" * 20_000, 1) == frozenset(range(1, 20_001))
+
     def test_long_binary_word_in_seconds(self):
         # k is bounded by the letters' longest runs, here 18 a's and 12 b's,
         # not by the 20,000 letters
@@ -147,11 +157,46 @@ class TestBounds:
             (3, 9): C.VERDICT_IMPOSSIBLE,
             (4, 3): C.VERDICT_IMPOSSIBLE,  # three letters, k >= 4
             (7, 3): C.VERDICT_IMPOSSIBLE,
-            (4, 4): C.VERDICT_UNKNOWN,
-            (5, 4): C.VERDICT_UNKNOWN,
+            (4, 4): C.VERDICT_EXISTS,      # certified perfect covers
+            (5, 4): C.VERDICT_EXISTS,
+            (4, 5): C.VERDICT_EXISTS,
+            (6, 4): C.VERDICT_UNKNOWN,
+            (5, 5): C.VERDICT_UNKNOWN,
+            (1, 1): C.VERDICT_EXISTS,      # the alphabet once
+            (1, 7): C.VERDICT_EXISTS,
+            (4, 1): C.VERDICT_EXISTS,      # a^k
+            (9, 1): C.VERDICT_EXISTS,
         }
         for (k, sigma), verdict in cases.items():
             assert C.bounds(k, sigma).known_verdict.verdict == verdict, (k, sigma)
+
+    def test_every_existence_verdict_is_certified(self):
+        # the rule's word, or its certificate, is a perfect cover
+        def certificate(k, sigma):
+            if (k, sigma) in C.PERFECT_COVERS:
+                return C.PERFECT_COVERS[k, sigma]
+            if sigma == 2:
+                return C.construct_family(C.FAMILY_BINARY, k, sigma)
+            if k == 1:
+                return LETTERS[:sigma]
+            if sigma == 1:
+                return "a" * k
+            return None
+
+        certified = 0
+        for k in range(1, 9):
+            for sigma in range(1, 8):
+                verdict = C.bounds(k, sigma).known_verdict
+                word = certificate(k, sigma)
+                if verdict.verdict == C.VERDICT_EXISTS and word is not None:
+                    assert C.verify(word, k, sigma).is_pdb, (k, sigma)
+                    certified += 1
+        # 8 binary, 6 more at k = 1, 7 more unary and the 3 certificates
+        assert certified == 24
+        # the certificates are the perfect covers of the reference rows
+        assert sorted(C.PERFECT_COVERS.items()) == sorted(
+            ((k, sigma), word) for sigma, k, word, _, pdb, _ in
+            REFERENCE_COVER_ROWS if pdb and k >= 4)
 
     def test_lower_bound_dominates_pdb_length(self):
         for k in range(1, 8):

@@ -2,6 +2,7 @@
 traces: same solutions in the same order, same node counts, same depths."""
 
 import importlib
+import math
 import os
 import shutil
 import subprocess
@@ -272,7 +273,8 @@ def _libasan():
 # Run in a child process with the sanitizer runtime preloaded: the compiled
 # kernel built with address and undefined-behaviour checks against the pure
 # kernel on every parity case, those past one mask word and the perfect
-# covers too.  A fault aborts the child.
+# covers too, and its table builder against the pure one, from one vector
+# to tables of several mask words.  A fault aborts the child.
 _SANITIZED_PARITY = """
 import sys
 import parikhgrid.kernel as K
@@ -280,6 +282,8 @@ from parikhgrid import _kernel_py as pure
 from parikhgrid.search import _build_tables
 from test_kernel_parity import CASES, PERFECT_CASES, WIDE_CASES
 K._lib = K._load(sys.argv[1])
+for k, sigma in [(1, 1), (5, 1), (1, 4), (4, 2), (6, 5), (3, 9)]:
+    assert K._compiled_tables(k, sigma) == pure.build_tables(k, sigma)
 for case in [case + (10**8,) for case in CASES] + WIDE_CASES + PERFECT_CASES:
     k, sigma, length, pdb_only, rules, prefix, limit, budget = case
     tables = _build_tables(k, sigma)
@@ -305,6 +309,18 @@ def test_sanitized_kernel_parity(tmp_path):
     run = subprocess.run([sys.executable, "-c", _SANITIZED_PARITY, library],
                          capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr[-4000:]
+
+
+@needs_compiled
+def test_table_builders_agree():
+    # every table up to 10^6 shifts with k <= 12 and sigma <= 15, and the
+    # largest the search takes
+    sizes = [(k, sigma) for k in range(1, 13) for sigma in range(1, 16)
+             if math.comb(k + sigma - 1, k) * sigma * sigma <= 10**6]
+    assert len(sizes) == 129
+    for k, sigma in sizes + [(12, 8)]:
+        assert K._compiled_tables(k, sigma) == pure.build_tables(k, sigma), (
+            k, sigma)
 
 
 @needs_compiled

@@ -98,6 +98,23 @@ class TestImportFootprint:
         assert not loaded & {"parikhgrid.walks", "parikhgrid.realize",
                              "fractions"}
 
+    @pytest.mark.parametrize("code", [
+        "import parikhgrid.search",
+        _cli("search", "--k", "3", "--sigma", "3"),
+    ])
+    def test_search_loads_no_grid(self, code):
+        # the kernel builds its tables from vectors.rank_map
+        loaded = _loaded_by(code)
+        assert "parikhgrid.search" in loaded
+        assert "parikhgrid.grid" not in loaded
+
+    def test_kernel_loads_only_its_twin(self):
+        # every CLI start loads the kernel; tables import what they need
+        loaded = _loaded_by("import parikhgrid.kernel")
+        assert _submodules(loaded) == {"parikhgrid.kernel",
+                                       "parikhgrid._kernel_py"}
+        assert not loaded & {"dataclasses", "array"}
+
     def test_verify_loads_neither_kernel_search_nor_ctypes(self):
         loaded = _loaded_by(_cli("verify", "abbbcccaaabc", "--k", "3",
                                  "--sigma", "3"))

@@ -56,6 +56,22 @@ def _oracle_arcs(k, sigma):
 
 @PROPERTY
 @given(SIZES)
+def test_rank_map_matches_the_oracle(size):
+    k, sigma = size
+    vectors, lower = colex_vectors(k, sigma), colex_vectors(k - 1, sigma)
+    rank = {p: i for i, p in enumerate(vectors)}
+    low_rank = {q: r for r, q in enumerate(lower)}
+    down, up = V.rank_map(k, sigma)
+    unit = [tuple(int(c == x) for x in range(sigma)) for c in range(sigma)]
+    assert down.tolist() == [
+        low_rank[tuple(map(int.__sub__, p, unit[c]))] if p[c] else -1
+        for p in vectors for c in range(sigma)]
+    assert up.tolist() == [rank[tuple(map(int.__add__, q, unit[c]))]
+                           for q in lower for c in range(sigma)]
+
+
+@PROPERTY
+@given(SIZES)
 def test_grid_iterators_match_the_oracle(size):
     k, sigma = size
     g = build_grid(k, sigma)

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from parikhgrid import _kernel_py
 from parikhgrid import covering as C
 from parikhgrid import kernel
 from parikhgrid import search as S
@@ -218,12 +219,20 @@ class TestPdbExistence:
         assert C.verify(out.witness, 5, 4).is_pdb
 
 
+# The table builders of both kernels, the compiled one where it is loaded.
+BUILDERS = [_kernel_py.build_tables] + (
+    [kernel._compiled_tables] if kernel.KERNEL_NAME == "compiled" else [])
+
+
 class TestTables:
     @pytest.mark.parametrize("k,sigma", [(3, 1), (3, 3), (4, 5), (2, 15)])
     def test_shift_and_dist_match_the_grid(self, k, sigma):
-        n_vec, shift = S._build_tables(k, sigma)
         vectors = colex_vectors(k, sigma)
         rank = {p: i for i, p in enumerate(vectors)}
+        n_vec, shift = S._build_tables(k, sigma)
+        for build in BUILDERS:
+            assert build(k, sigma) == (n_vec, shift)
+        assert shift.typecode == "i"
         assert n_vec == len(vectors)
         assert shift.tolist() == [
             rank.get(grid_step(p, out, into), -1)
@@ -250,7 +259,7 @@ class TestTables:
         # 50,388 vectors of (k=12, sigma=8) fit in 3,224,844 ints; the
         # 77,520 of (k=13, sigma=8) would take 4,961,293
         assert S._build_tables(12, 8)[0] == 50388
-        monkeypatch.setattr(V, "enumerate_pv", None)
+        monkeypatch.setattr(kernel, "build_tables", None)
         with pytest.raises(CapacityExceeded, match="MAX_TABLE_ENTRIES"):
             S._build_tables(13, 8)
         # one vector, but the kernel's state grows with words of k letters
@@ -271,7 +280,7 @@ class TestTables:
         assert S._longest_word(12, 8) == S.MAX_TABLE_ENTRIES - 3_224_832
         assert S._longest_word(12, 8) >= C.perfect_length(12, 8)
         assert S._longest_word(8, 8) == S.MAX_TABLE_ENTRIES - 6_435 * 64
-        monkeypatch.setattr(V, "enumerate_pv", None)
+        monkeypatch.setattr(kernel, "build_tables", None)
         with pytest.raises(CapacityExceeded, match="MAX_TABLE_ENTRIES"):
             search()
 
@@ -287,7 +296,7 @@ class TestTables:
         # the kernels keep a few ints per letter: the 3 * 2^2 shifts of
         # (k=2, sigma=2) leave room for MAX_TABLE_ENTRIES - 12 letters
         assert S._longest_word(2, 2) == S.MAX_TABLE_ENTRIES - 12
-        monkeypatch.setattr(V, "enumerate_pv", None)
+        monkeypatch.setattr(kernel, "build_tables", None)
         with pytest.raises(CapacityExceeded, match="MAX_TABLE_ENTRIES"):
             S.run_search(cfg)
 
