@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import cycle, groupby, islice
 from math import comb
+from operator import ne
 
 from . import vectors as V
 from .errors import CapacityExceeded, FamilyUnsupported, InvalidInput
@@ -126,7 +127,14 @@ def covset(word, sigma):
     shortest of the letters' longest runs.  Over one letter that is
     enough, and over two as well: consecutive windows differ by at most one
     b, so between a window of k a's and one of k b's the word passes every
-    vector."""
+    vector.
+
+    Over more letters a k is checked window by window only when two
+    cheaper counts allow it.  Window i+1 equals window i exactly when the
+    leaving letter equals the entering one, so the word has at most
+    1 + #{i : w[i] != w[i+k]} distinct windows.  And its n - k + 1 windows
+    shrink as k grows while the vectors to cover grow, so the first k with
+    too few windows ends the scan."""
     alphabet = V.as_alphabet(sigma)
     letters = alphabet.word_to_indices(word)
     longest = [0] * alphabet.size
@@ -137,7 +145,9 @@ def covset(word, sigma):
     out = set()
     for k in range(1, min(longest) + 1):
         total = comb(k + alphabet.size - 1, alphabet.size - 1)
-        if (len(letters) - k + 1 >= total and len(set(
+        if len(letters) - k + 1 < total:
+            break
+        if (1 + sum(map(ne, letters, letters[k:])) >= total and len(set(
                 V.window_vectors(letters, k, alphabet.size))) == total):
             out.add(k)
     return frozenset(out)

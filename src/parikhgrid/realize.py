@@ -2,9 +2,11 @@
 
 A set is realizable when some string's window vectors are exactly that set,
 which happens precisely when the set induces a connected subgraph of the
-grid.  The witness is built constructively: a depth-first traversal of the
-induced subgraph (revisiting vertices on backtrack) yields a bowfree
-covering itinerary, which the walk machinery turns into a string.
+grid.  Two vectors are neighbors exactly when they share a child p - e_c,
+so one depth-first traversal over the members grouped by child decides,
+and spells the witness on the way from the letters the groups carry; a
+second traversal gives the refutation's other component.  The work is
+linear in the group slots, not in the neighbor pairs.
 """
 
 from dataclasses import dataclass
@@ -39,67 +41,63 @@ def _as_vector_set(pi):
     return members, k, len(some)
 
 
-def _adjacency(ordered):
-    """Neighbor lists of the members, by position in ``ordered`` (rank
-    order), each list in rank order.  Two vectors are neighbors exactly
-    when they share a child p - e_i, and a neighbor pair shares only its
-    meet, so grouping the members by child lists every pair once."""
+def _child_groups(ordered):
+    """For each member, by position in ``ordered`` (rank order), its child
+    groups as (group, c) with the member equal to the child plus e_c.  A
+    group lists the members sharing one child, each with its letter, in
+    descending position, so its first unseen member sits at its end.  A
+    neighbor pair shares only its meet, so it meets in one group."""
     by_child = {}
-    for i, p in enumerate(ordered):
+    links = [None] * len(ordered)
+    for i in range(len(ordered) - 1, -1, -1):
+        p = ordered[i]
+        child = list(p)
+        mine = []
         for c, count in enumerate(p):
             if count:
-                by_child.setdefault(p[:c] + (count - 1,) + p[c + 1:],
-                                    []).append(i)
-    adj = [[] for _ in ordered]
-    for group in by_child.values():
-        for i in group:
-            adj[i].extend(j for j in group if j != i)
-    for near in adj:
-        near.sort()
-    return adj
+                child[c] = count - 1
+                key = tuple(child)
+                child[c] = count
+                group = by_child.get(key)
+                if group is None:
+                    group = by_child[key] = []
+                group.append((i, c))
+                mine.append((group, c))
+        links[i] = mine
+    return links
 
 
-def _components(adj):
-    """Connected components of the member graph, as sorted position lists,
-    ordered by their first position."""
-    seen = [False] * len(adj)
-    comps = []
-    for start in range(len(adj)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp, stack = [start], [start]
-        while stack:
-            for j in adj[stack.pop()]:
-                if not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _covering_itinerary(adj):
-    """Bowfree walk, by position, visiting every member of a connected set:
-    depth-first order from the first member with parent revisits on
-    backtrack, trailing returns trimmed."""
-    tour = [0]
-    seen = [False] * len(adj)
-    seen[0] = True
-    last_new = 0
-    stack = [(0, iter(adj[0]))]
+def _tour(links, seen, start):
+    """Depth-first traversal of the component of ``start``, always to the
+    unseen neighbor of smallest position, back to the parent at a dead end.
+    Returns the component's positions and the tour's (out, in) letter
+    shifts, a return being the reversed shift, trailing returns dropped.
+    Seen only grows, so a group drops its seen members from its end for
+    good: each group slot is dropped at most once."""
+    seen[start] = True
+    comp, shifts = [start], []
+    kept = 0
+    stack = [(start, None)]
     while stack:
-        q = next((q for q in stack[-1][1] if not seen[q]), None)
-        if q is None:
+        here, back = stack[-1]
+        best = len(seen)
+        for group, c in links[here]:
+            while group and seen[group[-1][0]]:
+                group.pop()
+            if group and group[-1][0] < best:
+                best, shift = group[-1][0], (c, group[-1][1])
+        if best == len(seen):
             stack.pop()
-            if stack:
-                tour.append(stack[-1][0])
+            if back is not None:
+                shifts.append(back)
             continue
-        seen[q] = True
-        last_new = len(tour)
-        tour.append(q)
-        stack.append((q, iter(adj[q])))
-    return tour[:last_new + 1]
+        seen[best] = True
+        comp.append(best)
+        shifts.append(shift)
+        kept = len(shifts)
+        stack.append((best, shift[::-1]))
+    del shifts[kept:]
+    return comp, shifts
 
 
 def is_realizable_set(pi, sigma=None, alphabet=None):
@@ -112,15 +110,22 @@ def is_realizable_set(pi, sigma=None, alphabet=None):
     alphabet = V.as_alphabet(alphabet if alphabet is not None else vec_sigma)
     # colex order, the last coordinate slowest, is rank order
     ordered = sorted(members, key=lambda p: p[::-1])
-    adj = _adjacency(ordered)
-    comps = _components(adj)
-    if len(comps) > 1:
+    links = _child_groups(ordered)
+    seen = [False] * len(ordered)
+    comp, shifts = _tour(links, seen, 0)
+    if len(comp) < len(ordered):
+        other, _ = _tour(links, seen, seen.index(False))
         return RealizabilityResult(
             realizable=False, k=k, sigma=vec_sigma,
-            refutation=tuple(tuple(ordered[i] for i in comp)
-                             for comp in comps[:2]))
-    itinerary = [ordered[i] for i in _covering_itinerary(adj)]
-    witness = walks.string_from_itinerary(itinerary, k, alphabet)
+            refutation=tuple(tuple(ordered[i] for i in sorted(part))
+                             for part in (comp, other)))
+    if alphabet.size != vec_sigma:
+        raise InvalidInput("alphabet size %d does not match vectors of "
+                           "length %d" % (alphabet.size, vec_sigma))
+    word = [c for c, count in enumerate(ordered[0]) for _ in range(count)]
+    for shift in shifts:
+        walks.extend_by_shift(word, k, *shift)
+    witness = alphabet.indices_to_word(word)
     got = V.parikh_set(witness, k, alphabet).members
     if got != members:
         raise AssertionError(

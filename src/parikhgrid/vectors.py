@@ -239,9 +239,11 @@ def pv_rank(p):
     m = sum(p)
     for j in range(len(p) - 1, 0, -1):
         s = p[j]
-        # vectors whose j-th coordinate is smaller than s, prefix arbitrary
-        r += comb(m + j, j) - comb(m - s + j, j)
-        m -= s
+        if s:
+            # vectors whose j-th coordinate is smaller than s, prefix
+            # arbitrary; none when s is 0
+            r += comb(m + j, j) - comb(m - s + j, j)
+            m -= s
     return r
 
 
@@ -254,6 +256,8 @@ def pv_unrank(i, k, sigma):
     counts = [0] * sigma
     m = k
     for j in range(sigma - 1, 0, -1):
+        if not i:
+            break  # rank 0 of the rest: all of it in coordinate 0
         s = 0
         block = comb(m + j - 1, j - 1)  # |PV(m - s, j)| at s = 0
         while i >= block:
@@ -315,7 +319,7 @@ def meet(ps):
     if not ps:
         raise InvalidInput("meet of an empty list is undefined")
     _check_same_sigma(ps)
-    return tuple(min(col) for col in zip(*ps))
+    return tuple(ps[0]) if len(ps) == 1 else tuple(map(min, *ps))
 
 
 def join(ps):
@@ -324,7 +328,7 @@ def join(ps):
     if not ps:
         raise InvalidInput("join of an empty list is undefined")
     _check_same_sigma(ps)
-    return tuple(max(col) for col in zip(*ps))
+    return tuple(ps[0]) if len(ps) == 1 else tuple(map(max, *ps))
 
 
 def _check_same_sigma(ps):

@@ -270,14 +270,23 @@ def spell(walk_or_vertices, k=None, alphabet=None):
     return alphabet.indices_to_word(word)
 
 
+def extend_by_shift(word, k, out_i, in_i):
+    """Extend a letter-index list whose last window holds ``out_i`` so that
+    its walk takes one more step, ``out_i`` leaving and ``in_i`` entering:
+    copy the window letters preceding the earliest window occurrence of the
+    leaving letter (each copy is a bow), then append the entering letter.
+    The earliest occurrence minimizes the appended length."""
+    start = len(word) - k
+    word.extend(word[start:word.index(out_i, start)])
+    word.append(in_i)
+
+
 def string_from_itinerary(itinerary, k, alphabet=None):
     """Construct a word whose walk's itinerary is exactly the given bowfree
     vertex sequence.
 
-    Starts from the canonical word of the first vertex and extends once per
-    itinerary step: copy the window letters preceding the earliest window
-    occurrence of the leaving letter (each copy is a bow), then append the
-    entering letter.  The earliest occurrence minimizes the appended length.
+    Starts from the canonical word of the first vertex and extends it once
+    per itinerary step with :func:`extend_by_shift`.
     """
     if isinstance(itinerary, Itinerary):
         vertices = itinerary.vertices
@@ -292,11 +301,7 @@ def string_from_itinerary(itinerary, k, alphabet=None):
         if shift is None:
             raise InvalidInput("itinerary vertices %r and %r are not neighbors"
                                % (prev, nxt))
-        out_i, in_i = shift
-        window = word[-k:]
-        g = window.index(out_i)
-        word.extend(window[:g])
-        word.append(in_i)
+        extend_by_shift(word, k, *shift)
     return alphabet.indices_to_word(word)
 
 

@@ -208,6 +208,32 @@ def grid_step(p, out, into):
     return tuple(q)
 
 
+def induced_components(members):
+    """Components of the subgraph that a set of equal-order vectors induces
+    in the grid, by breadth-first search over every letter shift: each
+    component in colex (rank) order, the components ordered by their first
+    member.  The set is connected exactly when there is one component."""
+    ordered = sorted(members, key=lambda p: p[::-1])
+    unseen = set(ordered)
+    comps = []
+    for start in ordered:
+        if start not in unseen:
+            continue
+        unseen.discard(start)
+        comp, queue = [start], deque([start])
+        while queue:
+            p = queue.popleft()
+            for out in range(len(p)):
+                for into in range(len(p)):
+                    q = grid_step(p, out, into)
+                    if q in unseen:
+                        unseen.discard(q)
+                        comp.append(q)
+                        queue.append(q)
+        comps.append(sorted(comp, key=lambda p: p[::-1]))
+    return comps
+
+
 def cliques_of_size(vertices, size):
     """All size-cliques of the neighbor graph on the given vertex list."""
     order = {p: i for i, p in enumerate(vertices)}

@@ -99,7 +99,7 @@ class TestCovset:
 
     def test_matches_brute_force_on_random_words(self):
         for _ in range(500):
-            sigma = rng.randint(1, 4)
+            sigma = rng.randint(1, 5)
             n = rng.randint(0, 40)
             word = "".join(rng.choice(LETTERS[:sigma]) for _ in range(n))
             assert C.covset(word, sigma) == {
@@ -116,6 +116,16 @@ class TestCovset:
         assert time.monotonic() - start < 1
         assert ks == frozenset(range(1, 20_001))
         assert C.covset("a" * 20_000, 1) == frozenset(range(1, 20_001))
+
+    def test_three_long_runs_in_under_two_seconds(self):
+        # a^m b^m c^m holds few distinct windows for each k, so counting the
+        # positions where a letter differs from the one k later rules out
+        # every k but 1 without scanning its windows
+        word = "a" * 20_000 + "b" * 20_000 + "c" * 20_000
+        start = time.monotonic()
+        ks = C.covset(word, 3)
+        assert time.monotonic() - start < 2
+        assert ks == frozenset({1})
 
     def test_long_binary_word_in_seconds(self):
         # k is bounded by the letters' longest runs, here 18 a's and 12 b's,

@@ -3,7 +3,6 @@ the shift decoder and walk spelling against the package-free oracles in helpers.
 small random (k, sigma): sigma = 1 included, and sigma = 27, where letters
 are written as indices."""
 
-from collections import deque
 from math import comb
 
 import pytest
@@ -18,10 +17,10 @@ from parikhgrid import walks as W
 from parikhgrid.errors import WalkUnrealizable
 from parikhgrid.grid import EdgeLabel, build_grid
 
-from helpers import (LETTERS, colex_vectors, grid_step, letter_indices,
-                     naive_parikh_set, naive_window_multiplicities,
-                     walk_realizable_naive, walk_refutation_naive,
-                     walk_vertices_of)
+from helpers import (LETTERS, colex_vectors, grid_step, induced_components,
+                     letter_indices, naive_parikh_set,
+                     naive_window_multiplicities, walk_realizable_naive,
+                     walk_refutation_naive, walk_vertices_of)
 
 # Derandomized, so that every run of the suite draws the same examples.
 PROPERTY = settings(max_examples=200, deadline=None, database=None,
@@ -109,20 +108,6 @@ def test_grid_iterators_match_the_oracle(size):
         for i, j, out, into in arcs]
 
 
-def _oracle_connected(members, sigma):
-    start = next(iter(members))
-    seen, queue = {start}, deque([start])
-    while queue:
-        p = queue.popleft()
-        for out in range(sigma):
-            for into in range(sigma):
-                q = grid_step(p, out, into)
-                if q in members and q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-    return len(seen) == len(members)
-
-
 @st.composite
 def vector_sets(draw):
     """A non-empty set of equal-order vectors: a word's windows (connected),
@@ -145,14 +130,14 @@ def vector_sets(draw):
 def test_realizable_iff_connected(case):
     k, sigma, members = case
     got = R.is_realizable_set(members, sigma=sigma)
-    assert got.realizable == _oracle_connected(members, sigma)
+    comps = induced_components(members)
+    assert got.realizable == (len(comps) == 1)
     if got.realizable:
         assert naive_parikh_set(got.witness, k, sigma) == members
         return
-    a, b = map(set, got.refutation)
-    assert a and b and not a & b and a | b <= members
-    assert not any(grid_step(p, out, into) in b for p in a
-                   for out in range(sigma) for into in range(sigma))
+    # the component of the first member by rank, then the one of the first
+    # member outside it
+    assert got.refutation == tuple(map(tuple, comps[:2]))
 
 
 @st.composite

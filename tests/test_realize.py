@@ -7,7 +7,8 @@ from parikhgrid import realize as R
 from parikhgrid import vectors as V
 from parikhgrid.errors import InvalidInput
 
-from helpers import achievable_window_sets, naive_parikh_set
+from helpers import (achievable_window_sets, induced_components,
+                     naive_parikh_set)
 
 rng = random.Random(0x5E7)
 
@@ -122,3 +123,90 @@ class TestMonotonicity:
         got = R.is_realizable_set(members)
         assert got.realizable
         assert naive_parikh_set(got.witness, 3, 18) == members
+
+
+# Witnesses and refutations pinned from the construction as first
+# written: depth-first order by rank with parent revisits, spelled by
+# copying the window letters before the leaving one and appending the
+# entering one.
+PINNED_WITNESSES = {
+    (3, 3): "aaabbbcaaccbccc",
+    (2, 4): "aabbcaccdadbdd",
+    (4, 3): "aaaabbbbcaaaccbbcccacccc",
+}
+
+PINNED_SUBSETS = [
+    ([(0, 1, 3), (0, 3, 1), (1, 1, 2), (2, 0, 2), (2, 1, 1), (2, 2, 0),
+      (3, 0, 1), (3, 1, 0), (4, 0, 0)],
+     ((((4, 0, 0), (3, 1, 0), (2, 2, 0), (3, 0, 1), (2, 1, 1), (2, 0, 2),
+        (1, 1, 2), (0, 1, 3)), ((0, 3, 1),)))),
+    ([(0, 0, 0, 3), (0, 0, 1, 2), (0, 0, 2, 1), (0, 1, 0, 2), (0, 1, 1, 1),
+      (0, 1, 2, 0), (0, 2, 1, 0), (0, 3, 0, 0), (1, 0, 0, 2), (1, 0, 1, 1),
+      (1, 1, 0, 1), (2, 1, 0, 0)],
+     "aabdacdbcbbbccddaddbddd"),
+    ([(0, 1, 4), (0, 2, 3), (0, 3, 2), (1, 0, 4), (1, 2, 2), (1, 3, 1),
+      (2, 2, 1), (2, 3, 0), (3, 0, 2), (3, 1, 1), (3, 2, 0), (4, 0, 1),
+      (4, 1, 0), (5, 0, 0)],
+     "aaaaabbbaacaacaabbcbacbcbbcccca"),
+    ([(0, 0, 0, 0, 3), (0, 0, 0, 1, 2), (0, 0, 1, 0, 2), (0, 0, 1, 2, 0),
+      (0, 0, 3, 0, 0), (0, 1, 0, 2, 0), (0, 2, 1, 0, 0), (0, 3, 0, 0, 0),
+      (1, 0, 0, 0, 2), (1, 0, 0, 1, 1), (1, 0, 1, 0, 1), (1, 0, 2, 0, 0),
+      (1, 1, 0, 0, 1), (1, 1, 0, 1, 0), (1, 1, 1, 0, 0), (2, 0, 0, 0, 1)],
+     "bbbcacccaeabddcddbadeaeeceedeee"),
+    ([(0, 0, 3, 1), (0, 1, 3, 0), (0, 2, 1, 1), (0, 4, 0, 0), (1, 0, 0, 3),
+      (1, 1, 2, 0), (1, 2, 0, 1), (1, 3, 0, 0), (2, 1, 1, 0), (3, 0, 0, 1)],
+     (((1, 3, 0, 0), (0, 4, 0, 0), (1, 2, 0, 1), (0, 2, 1, 1)),
+      ((2, 1, 1, 0), (1, 1, 2, 0), (0, 1, 3, 0), (0, 0, 3, 1)))),
+    ([(0, 0, 0, 0, 0, 2), (0, 0, 0, 0, 2, 0), (0, 0, 0, 1, 0, 1),
+      (0, 0, 0, 2, 0, 0), (0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 1, 0),
+      (0, 1, 0, 0, 1, 0), (0, 1, 0, 1, 0, 0), (0, 2, 0, 0, 0, 0)],
+     "bbddfcebeebecff"),
+]
+
+
+class TestPinnedAnswers:
+    @pytest.mark.parametrize("k, sigma", sorted(PINNED_WITNESSES))
+    def test_whole_grid(self, k, sigma):
+        got = R.is_realizable_set(V.enumerate_pv(k, sigma))
+        assert got.witness == PINNED_WITNESSES[k, sigma]
+
+    @pytest.mark.parametrize("members, answer", PINNED_SUBSETS)
+    def test_subset(self, members, answer):
+        got = R.is_realizable_set(members)
+        if isinstance(answer, str):
+            assert got.realizable and got.witness == answer
+        else:
+            assert not got.realizable and got.refutation == answer
+
+
+class TestAgainstComponentsOracle:
+    def test_seeded_subsets(self):
+        draw = random.Random(0xC0C0)
+        for _ in range(300):
+            k, sigma = draw.randint(1, 5), draw.randint(1, 6)
+            vs = V.enumerate_pv(k, sigma)
+            members = set(draw.sample(vs, draw.randint(1, min(60, len(vs)))))
+            got = R.is_realizable_set(members)
+            comps = induced_components(members)
+            assert got.realizable == (len(comps) == 1)
+            if got.realizable:
+                assert naive_parikh_set(got.witness, k, sigma) == members
+            else:
+                assert got.refutation == tuple(map(tuple, comps[:2]))
+
+
+class TestScale:
+    def test_whole_grid_over_sixty_letters(self):
+        # 1,830 vectors, letters written as indices
+        members = set(V.enumerate_pv(2, 60))
+        got = R.is_realizable_set(members)
+        assert got.realizable
+        assert naive_parikh_set(got.witness, 2, 60) == members
+
+    def test_two_thousand_unit_vectors(self):
+        # one child group of 2,000 members: every pair are neighbors, and
+        # the traversal walks the group in rank order
+        members = {tuple(int(i == j) for j in range(2000))
+                   for i in range(2000)}
+        got = R.is_realizable_set(members)
+        assert got.witness == ",".join(map(str, range(2000)))

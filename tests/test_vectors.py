@@ -6,7 +6,7 @@ import pytest
 from parikhgrid import vectors as V
 from parikhgrid.errors import CapacityExceeded, InvalidInput
 
-from helpers import LETTERS, naive_parikh_set
+from helpers import LETTERS, colex_vectors, naive_parikh_set
 
 rng = random.Random(0xC0FFEE)
 
@@ -81,6 +81,15 @@ class TestRanking:
             assert [V.pv_rank(p) for p in vs] == list(range(len(vs)))
             assert [V.pv_unrank(i, k, sigma) for i in range(len(vs))] == vs
 
+    def test_roundtrip_against_the_colex_oracle(self):
+        # every vector of every (k, sigma) with at most 10^4 of them
+        sizes = [(k, sigma) for sigma in range(1, 9) for k in range(9)
+                 if comb(k + sigma - 1, sigma - 1) <= 10**4]
+        for k, sigma in sizes + [(2, 40)]:
+            for i, p in enumerate(colex_vectors(k, sigma)):
+                assert V.pv_rank(p) == i
+                assert V.pv_unrank(i, k, sigma) == p
+
     def test_out_of_range(self):
         with pytest.raises(InvalidInput):
             V.pv_unrank(15, 4, 3)
@@ -151,6 +160,12 @@ class TestMeetJoin:
             V.meet([])
         with pytest.raises(InvalidInput):
             V.join([])
+
+    def test_single_vector_is_its_own_meet_and_join(self):
+        for p in [(3, 1, 0), (0,), (2, 0, 5, 1)]:
+            assert V.meet([p]) == p and V.join([p]) == p
+            assert V.meet(iter([list(p)])) == p
+            assert V.join(iter([list(p)])) == p
 
     def test_lattice_laws(self):
         for _ in range(300):
