@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .errors import InvalidInput, ParikhGridError, WalkUnrealizable
+from .errors import InvalidInput, ParikhGridError
 
 
 def _check_output(path):
@@ -181,7 +181,7 @@ def cmd_search(args):
 def cmd_enumerate_pdb(args):
     from . import export, search
 
-    reps = search.enumerate_all_pdb(args.k, args.sigma, force=args.force)
+    reps = search.enumerate_all_pdb(args.k, args.sigma)
     _out(args, json.dumps({"schema": export.SCHEMA, "kind": "pdb_classes",
                            "k": args.k, "sigma": args.sigma,
                            "count": len(reps), "representatives": reps},
@@ -281,8 +281,6 @@ def build_parser():
     p = subs.add_parser("enumerate-pdb",
                         help="all perfect covers modulo relabeling/reversal")
     _add_common(p)
-    p.add_argument("--force", action="store_true",
-                   help="override the instance-size gate")
     p.set_defaults(func=cmd_enumerate_pdb)
 
     p = subs.add_parser("mincov",
@@ -308,9 +306,6 @@ def main(argv=None):
         if args.output:
             _check_output(args.output)
         return args.func(args)
-    except WalkUnrealizable as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
     except ParikhGridError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -202,7 +202,8 @@ def bounds(k, sigma):
     """Both lower bounds on shortest covering length, the divisibility
     condition for universal cycles, and any known existence verdict."""
     if k < 1 or sigma < 1:
-        raise InvalidInput("bounds need k >= 1 and sigma >= 1")
+        raise InvalidInput("bounds need k >= 1 and sigma >= 1, got k=%r "
+                           "sigma=%r" % (k, sigma))
     V.ensure_capacity(k, sigma)
     pdb_len = perfect_length(k, sigma)
     counting = sigma * min_letter_occurrences(k, sigma)

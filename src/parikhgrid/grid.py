@@ -81,13 +81,17 @@ class PdbGrid:
         return V.pv_unrank(i, self.k, self.sigma)
 
     def contains(self, p):
-        return (len(p) == self.sigma and min(p, default=0) >= 0
-                and sum(p) == self.k)
+        return self._has_order(p, self.k)
 
-    def _check_vertex(self, p):
-        if not self.contains(p):
+    def _has_order(self, p, k):
+        return len(p) == self.sigma and min(p, default=0) >= 0 and sum(p) == k
+
+    def _check_vertex(self, p, k=None):
+        # k is the grid's order unless given
+        k = self.k if k is None else k
+        if not self._has_order(p, k):
             raise InvalidInput("%r is not an order-%d vector over %d letters"
-                               % (p, self.k, self.sigma))
+                               % (p, k, self.sigma))
 
     # -- adjacency ---------------------------------------------------------
 
@@ -162,16 +166,12 @@ class PdbGrid:
 
     def simplex_of_parent(self, r):
         """Children of an order-(k+1) vector; always a clique in the grid."""
-        if len(r) != self.sigma or sum(r) != self.k + 1:
-            raise InvalidInput("expected an order-%d vector over %d letters, "
-                               "got %r" % (self.k + 1, self.sigma, r))
+        self._check_vertex(r, self.k + 1)
         return V.children(r)
 
     def simplex_of_child(self, q):
         """Parents of an order-(k-1) vector; always a clique in the grid."""
-        if len(q) != self.sigma or sum(q) != self.k - 1:
-            raise InvalidInput("expected an order-%d vector over %d letters, "
-                               "got %r" % (self.k - 1, self.sigma, q))
+        self._check_vertex(q, self.k - 1)
         return V.parents(q)
 
 

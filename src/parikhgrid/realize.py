@@ -125,14 +125,13 @@ def is_realizable_set(pi, sigma=None, alphabet=None):
     word = [c for c, count in enumerate(ordered[0]) for _ in range(count)]
     for shift in shifts:
         walks.extend_by_shift(word, k, *shift)
-    witness = alphabet.indices_to_word(word)
-    got = V.parikh_set(witness, k, alphabet).members
+    got = set(V.window_vectors(word, k, vec_sigma))
     if got != members:
         raise AssertionError(
             "witness construction is broken: expected window set %r, got %r"
             % (sorted(members), sorted(got)))
     return RealizabilityResult(realizable=True, k=k, sigma=vec_sigma,
-                               witness=witness)
+                               witness=alphabet.indices_to_word(word))
 
 
 def realizable_pair_witness(p, q, alphabet=None):

@@ -383,46 +383,55 @@ def search_shortest_covering(cfg, progress=None):
                    min(lower - 1, top), progress)
 
 
+def _pdb_lengths(k, sigma):
+    """The lengths a perfect-cover search runs: the perfect length, or none
+    when the counting bound rules it out, as no covering word is then that
+    short.  bounds() refuses a k or sigma below 1."""
+    bounds = covering.bounds(k, sigma)
+    return [bounds.pdb_length] if bounds.pdb_possible_by_bounds else []
+
+
 def search_pdb_existence(k, sigma, cfg=None, progress=None):
     """Search the single feasible perfect-cover length, windows never
     repeating a vector; refutation means no such word exists at all."""
     cfg = replace(cfg or SearchConfig(k=k, sigma=sigma), k=k, sigma=sigma,
                   target=TARGET_PDB)
-    # bounds() rejects a k or sigma below 1
-    bounds = covering.bounds(k, sigma)
-    if not bounds.pdb_possible_by_bounds:
-        # the counting bound: no covering word is as short as a perfect one
-        return _search(cfg, TARGET_PDB, [], True, True, bounds.pdb_length)
-    return _search(cfg, TARGET_PDB, [bounds.pdb_length], True, True,
-                   progress=progress)
+    lengths = _pdb_lengths(k, sigma)
+    return _search(cfg, TARGET_PDB, lengths, True, True,
+                   None if lengths else covering.perfect_length(k, sigma),
+                   progress)
+
+
+def _collect_all(cfg, lengths, pdb_only, what):
+    """Yields every canonical solution of ``lengths`` as a word, in order,
+    with one tables build, pool and node budget for all of them; raises
+    CapacityExceeded, naming the length, when the budget runs out."""
+    tables = _prepare(cfg, lengths) if lengths else None
+    nodes = 0
+    with _Pool(cfg.worker_count, tables) as pool:
+        for length in lengths:
+            complete, sols, n, _d = _search_length(
+                cfg, tables, length, pdb_only, 0, _budget_left(cfg, nodes),
+                pool)
+            nodes += n
+            if not complete:
+                raise CapacityExceeded("%s ran out of node budget at length "
+                                       "%d" % (what, length))
+            for sol in sols:
+                yield _render(cfg.sigma, sol)
 
 
 def iter_covering_words(k, sigma, max_len, node_budget=None):
     """Every canonical k-covering word of length <= max_len, shortest first,
     lexicographic within a length.  ``node_budget`` is as in SearchConfig
-    (0: no cap), DEFAULT_NODE_BUDGET when None.  Raises on budget
-    exhaustion rather than silently truncating."""
+    (0: no cap), DEFAULT_NODE_BUDGET when None; running out of it raises
+    CapacityExceeded."""
     if node_budget is None:
         node_budget = DEFAULT_NODE_BUDGET
     cfg = SearchConfig(k=k, sigma=sigma, node_budget=node_budget)
     lengths = range(covering.bounds(k, sigma).shortest_lower_bound,
                     max_len + 1)
-    tables = _prepare(cfg, lengths)
-    nodes = 0
-    for length in lengths:
-        complete, sols, n, _d = _search_length(
-            cfg, tables, length, False, 0, _budget_left(cfg, nodes), None)
-        nodes += n
-        if not complete:
-            raise CapacityExceeded("covering-word enumeration ran out of "
-                                   "node budget at length %d" % length)
-        for sol in sols:
-            yield _render(sigma, sol)
-
-
-# Beyond this many vectors, complete deduplication of perfect-cover words
-# degenerates; callers must opt in explicitly.
-ENUMERATE_ALL_GATE = 20
+    yield from _collect_all(cfg, lengths, False, "covering-word enumeration")
 
 
 def _relabel_canonical(word, sigma):
@@ -443,24 +452,13 @@ def canonical_form(word, sigma):
                _relabel_canonical(word[::-1], sigma))
 
 
-def enumerate_all_pdb(k, sigma, cfg=None, force=False):
+def enumerate_all_pdb(k, sigma, cfg=None):
     """All perfect covering words, one canonical representative per orbit
-    under alphabet relabeling and reversal, sorted."""
-    n_vec = V.ensure_capacity(k, sigma)
-    if n_vec > ENUMERATE_ALL_GATE and not force:
-        raise CapacityExceeded(
-            "enumerating all perfect covers over %d vectors exceeds the "
-            "default gate of %d; pass force=True to override"
-            % (n_vec, ENUMERATE_ALL_GATE))
+    under alphabet relabeling and reversal, sorted: [] at once when the
+    counting bound rules them out, else bounded by the node budget of
+    ``cfg``, whose exhaustion raises CapacityExceeded."""
     cfg = replace(cfg or SearchConfig(k=k, sigma=sigma), k=k, sigma=sigma,
                   target=TARGET_PDB)
-    length = covering.perfect_length(k, sigma)
-    tables = _prepare(cfg, [length])
-    with _Pool(cfg.worker_count, tables) as pool:
-        complete, sols, _n, _d = _search_length(
-            cfg, tables, length, True, 0, _budget_left(cfg, 0), pool)
-    if not complete:
-        raise CapacityExceeded("perfect-cover enumeration ran out of node "
-                               "budget")
-    reps = {canonical_form(_render(sigma, sol), sigma) for sol in sols}
-    return sorted(reps)
+    words = _collect_all(cfg, _pdb_lengths(k, sigma), True,
+                         "perfect-cover enumeration")
+    return sorted({canonical_form(word, sigma) for word in words})

@@ -372,6 +372,11 @@ class TestOtherCommands:
         assert code == 1
         assert json.loads(out)["count"] == 0
 
+    def test_enumerate_pdb_ruled_out_by_the_counting_bound(self, capsys):
+        code, out, _ = run(capsys, "enumerate-pdb", "--k", "3", "--sigma", "6")
+        assert code == 1
+        assert json.loads(out)["count"] == 0
+
     def test_mincov(self, capsys):
         code, out, _ = run(capsys, "mincov", "--k", "3", "--sigma", "2",
                            "--max-len", "7")
@@ -474,6 +479,9 @@ FUZZ_COMMANDS = {
     "construct kcover-not-k1": ["--k", "--sigma"],
     "covset": ["--sigma"],
     "bounds": ["--k", "--sigma"],
+    "mincov": ["--k", "--sigma", "--max-len", "--node-budget"],
+    # not enumerate-pdb: it takes no --node-budget, so a drawn (k=6,
+    # sigma=5) would run the default budget of 10^8 nodes
 }
 FUZZ_FORMATS = {"search": ["json", "table"], "verify": ["json", "table"],
                 "grid": ["json", "dot"]}

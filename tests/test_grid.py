@@ -184,6 +184,11 @@ class TestSimplices:
             g.simplex_of_parent((2, 2, 0))
         with pytest.raises(InvalidInput):
             g.simplex_of_child((2, 2, 0))
+        # the right order, but a negative count
+        with pytest.raises(InvalidInput):
+            g.simplex_of_parent((-1, 5, 1))
+        with pytest.raises(InvalidInput):
+            g.simplex_of_child((-1, 4, 0))
 
     def test_simplex_bijections(self):
         # distinct +/-1-order vectors map to distinct cliques

@@ -5,6 +5,7 @@ import pytest
 
 from parikhgrid import realize as R
 from parikhgrid import vectors as V
+from parikhgrid import walks
 from parikhgrid.errors import InvalidInput
 
 from helpers import (achievable_window_sets, induced_components,
@@ -37,6 +38,19 @@ class TestBasicCases:
     def test_mixed_orders_rejected(self):
         with pytest.raises(InvalidInput):
             R.is_realizable_set([(1, 2, 0), (1, 1, 0)])
+
+    def test_certificate_catches_a_wrong_witness(self, monkeypatch):
+        # a spelling step that enters the wrong letter leaves the window
+        # set, and the certificate refuses the witness
+        extend = walks.extend_by_shift
+
+        def misspelled(word, k, out_i, in_i):
+            extend(word, k, out_i, in_i)
+            word[-1] = (in_i + 1) % 3
+
+        monkeypatch.setattr(walks, "extend_by_shift", misspelled)
+        with pytest.raises(AssertionError, match="witness construction"):
+            R.is_realizable_set([(2, 1, 0), (1, 2, 0)])
 
 
 class TestPairWitness:

@@ -683,9 +683,39 @@ class TestEnumerateAllPdb:
         for k in range(2, 7):
             assert S.enumerate_all_pdb(k, 2) == ["a" * k + "b" * k]
 
-    def test_gate(self):
-        with pytest.raises(CapacityExceeded):
-            S.enumerate_all_pdb(4, 4)
+    @pytest.mark.parametrize("k, sigma", [(3, 6), (3, 9), (2, 4)])
+    def test_counting_bound_decides_first(self, monkeypatch, k, sigma):
+        # no covering word is as short as a perfect one: answered before
+        # any table is built or the kernel runs
+        def unreached(*_args):
+            raise AssertionError("the enumeration reached the kernel")
+
+        monkeypatch.setattr(kernel, "build_tables", unreached)
+        monkeypatch.setattr(kernel, "fixed_length_search", unreached)
+        assert not C.bounds(k, sigma).pdb_possible_by_bounds
+        assert S.enumerate_all_pdb(k, sigma) == []
+
+    def test_node_budget_bounds_the_enumeration(self):
+        cfg = S.SearchConfig(k=4, sigma=4, node_budget=1000)
+        with pytest.raises(CapacityExceeded,
+                           match="node budget at length 38"):
+            S.enumerate_all_pdb(4, 4, cfg)
+
+    @COMPILED_ONLY
+    def test_4_4_classes(self, cpus):
+        # 38,999,635 nodes; the same classes for any worker count
+        reps = [S.enumerate_all_pdb(4, 4, S.SearchConfig(
+                    k=4, sigma=4, worker_count=workers))
+                for workers in (1, 2)]
+        assert reps[0] == reps[1]
+        assert len(reps[0]) == 38
+        assert all(C.verify(word, 4, 4).is_pdb for word in reps[0])
+        assert S.canonical_form(C.PERFECT_COVERS[4, 4], 4) in reps[0]
+
+    @COMPILED_ONLY
+    def test_binary_k20_single_class(self):
+        # 1,048,615 nodes
+        assert S.enumerate_all_pdb(20, 2) == ["a" * 20 + "b" * 20]
 
     def test_canonical_form_is_orbit_minimum(self):
         word = "abbbcccaaabc"
