@@ -84,7 +84,6 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
     budget ran out.
     """
     n_vec, shift = tables
-    shift = list(shift)   # a list indexes faster than the table's array
     rule_dup = bool(rules & RULE_DUPLICATE) and pdb_only
     rule_rem = bool(rules & RULE_REMAINING)
     rule_comp = bool(rules & RULE_COMPONENTS)
@@ -272,7 +271,6 @@ def find_covering_naive(k, sigma, length, tables):
     or None.  Enumerates all sigma**length words: no canonical-form
     restriction, no pruning.  Independent check for refutations."""
     n_vec, shift = tables
-    shift = list(shift)
     word = [0] * length
     at = [0] * length
     mult = [0] * n_vec

@@ -26,8 +26,9 @@ BOTH = "both"
 NOT_A_CLIQUE = "not_a_clique"
 SINGLETON = "singleton"
 
-# Vertex enumeration is materialized by exports and by several operations,
-# so grids are capped well below the 64-bit vector-count bound.
+# A grid holds nothing per vertex; only the lists that vertices() and
+# arcs() materialize, and what reads them, are capped, well below the
+# 64-bit vector-count bound.
 MAX_GRID_VERTICES = 5_000_000
 
 
@@ -54,23 +55,25 @@ class PdbGrid:
         if k < 1 or sigma < 1:
             raise InvalidInput("grid needs k >= 1 and sigma >= 1, got k=%r "
                                "sigma=%r" % (k, sigma))
-        count = V.ensure_capacity(k, sigma)
-        if count > MAX_GRID_VERTICES:
-            raise CapacityExceeded(
-                "grid would have %d vertices, above the %d-vertex bound"
-                % (count, MAX_GRID_VERTICES))
+        self.vertex_count = V.ensure_capacity(k, sigma)
         self.k = k
         self.sigma = sigma
         self.alphabet = V.Alphabet(sigma)
-        self.vertex_count = count
 
     def __repr__(self):
         return "PdbGrid(k=%d, sigma=%d)" % (self.k, self.sigma)
 
     # -- vertex addressing ------------------------------------------------
 
+    def _check_listable(self):
+        if self.vertex_count > MAX_GRID_VERTICES:
+            raise CapacityExceeded(
+                "listing the grid's %d vertices exceeds the %d-vertex bound"
+                % (self.vertex_count, MAX_GRID_VERTICES))
+
     def vertices(self):
         """All vertices in rank order (the canonical colex enumeration)."""
+        self._check_listable()
         return V.enumerate_pv(self.k, self.sigma)
 
     def rank(self, p):
@@ -129,6 +132,7 @@ class PdbGrid:
         """Every labeled arc, bows included, as rank and letter indices
         (i, j, out, in): the vertex of rank j is p - e_out + e_in for p of
         rank i, and bows are the arcs with out == in."""
+        self._check_listable()
         sigma = self.sigma
         down, up = V.rank_map(self.k, sigma)
         for slot, r in enumerate(down):

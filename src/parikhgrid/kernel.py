@@ -12,9 +12,7 @@ once.  The cache keeps the KEEP_BUILDS builds loaded most recently,
 so checkouts of a few sources that share it do not rebuild.  When
 there is no compiler, the build fails or the cache cannot be written, the
 pure-Python twin (``_kernel_py``) is used instead, for the search and for
-the tables, and ``FALLBACK_REASON`` says why.  PARIKHGRID_PURE_KERNEL=1
-forces the pure-Python kernel (useful for benchmarking and for debugging
-kernel parity).
+the tables, and ``FALLBACK_REASON`` says why.
 """
 
 import ctypes
@@ -221,14 +219,11 @@ def _compiled_naive(k, sigma, length, tables):
 
 
 FALLBACK_REASON = None
-_lib = None
-if os.environ.get("PARIKHGRID_PURE_KERNEL"):
-    FALLBACK_REASON = "PARIKHGRID_PURE_KERNEL is set"
-else:
-    try:
-        _lib = _load(_build())
-    except OSError as exc:
-        FALLBACK_REASON = "compiled kernel unavailable: %s" % exc
+try:
+    _lib = _load(_build())
+except OSError as exc:
+    _lib = None
+    FALLBACK_REASON = "compiled kernel unavailable: %s" % exc
 
 if _lib is None:
     build_tables = _kernel_py.build_tables

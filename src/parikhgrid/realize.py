@@ -35,9 +35,11 @@ def _as_vector_set(pi):
                            "every word of length >= k has a window")
     some = next(iter(members))
     k = sum(some)
-    if any(len(p) != len(some) or sum(p) != k or min(p) < 0 for p in members):
-        raise InvalidInput("realizable-set members must share one order and "
-                           "one alphabet size")
+    # a vector without coordinates has no minimum and is refused
+    if any(len(p) != len(some) or sum(p) != k or min(p, default=-1) < 0
+           for p in members):
+        raise InvalidInput("realizable-set members must be vectors of one "
+                           "order and one alphabet size")
     return members, k, len(some)
 
 

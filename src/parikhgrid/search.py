@@ -315,16 +315,16 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
     return complete, solutions, nodes, max_depth
 
 
-def _render(sigma, solution):
-    return V.Alphabet(sigma).indices_to_word(list(solution))
-
-
-def _assert_witness(word, k, sigma, pdb_only):
-    report = covering.verify(word, k, sigma)
-    ok = report.is_pdb if pdb_only else report.is_covering
-    if not ok:
+def _certified(cfg, solution, pdb_only):
+    """A solution, letter indices, as a word, once covering.verify finds it
+    a perfect cover (pdb_only) or a covering word: the one way a word
+    leaves the search."""
+    word = V.Alphabet(cfg.sigma).indices_to_word(solution)
+    report = covering.verify(word, cfg.k, cfg.sigma)
+    if not (report.is_pdb if pdb_only else report.is_covering):
         raise AssertionError("search returned a non-witness %r for k=%d "
-                             "sigma=%d" % (word, k, sigma))
+                             "sigma=%d" % (word, cfg.k, cfg.sigma))
+    return word
 
 
 def run_search(cfg, progress=None):
@@ -363,9 +363,8 @@ def _search(cfg, target, lengths, pdb_only, minimal, refuted_up_to=None,
                       stats=SearchStats(nodes=nodes, max_depth=max_depth,
                                         elapsed=time.perf_counter() - start))
     if sols:
-        word = _render(cfg.sigma, sols[0])
-        _assert_witness(word, cfg.k, cfg.sigma, pdb_only)
-        return outcome(status=STATUS_FOUND, witness=word, minimal=minimal)
+        return outcome(status=STATUS_FOUND, minimal=minimal,
+                       witness=_certified(cfg, sols[0], pdb_only))
     return outcome(status=STATUS_REFUTED if complete else STATUS_BUDGET,
                    refuted_up_to=refuted_up_to)
 
@@ -403,8 +402,8 @@ def search_pdb_existence(k, sigma, cfg=None, progress=None):
 
 
 def _collect_all(cfg, lengths, pdb_only, what):
-    """Yields every canonical solution of ``lengths`` as a word, in order,
-    with one tables build, pool and node budget for all of them; raises
+    """Yields the kernel's canonical solutions of ``lengths`` in order, with
+    one tables build, pool and node budget for all of them; raises
     CapacityExceeded, naming the length, when the budget runs out."""
     tables = _prepare(cfg, lengths) if lengths else None
     nodes = 0
@@ -417,8 +416,7 @@ def _collect_all(cfg, lengths, pdb_only, what):
             if not complete:
                 raise CapacityExceeded("%s ran out of node budget at length "
                                        "%d" % (what, length))
-            for sol in sols:
-                yield _render(cfg.sigma, sol)
+            yield from sols
 
 
 def iter_covering_words(k, sigma, max_len, node_budget=None):
@@ -431,34 +429,34 @@ def iter_covering_words(k, sigma, max_len, node_budget=None):
     cfg = SearchConfig(k=k, sigma=sigma, node_budget=node_budget)
     lengths = range(covering.bounds(k, sigma).shortest_lower_bound,
                     max_len + 1)
-    yield from _collect_all(cfg, lengths, False, "covering-word enumeration")
+    for sol in _collect_all(cfg, lengths, False, "covering-word enumeration"):
+        yield _certified(cfg, sol, False)
 
 
-def _relabel_canonical(word, sigma):
-    """Map letters to a, b, c, ... by first occurrence."""
-    alphabet = V.Alphabet(sigma)
-    mapping = {}
-    out = []
-    for idx in alphabet.word_to_indices(word):
-        if idx not in mapping:
-            mapping[idx] = len(mapping)
-        out.append(mapping[idx])
-    return alphabet.indices_to_word(out)
+def _canonical(letters):
+    """The least of the 2 * sigma! relabel/reversal images of a word of
+    letter indices: the word and its reversal, each relabeled 0, 1, 2, ...
+    by first occurrence, the smaller as a tuple."""
+    def relabeled(seq):
+        first = {}
+        return tuple(first.setdefault(c, len(first)) for c in seq)
+
+    return min(relabeled(letters), relabeled(letters[::-1]))
 
 
 def canonical_form(word, sigma):
-    """Lexicographic minimum over the 2 * sigma! relabel/reversal images."""
-    return min(_relabel_canonical(word, sigma),
-               _relabel_canonical(word[::-1], sigma))
+    """The least relabel/reversal image of a word, compared on indices."""
+    alphabet = V.Alphabet(sigma)
+    return alphabet.indices_to_word(_canonical(alphabet.word_to_indices(word)))
 
 
 def enumerate_all_pdb(k, sigma, cfg=None):
     """All perfect covering words, one canonical representative per orbit
-    under alphabet relabeling and reversal, sorted: [] at once when the
-    counting bound rules them out, else bounded by the node budget of
-    ``cfg``, whose exhaustion raises CapacityExceeded."""
+    under alphabet relabeling and reversal, sorted by letter indices: []
+    at once when the counting bound rules them out, else bounded by the
+    node budget of ``cfg``, whose exhaustion raises CapacityExceeded."""
     cfg = replace(cfg or SearchConfig(k=k, sigma=sigma), k=k, sigma=sigma,
                   target=TARGET_PDB)
-    words = _collect_all(cfg, _pdb_lengths(k, sigma), True,
-                         "perfect-cover enumeration")
-    return sorted({canonical_form(word, sigma) for word in words})
+    classes = {_canonical(sol) for sol in _collect_all(
+        cfg, _pdb_lengths(k, sigma), True, "perfect-cover enumeration")}
+    return [_certified(cfg, rep, True) for rep in sorted(classes)]

@@ -50,6 +50,27 @@ def letter_indices(word, sigma):
     return [int(part) for part in word.split(",")] if word else []
 
 
+def render_indices(letters, sigma):
+    """Inverse of letter_indices."""
+    if sigma <= len(LETTERS):
+        return "".join(LETTERS[c] for c in letters)
+    return ",".join(str(c) for c in letters)
+
+
+def canonical_indices(letters):
+    """The least image of a letter-index word under relabeling and
+    reversal: the word and its reversal, each with its letters renamed
+    0, 1, 2, ... in the order they first occur, the smaller as a list."""
+    images = []
+    for seq in (list(letters), list(reversed(letters))):
+        order = []
+        for c in seq:
+            if c not in order:
+                order.append(c)
+        images.append([order.index(c) for c in seq])
+    return min(images)
+
+
 def naive_parikh_set(word, k, sigma):
     """Window set recomputed from scratch for every window."""
     letters = letter_indices(word, sigma)

@@ -60,7 +60,7 @@ class TestGridCommand:
     def test_capacity_exit_two(self, capsys):
         code, _, err = run(capsys, "grid", "--k", "1000000", "--sigma", "8")
         assert code == 2
-        assert "bound" in err
+        assert "2^63-1 capacity bound" in err
 
     @pytest.mark.parametrize("option", [(), ("--format", "dot"),
                                         ("--directed",)])
@@ -366,6 +366,13 @@ class TestOtherCommands:
         assert code == 0
         assert doc["count"] == 1
         assert doc["representatives"] == ["abbbcccaaabc"]
+
+    def test_enumerate_pdb_past_26_letters(self, capsys):
+        code, out, _ = run(capsys, "enumerate-pdb", "--k", "1", "--sigma",
+                           "27")
+        assert code == 0
+        assert json.loads(out)["representatives"] == [
+            ",".join(map(str, range(27)))]
 
     def test_enumerate_pdb_empty_exits_one(self, capsys):
         code, out, _ = run(capsys, "enumerate-pdb", "--k", "4", "--sigma", "3")

@@ -60,8 +60,23 @@ class TestBuildGrid:
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidInput):
             G.build_grid(0, 3)
-        with pytest.raises(CapacityExceeded):
+        with pytest.raises(CapacityExceeded, match="2\\^63-1"):
             G.build_grid(10**6, 8)
+
+    def test_large_grid_answers_local_questions(self):
+        # C(39, 19) vertices: too many to list, none held by the grid
+        g = G.build_grid(20, 20)
+        p = (20,) + (0,) * 19
+        assert g.neighbors(p) == {(19,) + (0,) * i + (1,) + (0,) * (18 - i)
+                                  for i in range(19)}
+        assert g.degree(p) == 19
+        assert g.unrank(g.rank(p)) == p
+        for listing in (g.vertices, lambda: next(g.arcs()),
+                        lambda: next(g.undirected_edges()),
+                        lambda: next(g.directed_edges()),
+                        lambda: G.layout_2d(G.build_grid(4000, 3))):
+            with pytest.raises(CapacityExceeded, match="vertex bound"):
+                listing()
 
 
 class TestDirectedEdges:

@@ -127,9 +127,7 @@ def test_identical_perfect_cover_traces(case):
     _same_trace(*case)
 
 
-@pytest.mark.skipif(shutil.which("cc") is None
-                    or bool(os.environ.get("PARIKHGRID_PURE_KERNEL")),
-                    reason="no cc on PATH, or the pure kernel is forced")
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
 def test_compiled_kernel_loads_where_it_can_be_built():
     # otherwise every needs_compiled test would be skipped, not failed
     assert K.KERNEL_NAME == "compiled", K.FALLBACK_REASON
@@ -274,7 +272,9 @@ def _libasan():
 # kernel built with address and undefined-behaviour checks against the pure
 # kernel on every parity case, those past one mask word and the perfect
 # covers too, and its table builder against the pure one, from one vector
-# to tables of several mask words.  A fault aborts the child.
+# to tables of several mask words.  The child loads the normal build, as
+# any import does, and then swaps in the sanitized one.  A fault aborts
+# the child.
 _SANITIZED_PARITY = """
 import sys
 import parikhgrid.kernel as K
@@ -302,7 +302,7 @@ def test_sanitized_kernel_parity(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert build.returncode == 0, build.stderr
     env = dict(os.environ, LD_PRELOAD=_libasan(),
-               ASAN_OPTIONS="detect_leaks=0", PARIKHGRID_PURE_KERNEL="1")
+               ASAN_OPTIONS="detect_leaks=0")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(K.__file__)),
          os.path.dirname(os.path.abspath(__file__))])
@@ -346,19 +346,8 @@ def test_compiled_rejects_more_than_256_letters():
                               0)
 
 
-def test_pure_kernel_env_override(monkeypatch):
-    monkeypatch.setenv("PARIKHGRID_PURE_KERNEL", "1")
-    reloaded = importlib.reload(K)
-    try:
-        assert reloaded.KERNEL_NAME == "pure-python"
-    finally:
-        monkeypatch.delenv("PARIKHGRID_PURE_KERNEL")
-        importlib.reload(K)
-
-
 def test_fallback_without_compiler(monkeypatch, tmp_path):
     # an empty cache and no cc on PATH: the build cannot run
-    monkeypatch.delenv("PARIKHGRID_PURE_KERNEL", raising=False)
     monkeypatch.setenv("PATH", str(tmp_path))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     reloaded = importlib.reload(K)

@@ -39,6 +39,11 @@ class TestBasicCases:
         with pytest.raises(InvalidInput):
             R.is_realizable_set([(1, 2, 0), (1, 1, 0)])
 
+    def test_vector_without_coordinates_rejected(self):
+        for pi in ([()], [(), (1,)]):
+            with pytest.raises(InvalidInput):
+                R.is_realizable_set(pi)
+
     def test_certificate_catches_a_wrong_witness(self, monkeypatch):
         # a spelling step that enters the wrong letter leaves the window
         # set, and the certificate refuses the witness

@@ -1,9 +1,11 @@
 from collections import deque
+import itertools
 import json
 import multiprocessing
 import multiprocessing.pool
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -17,7 +19,8 @@ from parikhgrid import search as S
 from parikhgrid import vectors as V
 from parikhgrid.errors import CapacityExceeded, InvalidInput
 
-from helpers import colex_vectors, covering_word_exists_naive, grid_step
+from helpers import (canonical_indices, colex_vectors,
+                     covering_word_exists_naive, grid_step, render_indices)
 
 # (k, sigma) -> expected shortest covering length
 SHORTEST = {(2, 3): 7, (3, 3): 12, (2, 4): 12, (2, 5): 16, (4, 3): 19,
@@ -656,7 +659,6 @@ class TestEnumerateAllPdb:
     def test_3_3_confirmed_over_full_space(self):
         # from scratch: scan all 3^12 words for perfect covers; the orbit
         # has all 12 images distinct and forms a single class
-        import itertools
         words = []
         for tup in itertools.product("abc", repeat=12):
             word = "".join(tup)
@@ -720,12 +722,59 @@ class TestEnumerateAllPdb:
     def test_canonical_form_is_orbit_minimum(self):
         word = "abbbcccaaabc"
         images = set()
-        import itertools
         for perm in itertools.permutations("abc"):
             table = str.maketrans("abc", "".join(perm))
             for w in (word, word[::-1]):
                 images.add(w.translate(table))
         assert S.canonical_form(word, 3) == min(images)
+
+    def test_canonical_form_matches_the_oracle(self):
+        rng = random.Random(0xCA7)
+        for sigma in range(1, 41):
+            for _ in range(20):
+                letters = [rng.randrange(sigma)
+                           for _ in range(rng.randrange(0, 3 * sigma))]
+                word = render_indices(letters, sigma)
+                assert S.canonical_form(word, sigma) == render_indices(
+                    canonical_indices(letters), sigma), (word, sigma)
+        # taken on indices, not on the rendered text: "10" sorts before
+        # "2" as text
+        assert S.canonical_form("0,1,10", 27) == "0,1,2"
+        assert S.canonical_form("2,10,2,0", 27) == "0,1,0,2"
+
+    def test_oracle_is_the_orbit_minimum(self):
+        rng = random.Random(0x0B1)
+        for sigma in range(1, 5):
+            for _ in range(30):
+                letters = [rng.randrange(sigma) for _ in range(8)]
+                images = [[perm[c] for c in seq]
+                          for perm in itertools.permutations(range(sigma))
+                          for seq in (letters, letters[::-1])]
+                assert canonical_indices(letters) == min(images)
+
+
+class TestCertifiedExits:
+    """Every word leaves the search through covering.verify: a kernel that
+    returns a non-cover is caught at each exit."""
+
+    @pytest.fixture(autouse=True)
+    def broken_kernel(self, monkeypatch):
+        def search(k, sigma, length, *_args):
+            return True, [bytes(length)], 1, length
+
+        monkeypatch.setattr(kernel, "fixed_length_search", search)
+
+    def test_witness(self):
+        with pytest.raises(AssertionError, match="non-witness 'aaaaaaa'"):
+            S.run_search(S.SearchConfig(k=2, sigma=3))
+
+    def test_covering_enumeration(self):
+        with pytest.raises(AssertionError, match="non-witness"):
+            next(S.iter_covering_words(2, 3, 8))
+
+    def test_perfect_cover_enumeration(self):
+        with pytest.raises(AssertionError, match="non-witness"):
+            S.enumerate_all_pdb(3, 3)
 
 
 class TestExistenceAtLength:
