@@ -78,8 +78,7 @@ def verify(word, k, sigma):
     status, excess, missing vectors, and duplicated vectors."""
     alphabet = V.as_alphabet(sigma)
     sigma = alphabet.size
-    if k < 1:
-        raise InvalidInput("window length k must be >= 1, got %r" % (k,))
+    V.check_window(k)
     total = _verifiable(k, sigma)
     letters = alphabet.word_to_indices(word)
     length = len(letters)
@@ -221,6 +220,7 @@ def bounds(k, sigma):
 def is_universal_cycle(word, k, sigma):
     """True iff the cyclic length-k windows realize every order-k vector
     exactly once (which forces |word| = C(sigma+k-1, k))."""
+    V.check_window(k)
     alphabet = V.as_alphabet(sigma)
     letters = alphabet.word_to_indices(word)
     n = len(letters)
@@ -236,8 +236,7 @@ def is_universal_cycle(word, k, sigma):
 
 def wrap_cycle(word, k, sigma=None):
     """Linearize a cyclic word by appending its first k-1 letters."""
-    if k < 1:
-        raise InvalidInput("window length k must be >= 1, got %r" % (k,))
+    V.check_window(k)
     if sigma is None:
         return word + word[:k - 1]
     alphabet = V.as_alphabet(sigma)

@@ -84,17 +84,15 @@ class PdbGrid:
         return V.pv_unrank(i, self.k, self.sigma)
 
     def contains(self, p):
-        return self._has_order(p, self.k)
-
-    def _has_order(self, p, k):
-        return len(p) == self.sigma and min(p, default=0) >= 0 and sum(p) == k
+        try:
+            self._check_vertex(p)
+        except InvalidInput:
+            return False
+        return True
 
     def _check_vertex(self, p, k=None):
         # k is the grid's order unless given
-        k = self.k if k is None else k
-        if not self._has_order(p, k):
-            raise InvalidInput("%r is not an order-%d vector over %d letters"
-                               % (p, k, self.sigma))
+        V.check_vectors((p,), self.k if k is None else k, self.sigma)
 
     # -- adjacency ---------------------------------------------------------
 
@@ -115,8 +113,7 @@ class PdbGrid:
 
     def edge_label(self, p, q):
         """Label of the directed edge p -> q (q a neighbor of p)."""
-        self._check_vertex(p)
-        self._check_vertex(q)
+        V.check_vectors((p, q), self.k, self.sigma)
         shift = V.step(p, q)
         if shift is None:
             raise InvalidInput("%r and %r are not neighbors" % (p, q))
@@ -193,12 +190,8 @@ def classify_clique(vs):
     vs = list(set(vs))
     if not vs:
         raise InvalidInput("cannot classify an empty vertex set")
-    for p in vs:
-        V.validate_vector(p)
     k = sum(vs[0])
-    if any(len(p) != len(vs[0]) or sum(p) != k for p in vs):
-        raise InvalidInput("clique classification needs vectors of one order "
-                           "over one alphabet")
+    V.check_vectors(vs, k, len(vs[0]))
     if len(vs) == 1:
         return CliqueClassification(kind=SINGLETON)
     for i, p in enumerate(vs):

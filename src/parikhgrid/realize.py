@@ -35,11 +35,7 @@ def _as_vector_set(pi):
                            "every word of length >= k has a window")
     some = next(iter(members))
     k = sum(some)
-    # a vector without coordinates has no minimum and is refused
-    if any(len(p) != len(some) or sum(p) != k or min(p, default=-1) < 0
-           for p in members):
-        raise InvalidInput("realizable-set members must be vectors of one "
-                           "order and one alphabet size")
+    V.check_vectors(members, k, len(some))
     return members, k, len(some)
 
 
@@ -110,6 +106,9 @@ def is_realizable_set(pi, sigma=None, alphabet=None):
         raise InvalidInput("sigma=%d does not match vectors of length %d"
                            % (sigma, vec_sigma))
     alphabet = V.as_alphabet(alphabet if alphabet is not None else vec_sigma)
+    if alphabet.size != vec_sigma:
+        raise InvalidInput("alphabet size %d does not match vectors of "
+                           "length %d" % (alphabet.size, vec_sigma))
     # colex order, the last coordinate slowest, is rank order
     ordered = sorted(members, key=lambda p: p[::-1])
     links = _child_groups(ordered)
@@ -121,9 +120,6 @@ def is_realizable_set(pi, sigma=None, alphabet=None):
             realizable=False, k=k, sigma=vec_sigma,
             refutation=tuple(tuple(ordered[i] for i in sorted(part))
                              for part in (comp, other)))
-    if alphabet.size != vec_sigma:
-        raise InvalidInput("alphabet size %d does not match vectors of "
-                           "length %d" % (alphabet.size, vec_sigma))
     word = [c for c, count in enumerate(ordered[0]) for _ in range(count)]
     for shift in shifts:
         walks.extend_by_shift(word, k, *shift)
@@ -140,8 +136,7 @@ def realizable_pair_witness(p, q, alphabet=None):
     """Witness for a neighbor pair {p, q}: the leaving letter, then the
     canonical word of the pair's meet, then the entering letter."""
     p, q = tuple(p), tuple(q)
-    V.validate_vector(p)
-    V.validate_vector(q)
+    V.check_vectors((p, q), sum(p), len(p))
     shift = V.step(p, q)
     if shift is None:
         raise InvalidInput("%r and %r are not neighbors" % (p, q))

@@ -31,29 +31,20 @@ MAX_VECTOR_COUNT = 2**63 - 1
 
 
 class Alphabet:
-    """An ordered alphabet of ``sigma`` distinct symbols.
+    """An ordered alphabet of ``sigma`` distinct symbols, and the package's
+    only reader of letters.
 
     Up to 26 letters the symbols render as ``a, b, c, ...``; beyond that,
     words are written as comma-separated letter indices.
     """
 
-    def __init__(self, sigma, letters=None):
+    def __init__(self, sigma):
         if sigma < 1:
             raise InvalidInput("alphabet size must be >= 1, got %r" % (sigma,))
-        if letters is None:
-            letters = tuple(_ASCII_LETTERS[:sigma]) if sigma <= 26 else None
-        else:
-            letters = tuple(letters)
-            if len(letters) != sigma:
-                raise InvalidInput("expected %d letters, got %d"
-                                   % (sigma, len(letters)))
-            if len(set(letters)) != sigma:
-                raise InvalidInput("alphabet letters must be distinct")
         self.size = sigma
-        self.letters = letters
-        self._index = (
-            {s: i for i, s in enumerate(letters)} if letters is not None else None
-        )
+        self.letters = tuple(_ASCII_LETTERS[:sigma]) if sigma <= 26 else None
+        self._index = (None if self.letters is None
+                       else {s: i for i, s in enumerate(self.letters)})
 
     def index(self, symbol):
         """Index of a symbol (letter, or decimal index beyond 26 letters)."""
@@ -80,8 +71,11 @@ class Alphabet:
 
     def word_to_indices(self, word):
         """Parse a rendered word into a list of letter indices."""
-        if self.letters is not None:
-            return [self.index(ch) for ch in word]
+        if self._index is not None:
+            try:
+                return list(map(self._index.__getitem__, word))
+            except KeyError as exc:
+                self.index(exc.args[0])  # raises, naming the symbol
         if word == "":
             return []
         return [self.index(part) for part in word.split(",")]
@@ -92,11 +86,10 @@ class Alphabet:
         return ",".join(str(self.index(i)) for i in indices)
 
     def __eq__(self, other):
-        return (isinstance(other, Alphabet)
-                and self.size == other.size and self.letters == other.letters)
+        return isinstance(other, Alphabet) and self.size == other.size
 
     def __hash__(self):
-        return hash((self.size, self.letters))
+        return hash(self.size)
 
     def __repr__(self):
         return "Alphabet(%d)" % self.size
@@ -129,6 +122,22 @@ def validate_vector(p):
         raise InvalidInput("a Parikh vector needs at least one coordinate")
     if any(c < 0 for c in p):
         raise InvalidInput("negative count in Parikh vector %r" % (p,))
+
+
+def check_vectors(ps, k, sigma):
+    """Refuse any of ``ps`` that is not an order-k vector over sigma
+    letters: sigma >= 1 counts, none negative, summing to k."""
+    for p in ps:
+        if len(p) != sigma or sum(p) != k or min(p, default=-1) < 0:
+            validate_vector(p)  # names an empty vector or a negative count
+            raise InvalidInput("%r is not an order-%d vector over %d letters"
+                               % (p, k, sigma))
+
+
+def check_window(k):
+    """Refuse a window length below 1."""
+    if k < 1:
+        raise InvalidInput("window length k must be >= 1, got %r" % (k,))
 
 
 def order(p):
@@ -272,6 +281,8 @@ def pv_unrank(i, k, sigma):
 
 def neighbors(p):
     """Vectors reachable by one window shift: p - e_i + e_j with i != j."""
+    if min(p, default=-1) < 0:
+        validate_vector(p)  # raises: p is empty or has a negative count
     sigma = len(p)
     out = set()
     for i in range(sigma):
@@ -289,11 +300,15 @@ def neighbors(p):
 
 def parents(p):
     """The sigma vectors p + e_i of order one higher."""
+    if min(p, default=-1) < 0:
+        validate_vector(p)
     return {p[:i] + (p[i] + 1,) + p[i + 1:] for i in range(len(p))}
 
 
 def children(p):
     """The gamma(p) vectors p - e_i of order one lower."""
+    if min(p, default=-1) < 0:
+        validate_vector(p)
     return {p[:i] + (p[i] - 1,) + p[i + 1:] for i in range(len(p)) if p[i] > 0}
 
 
@@ -380,8 +395,7 @@ def window_vectors(letters, k, sigma):
 def parikh_set(word, k, alphabet):
     """The distinct vectors of the word's length-k windows."""
     alphabet = as_alphabet(alphabet)
-    if k < 1:
-        raise InvalidInput("window length k must be >= 1, got %r" % (k,))
+    check_window(k)
     letters = alphabet.word_to_indices(word)
     if k > len(letters):
         return ParikhSet(k=k, members=frozenset(), window_exceeds_word=True)

@@ -41,10 +41,8 @@ class Walk:
     def __post_init__(self):
         if not self.vertices:
             raise InvalidInput("a walk needs at least one vertex")
-        sigma = len(self.vertices[0])
-        alphabet = self.alphabet or V.Alphabet(sigma)
+        alphabet = _vertex_alphabet(self.vertices, self.k, self.alphabet)
         object.__setattr__(self, "alphabet", alphabet)
-        _check_vertices(self.vertices, self.k, alphabet)
         steps = _classify_steps(self.vertices)
         bad = next((i for i, s in enumerate(steps) if s is None), None)
         if bad is not None:
@@ -127,11 +125,10 @@ class WalkRealizability:
 def walk_of(word, k, alphabet=None):
     """The walk a word induces: window vectors plus (leaving, entering)
     letter labels."""
+    V.check_window(k)
     alphabet = V.as_alphabet(alphabet if alphabet is not None else _guess_sigma(word))
     letters = alphabet.word_to_indices(word)
     n = len(letters)
-    if k < 1:
-        raise InvalidInput("window length k must be >= 1, got %r" % (k,))
     if n < k:
         raise InvalidInput("word of length %d has no length-%d window" % (n, k))
     verts = tuple(V.window_vectors(letters, k, alphabet.size))
@@ -142,32 +139,25 @@ def walk_of(word, k, alphabet=None):
 
 def _guess_sigma(word):
     # Default alphabet: large enough for the word's letters, a..z rendering.
-    sigma = 1
-    for ch in word:
-        pos = _ascii_pos(ch)
-        sigma = max(sigma, pos + 1)
-    return sigma
+    try:
+        return max(V.Alphabet(26).word_to_indices(word), default=0) + 1
+    except InvalidInput as exc:
+        raise InvalidInput("cannot infer an alphabet: %s; pass one explicitly"
+                           % exc) from None
 
 
-def _ascii_pos(ch):
-    i = ord(ch) - ord("a")
-    if not 0 <= i < 26:
-        raise InvalidInput("cannot infer an alphabet containing %r; pass one "
-                           "explicitly" % (ch,))
-    return i
-
-
-def _check_vertices(vertices, k, alphabet):
-    """Reject an alphabet of another size than the first vertex's length and
-    a vertex that is not an order-k vector of that length."""
+def _vertex_alphabet(vertices, k, alphabet):
+    """The alphabet of a walk's vertices, sigma = the first vertex's length
+    unless given.  Rejects a window length below 1, a vertex that is not an
+    order-k vector over sigma letters and an alphabet of another size."""
+    V.check_window(k)
     sigma = len(vertices[0])
+    V.check_vectors(vertices, k, sigma)
+    alphabet = V.as_alphabet(alphabet if alphabet is not None else sigma)
     if alphabet.size != sigma:
         raise InvalidInput("alphabet size %d does not match vectors of "
                            "length %d" % (alphabet.size, sigma))
-    for p in vertices:
-        if len(p) != sigma or sum(p) != k or min(p) < 0:
-            raise InvalidInput("vertex %r is not an order-%d vector"
-                               % (p, k))
+    return alphabet
 
 
 def _classify_steps(vertices):
@@ -231,8 +221,7 @@ def _walk_parts(walk_or_vertices, k=None, alphabet=None):
         raise InvalidInput("a walk needs at least one vertex")
     if k is None:
         k = sum(vertices[0])
-    alphabet = V.as_alphabet(alphabet if alphabet is not None else len(vertices[0]))
-    _check_vertices(vertices, k, alphabet)
+    alphabet = _vertex_alphabet(vertices, k, alphabet)
     return vertices, k, alphabet, [None] * (len(vertices) - 1)
 
 
@@ -293,8 +282,7 @@ def string_from_itinerary(itinerary, k, alphabet=None):
     else:
         vertices = tuple(tuple(p) for p in itinerary)
         Itinerary(vertices=vertices)  # validates bowfreeness / non-emptiness
-    alphabet = V.as_alphabet(alphabet if alphabet is not None else len(vertices[0]))
-    _check_vertices(vertices, k, alphabet)
+    alphabet = _vertex_alphabet(vertices, k, alphabet)
     word = alphabet.word_to_indices(V.canonical_word(vertices[0], alphabet))
     for prev, nxt in zip(vertices, vertices[1:]):
         shift = V.step(prev, nxt)

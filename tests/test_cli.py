@@ -90,6 +90,12 @@ class TestRealizeCommand:
         assert code == 0
         assert json.loads(out)["witness"]
 
+    def test_order_other_than_k_exit_two(self, capsys):
+        code, out, err = run(capsys, "realize", "(3,0,0)", "--k", "2",
+                             "--sigma", "3")
+        assert code == 2 and out == ""
+        assert "vectors have order 3, not k=2" in err
+
     def test_malformed_vector_exit_two(self, capsys):
         code, _, err = run(capsys, "realize", "(2,1,x)", "--k", "3",
                            "--sigma", "3")

@@ -243,6 +243,23 @@ class TestUniversalCycles:
         for k in range(1, 7):
             assert C.is_universal_cycle("a", k, 1)
 
+    def test_window_below_one_refused(self):
+        # "a" has one window of length 0 and there is one order-0 vector,
+        # yet a cycle of empty windows is no universal cycle
+        for k in (0, -1):
+            with pytest.raises(InvalidInput, match="window length"):
+                C.is_universal_cycle("a", k, 2)
+            with pytest.raises(InvalidInput, match="window length"):
+                C.wrap_cycle("a", k, 2)
+
+    def test_wrap_with_an_alphabet(self):
+        assert C.wrap_cycle("aabbcc", 2, 3) == "aabbcca"
+        with pytest.raises(InvalidInput, match="symbol 'd'"):
+            C.wrap_cycle("abd", 2, 3)
+        # past 26 letters words are comma-separated letter indices
+        word = ",".join(str(i) for i in range(27))
+        assert C.wrap_cycle(word, 3, 27) == word + ",0,1"
+
     def test_exhaustive_agreement_with_wrap(self):
         # every length-C word: cycle <=> its wrap is a perfect cover whose
         # windows also wrap around

@@ -57,6 +57,12 @@ class TestBuildGrid:
                     assert g.degree(p) == len(g.neighbors(p))
                     assert g.degree(p) == V.support_size(p) * (sigma - 1)
 
+    def test_contains(self):
+        g = G.build_grid(2, 3)
+        assert all(g.contains(p) for p in g.vertices())
+        for p in [(1, 1), (2, 1, 0), (3, -1, 0), ()]:
+            assert not g.contains(p)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidInput):
             G.build_grid(0, 3)

@@ -1,0 +1,47 @@
+"""Every public entry point that takes Parikh vectors refuses a tuple that
+is none: one without coordinates, or one with a negative count, whether
+its counts sum to the order asked for or not."""
+
+import pytest
+
+from parikhgrid import grid as G
+from parikhgrid import realize as R
+from parikhgrid import vectors as V
+from parikhgrid import walks as W
+from parikhgrid.errors import InvalidInput
+
+# the grid of order-1 vectors over two letters; (2, -1) has order 1
+GRID = G.PdbGrid(1, 2)
+
+ENTRY_POINTS = {
+    "neighbors": V.neighbors,
+    "parents": V.parents,
+    "children": V.children,
+    "pv_rank": V.pv_rank,
+    "canonical_word": V.canonical_word,
+    "PdbGrid.rank": GRID.rank,
+    "PdbGrid.neighbors": GRID.neighbors,
+    "PdbGrid.degree": GRID.degree,
+    "PdbGrid.bows": GRID.bows,
+    "PdbGrid.edge_label": lambda p: GRID.edge_label(p, (1, 0)),
+    "PdbGrid.simplex_of_parent": GRID.simplex_of_parent,
+    "PdbGrid.simplex_of_child": GRID.simplex_of_child,
+    "Walk": lambda p: W.Walk(k=1, vertices=(p,)),
+    "is_realizable_walk": lambda p: W.is_realizable_walk([p], 1),
+    "spell": lambda p: W.spell([p], 1),
+    "string_from_itinerary": lambda p: W.string_from_itinerary([p], 1),
+    "is_realizable_set": lambda p: R.is_realizable_set([p]),
+    "realizable_pair_witness": lambda p: R.realizable_pair_witness(p, (0, 1)),
+    "classify_clique": lambda p: G.classify_clique([p]),
+}
+
+# the messages of vectors.validate_vector and vectors.check_vectors
+REFUSAL = "at least one coordinate|negative count|is not an order-"
+
+
+@pytest.mark.parametrize("p", [(1, -1), (2, -1), ()], ids=repr)
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_point_refuses_a_non_vector(name, p):
+    with pytest.raises(InvalidInput, match=REFUSAL):
+        ENTRY_POINTS[name](p)
+

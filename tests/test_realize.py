@@ -39,6 +39,13 @@ class TestBasicCases:
         with pytest.raises(InvalidInput):
             R.is_realizable_set([(1, 2, 0), (1, 1, 0)])
 
+    def test_alphabet_checked_before_deciding(self):
+        # five letters for three-letter vectors: refused whether the set is
+        # disconnected or connected, not refuted
+        for pi in ([(3, 0, 0), (0, 3, 0)], [(3, 0, 0), (2, 1, 0)]):
+            with pytest.raises(InvalidInput, match="alphabet size 5"):
+                R.is_realizable_set(pi, alphabet=V.Alphabet(5))
+
     def test_vector_without_coordinates_rejected(self):
         for pi in ([()], [(), (1,)]):
             with pytest.raises(InvalidInput):

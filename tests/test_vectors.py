@@ -24,7 +24,8 @@ class TestPvOf:
         assert V.pv_of("cab", 3) == (1, 1, 1)
 
     def test_unknown_symbol(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput,
+                           match=r"symbol 'z' is not in the alphabet \(size 3\)"):
             V.pv_of("abz", 3)
 
     def test_concatenation_additive(self):
@@ -139,6 +140,13 @@ class TestRelations:
                     byparent = bool(V.parents(p) & V.parents(q))
                     bychild = bool(V.children(p) & V.children(q))
                     assert byrel == byparent == bychild
+
+    @pytest.mark.parametrize("relation", [V.neighbors, V.parents,
+                                          V.children])
+    def test_shift_relations_refuse_a_negative_count(self, relation):
+        # (1, -1) is one shift from (2, -2) and (0, 0), yet no Parikh vector
+        with pytest.raises(InvalidInput, match="negative count"):
+            relation((1, -1))
 
     def test_neighbors_via_children(self):
         # neighbors of p are the (c + e_j) != p over children c of p

@@ -203,6 +203,11 @@ class TestStringFromItinerary:
     def test_single_vertex(self):
         assert W.string_from_itinerary([(1, 1, 1)], 3) == "abc"
 
+    def test_itinerary_object(self):
+        itinerary = W.Walk(k=3, vertices=((2, 1, 0), (2, 1, 0),
+                                          (1, 2, 0))).itinerary()
+        assert W.string_from_itinerary(itinerary, 3) == "aabb"
+
     def test_rejects_non_neighbors(self):
         with pytest.raises(InvalidInput):
             W.string_from_itinerary([(3, 0, 0), (1, 1, 1)], 3)
@@ -303,6 +308,21 @@ class TestWalkValidation:
                 W.is_realizable_walk([(1,)], 1, alphabet)
             with pytest.raises(InvalidInput, match="alphabet size 3"):
                 W.spell([(1,)], 1, alphabet)
+
+    def test_window_below_one_refused(self):
+        # order-0 vertices would make k = 0, where every window is empty
+        zeros = [(0, 0), (0, 0)]
+        for call in (lambda: W.Walk(k=0, vertices=tuple(zeros)),
+                     lambda: W.is_realizable_walk(zeros),
+                     lambda: W.spell(zeros, 0),
+                     lambda: W.string_from_itinerary([(0, 0)], 0),
+                     lambda: W.walk_of("ab", 0)):
+            with pytest.raises(InvalidInput, match="window length"):
+                call()
+
+    def test_alphabet_not_guessed_beyond_a_to_z(self):
+        with pytest.raises(InvalidInput, match="'A'.*pass one explicitly"):
+            W.walk_of("aAb", 2)
 
     def test_itinerary_rejects_consecutive_duplicates(self):
         with pytest.raises(InvalidInput):
