@@ -90,10 +90,8 @@ def cmd_verify(args):
 
 def cmd_walk(args):
     from . import export, walks
-    from .vectors import Alphabet
 
-    sigma = args.sigma
-    walk = walks.walk_of(args.word, args.k, Alphabet(sigma) if sigma else None)
+    walk = walks.walk_of(args.word, args.k, args.sigma)
     doc = {
         "schema": export.SCHEMA, "kind": "walk",
         "k": walk.k, "sigma": walk.sigma(), "word": args.word,

@@ -76,8 +76,7 @@ def min_letter_occurrences(k, sigma):
 def verify(word, k, sigma):
     """Count window multiplicities and report covering / perfect-covering
     status, excess, missing vectors, and duplicated vectors."""
-    alphabet = V.as_alphabet(sigma)
-    sigma = alphabet.size
+    alphabet = V.Alphabet(sigma)
     V.check_window(k)
     total = _verifiable(k, sigma)
     letters = alphabet.word_to_indices(word)
@@ -134,20 +133,19 @@ def covset(word, sigma):
     1 + #{i : w[i] != w[i+k]} distinct windows.  And its n - k + 1 windows
     shrink as k grows while the vectors to cover grow, so the first k with
     too few windows ends the scan."""
-    alphabet = V.as_alphabet(sigma)
-    letters = alphabet.word_to_indices(word)
-    longest = [0] * alphabet.size
+    letters = V.Alphabet(sigma).word_to_indices(word)
+    longest = [0] * sigma
     for x, run in groupby(letters):
         longest[x] = max(longest[x], sum(1 for _ in run))
-    if alphabet.size <= 2:
+    if sigma <= 2:
         return frozenset(range(1, min(longest) + 1))
     out = set()
     for k in range(1, min(longest) + 1):
-        total = comb(k + alphabet.size - 1, alphabet.size - 1)
+        total = comb(k + sigma - 1, sigma - 1)
         if len(letters) - k + 1 < total:
             break
         if (1 + sum(map(ne, letters, letters[k:])) >= total and len(set(
-                V.window_vectors(letters, k, alphabet.size))) == total):
+                V.window_vectors(letters, k, sigma))) == total):
             out.add(k)
     return frozenset(out)
 
@@ -200,10 +198,7 @@ def _known_verdict(k, sigma):
 def bounds(k, sigma):
     """Both lower bounds on shortest covering length, the divisibility
     condition for universal cycles, and any known existence verdict."""
-    if k < 1 or sigma < 1:
-        raise InvalidInput("bounds need k >= 1 and sigma >= 1, got k=%r "
-                           "sigma=%r" % (k, sigma))
-    V.ensure_capacity(k, sigma)
+    V.check_instance(k, sigma)
     pdb_len = perfect_length(k, sigma)
     counting = sigma * min_letter_occurrences(k, sigma)
     return BoundsReport(
@@ -221,25 +216,23 @@ def is_universal_cycle(word, k, sigma):
     """True iff the cyclic length-k windows realize every order-k vector
     exactly once (which forces |word| = C(sigma+k-1, k))."""
     V.check_window(k)
-    alphabet = V.as_alphabet(sigma)
-    letters = alphabet.word_to_indices(word)
+    letters = V.Alphabet(sigma).word_to_indices(word)
     n = len(letters)
-    total = V.ensure_capacity(k, alphabet.size)
+    total = V.ensure_capacity(k, sigma)
     if n != total:
         return False
     # the cyclic windows are the linear windows of the word with its first
     # k - 1 letters wrapped on; a word shorter than k - 1 wraps round more
     # than once
     wrapped = list(islice(cycle(letters), n + k - 1))
-    return len(set(V.window_vectors(wrapped, k, alphabet.size))) == total
+    return len(set(V.window_vectors(wrapped, k, sigma))) == total
 
 
 def wrap_cycle(word, k, sigma=None):
-    """Linearize a cyclic word by appending its first k-1 letters."""
+    """Linearize a cyclic word by appending its first k-1 letters.  Sigma
+    is inferred from the word when not given."""
     V.check_window(k)
-    if sigma is None:
-        return word + word[:k - 1]
-    alphabet = V.as_alphabet(sigma)
+    alphabet = V.Alphabet(V.guess_sigma(word) if sigma is None else sigma)
     letters = alphabet.word_to_indices(word)
     return alphabet.indices_to_word(letters + letters[:k - 1])
 
@@ -339,7 +332,7 @@ def _kcover_not_k1(k, sigma):
     avoided = (k - 3, 1, 1) + (0,) * (sigma - 3)
     removed = V.parents(avoided)
     reduced = set(V.enumerate_pv(k, sigma)) - removed
-    base = realize.is_realizable_set(reduced, alphabet=alphabet)
+    base = realize.is_realizable_set(reduced)
     if not base.realizable:
         raise AssertionError("grid minus the parents of %r is disconnected"
                              % (avoided,))

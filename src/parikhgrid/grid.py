@@ -52,10 +52,7 @@ class PdbGrid:
     """Grid of all order-k Parikh vectors over a sigma-letter alphabet."""
 
     def __init__(self, k, sigma):
-        if k < 1 or sigma < 1:
-            raise InvalidInput("grid needs k >= 1 and sigma >= 1, got k=%r "
-                               "sigma=%r" % (k, sigma))
-        self.vertex_count = V.ensure_capacity(k, sigma)
+        self.vertex_count = V.check_instance(k, sigma)
         self.k = k
         self.sigma = sigma
         self.alphabet = V.Alphabet(sigma)

@@ -98,17 +98,13 @@ def _tour(links, seen, start):
     return comp, shifts
 
 
-def is_realizable_set(pi, sigma=None, alphabet=None):
+def is_realizable_set(pi, sigma=None):
     """Decide realizability; on success the witness string's window set is
     verified to equal the input exactly."""
     members, k, vec_sigma = _as_vector_set(pi)
     if sigma is not None and sigma != vec_sigma:
         raise InvalidInput("sigma=%d does not match vectors of length %d"
                            % (sigma, vec_sigma))
-    alphabet = V.as_alphabet(alphabet if alphabet is not None else vec_sigma)
-    if alphabet.size != vec_sigma:
-        raise InvalidInput("alphabet size %d does not match vectors of "
-                           "length %d" % (alphabet.size, vec_sigma))
     # colex order, the last coordinate slowest, is rank order
     ordered = sorted(members, key=lambda p: p[::-1])
     links = _child_groups(ordered)
@@ -128,11 +124,12 @@ def is_realizable_set(pi, sigma=None, alphabet=None):
         raise AssertionError(
             "witness construction is broken: expected window set %r, got %r"
             % (sorted(members), sorted(got)))
-    return RealizabilityResult(realizable=True, k=k, sigma=vec_sigma,
-                               witness=alphabet.indices_to_word(word))
+    return RealizabilityResult(
+        realizable=True, k=k, sigma=vec_sigma,
+        witness=V.Alphabet(vec_sigma).indices_to_word(word))
 
 
-def realizable_pair_witness(p, q, alphabet=None):
+def realizable_pair_witness(p, q):
     """Witness for a neighbor pair {p, q}: the leaving letter, then the
     canonical word of the pair's meet, then the entering letter."""
     p, q = tuple(p), tuple(q)
@@ -140,7 +137,7 @@ def realizable_pair_witness(p, q, alphabet=None):
     shift = V.step(p, q)
     if shift is None:
         raise InvalidInput("%r and %r are not neighbors" % (p, q))
-    alphabet = V.as_alphabet(alphabet if alphabet is not None else len(p))
+    alphabet = V.Alphabet(len(p))
     out_i, in_i = shift
-    middle = V.canonical_word(V.meet([p, q]), alphabet)
+    middle = V.canonical_word(V.meet([p, q]))
     return alphabet.letter(out_i) + middle + alphabet.letter(in_i)

@@ -125,10 +125,7 @@ def _longest_word(k, sigma):
     within MAX_TABLE_ENTRIES.  The capacity gate of every search: it
     refuses, before any table is built, a k or sigma below 1 and tables
     that leave no room for a word of k letters."""
-    if k < 1 or sigma < 1:
-        raise InvalidInput("searches need k >= 1 and sigma >= 1, got k=%r "
-                           "sigma=%r" % (k, sigma))
-    longest = MAX_TABLE_ENTRIES - V.ensure_capacity(k, sigma) * sigma * sigma
+    longest = MAX_TABLE_ENTRIES - V.check_instance(k, sigma) * sigma * sigma
     if longest < k:
         raise CapacityExceeded(
             "search tables for k=%d sigma=%d and a word of k letters exceed "

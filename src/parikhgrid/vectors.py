@@ -47,20 +47,24 @@ class Alphabet:
                        else {s: i for i, s in enumerate(self.letters)})
 
     def index(self, symbol):
-        """Index of a symbol (letter, or decimal index beyond 26 letters)."""
+        """Index of a symbol: a letter, or beyond 26 letters a decimal index
+        written as :meth:`indices_to_word` writes it."""
         if self._index is not None:
             try:
                 return self._index[symbol]
             except KeyError:
                 raise InvalidInput("symbol %r is not in the alphabet (size %d)"
                                    % (symbol, self.size)) from None
+        # int() also reads signs, spaces, underscores, leading zeros and
+        # non-ASCII digits; only its own rendering is accepted back
         try:
             i = int(symbol)
         except (TypeError, ValueError):
-            raise InvalidInput("expected a letter index, got %r" % (symbol,)) from None
-        if not 0 <= i < self.size:
-            raise InvalidInput("letter index %d out of range for sigma=%d"
-                               % (i, self.size))
+            i = None
+        if str(i) != symbol:
+            raise InvalidInput("expected a letter index in plain decimals, "
+                               "got %r" % (symbol,))
+        self.letter(i)  # refuses an index out of range
         return i
 
     def letter(self, i):
@@ -81,25 +85,30 @@ class Alphabet:
         return [self.index(part) for part in word.split(",")]
 
     def indices_to_word(self, indices):
-        if self.letters is not None:
-            return "".join(self.letter(i) for i in indices)
-        return ",".join(str(self.index(i)) for i in indices)
-
-    def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.size == other.size
-
-    def __hash__(self):
-        return hash(self.size)
+        return ("" if self.letters is not None else ",").join(
+            map(self.letter, indices))
 
     def __repr__(self):
         return "Alphabet(%d)" % self.size
 
 
-def as_alphabet(alphabet):
-    """Accept an Alphabet or a plain sigma."""
-    if isinstance(alphabet, Alphabet):
-        return alphabet
-    return Alphabet(int(alphabet))
+def guess_sigma(word):
+    """The size of the smallest a..z alphabet that holds the word's
+    letters, for a word given without one."""
+    try:
+        return max(Alphabet(26).word_to_indices(word), default=0) + 1
+    except InvalidInput as exc:
+        raise InvalidInput("cannot infer an alphabet: %s; pass one explicitly"
+                           % exc) from None
+
+
+def check_instance(k, sigma):
+    """Refuse an order k or an alphabet size sigma below 1, then as
+    :func:`ensure_capacity` does; returns the vector count."""
+    if k < 1 or sigma < 1:
+        raise InvalidInput("need k >= 1 and sigma >= 1, got k=%r sigma=%r"
+                           % (k, sigma))
+    return ensure_capacity(k, sigma)
 
 
 def ensure_capacity(k, sigma):
@@ -150,11 +159,10 @@ def support_size(p):
     return sum(1 for c in p if c)
 
 
-def pv_of(word, alphabet):
+def pv_of(word, sigma):
     """Parikh vector of a word: counts[i] = occurrences of letter i."""
-    alphabet = as_alphabet(alphabet)
-    counts = [0] * alphabet.size
-    for i in alphabet.word_to_indices(word):
+    counts = [0] * sigma
+    for i in Alphabet(sigma).word_to_indices(word):
         counts[i] += 1
     return tuple(counts)
 
@@ -352,14 +360,10 @@ def _check_same_sigma(ps):
         raise InvalidInput("vectors over different alphabet sizes")
 
 
-def canonical_word(p, alphabet=None):
+def canonical_word(p):
     """The word realizing p with letters in alphabet order, e.g. (1,2,0) -> 'abb'."""
     validate_vector(p)
-    alphabet = as_alphabet(alphabet if alphabet is not None else len(p))
-    if len(p) != alphabet.size:
-        raise InvalidInput("vector length %d does not match sigma=%d"
-                           % (len(p), alphabet.size))
-    return alphabet.indices_to_word(
+    return Alphabet(len(p)).indices_to_word(
         [i for i, c in enumerate(p) for _ in range(c)])
 
 
@@ -392,12 +396,12 @@ def window_vectors(letters, k, sigma):
         yield tuple(window)
 
 
-def parikh_set(word, k, alphabet):
+def parikh_set(word, k, sigma):
     """The distinct vectors of the word's length-k windows."""
-    alphabet = as_alphabet(alphabet)
+    alphabet = Alphabet(sigma)
     check_window(k)
     letters = alphabet.word_to_indices(word)
     if k > len(letters):
         return ParikhSet(k=k, members=frozenset(), window_exceeds_word=True)
     return ParikhSet(k=k, members=frozenset(
-        window_vectors(letters, k, alphabet.size)))
+        window_vectors(letters, k, sigma)))

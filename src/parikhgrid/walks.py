@@ -36,13 +36,11 @@ class Walk:
     k: int
     vertices: tuple
     labels: tuple = None
-    alphabet: V.Alphabet = None
 
     def __post_init__(self):
         if not self.vertices:
             raise InvalidInput("a walk needs at least one vertex")
-        alphabet = _vertex_alphabet(self.vertices, self.k, self.alphabet)
-        object.__setattr__(self, "alphabet", alphabet)
+        _check_vertices(self.vertices, self.k)
         steps = _classify_steps(self.vertices)
         bad = next((i for i, s in enumerate(steps) if s is None), None)
         if bad is not None:
@@ -52,6 +50,7 @@ class Walk:
             if len(self.labels) != len(self.vertices) - 1:
                 raise InvalidInput("expected %d labels, got %d"
                                    % (len(self.vertices) - 1, len(self.labels)))
+            alphabet = self._label_alphabet()
             for i, (label, step) in enumerate(zip(self.labels, steps)):
                 out_i = alphabet.index(label.out_letter)
                 in_i = alphabet.index(label.in_letter)
@@ -79,26 +78,29 @@ class Walk:
     def enclosing_vectors(self):
         """Per step, the order-(k+1) vector of the (k+1)-letter span it
         covers: vertex i plus the entering letter."""
-        self._need_labels()
+        alphabet = self._label_alphabet()
         out = []
         for p, label in zip(self.vertices, self.labels):
-            i = self.alphabet.index(label.in_letter)
+            i = alphabet.index(label.in_letter)
             out.append(p[:i] + (p[i] + 1,) + p[i + 1:])
         return out
 
     def inner_vectors(self):
         """Per step, the order-(k-1) vector of the (k-1)-letter overlap of
         its two windows: vertex i minus the leaving letter."""
-        self._need_labels()
+        alphabet = self._label_alphabet()
         out = []
         for p, label in zip(self.vertices, self.labels):
-            i = self.alphabet.index(label.out_letter)
+            i = alphabet.index(label.out_letter)
             out.append(p[:i] + (p[i] - 1,) + p[i + 1:])
         return out
 
-    def _need_labels(self):
+    def _label_alphabet(self):
+        """The alphabet that reads the walk's labels; refuses a walk
+        without labels."""
         if self.labels is None:
             raise InvalidInput("this walk carries no labels")
+        return V.Alphabet(self.sigma())
 
 
 @dataclass(frozen=True)
@@ -122,11 +124,11 @@ class WalkRealizability:
     refutation_index: int = None
 
 
-def walk_of(word, k, alphabet=None):
+def walk_of(word, k, sigma=None):
     """The walk a word induces: window vectors plus (leaving, entering)
-    letter labels."""
+    letter labels.  Sigma is inferred from the word when not given."""
     V.check_window(k)
-    alphabet = V.as_alphabet(alphabet if alphabet is not None else _guess_sigma(word))
+    alphabet = V.Alphabet(V.guess_sigma(word) if sigma is None else sigma)
     letters = alphabet.word_to_indices(word)
     n = len(letters)
     if n < k:
@@ -134,30 +136,14 @@ def walk_of(word, k, alphabet=None):
     verts = tuple(V.window_vectors(letters, k, alphabet.size))
     labels = tuple(EdgeLabel(alphabet.letter(out_i), alphabet.letter(in_i))
                    for out_i, in_i in zip(letters, letters[k:]))
-    return Walk(k=k, vertices=verts, labels=labels, alphabet=alphabet)
+    return Walk(k=k, vertices=verts, labels=labels)
 
 
-def _guess_sigma(word):
-    # Default alphabet: large enough for the word's letters, a..z rendering.
-    try:
-        return max(V.Alphabet(26).word_to_indices(word), default=0) + 1
-    except InvalidInput as exc:
-        raise InvalidInput("cannot infer an alphabet: %s; pass one explicitly"
-                           % exc) from None
-
-
-def _vertex_alphabet(vertices, k, alphabet):
-    """The alphabet of a walk's vertices, sigma = the first vertex's length
-    unless given.  Rejects a window length below 1, a vertex that is not an
-    order-k vector over sigma letters and an alphabet of another size."""
+def _check_vertices(vertices, k):
+    """Refuse a window length below 1 and a vertex that is not an order-k
+    vector over as many letters as the first vertex has counts."""
     V.check_window(k)
-    sigma = len(vertices[0])
-    V.check_vectors(vertices, k, sigma)
-    alphabet = V.as_alphabet(alphabet if alphabet is not None else sigma)
-    if alphabet.size != sigma:
-        raise InvalidInput("alphabet size %d does not match vectors of "
-                           "length %d" % (alphabet.size, sigma))
-    return alphabet
+    V.check_vectors(vertices, k, len(vertices[0]))
 
 
 def _classify_steps(vertices):
@@ -206,26 +192,31 @@ def _solve_spelling(vertices, k, bow_letters):
     return [heads[j % k] if c is None else c for j, c in enumerate(word)], None
 
 
-def _walk_parts(walk_or_vertices, k=None, alphabet=None):
+def _walk_parts(walk_or_vertices, k=None):
     """Vertices, k, alphabet and, per step, the bow letter the walk's
-    labels prescribe (None at an edge, and everywhere without labels)."""
+    labels prescribe (None at an edge, and everywhere without labels).
+    A walk brings its own k; another k given with it is refused."""
     if isinstance(walk_or_vertices, Walk):
         w = walk_or_vertices
+        if k is not None and k != w.k:
+            raise InvalidInput("k=%r given for a walk of k=%d" % (k, w.k))
         vertices = tuple(w.vertices)
+        alphabet = V.Alphabet(w.sigma())
         labels = w.labels or [None] * (len(vertices) - 1)
-        return vertices, w.k, w.alphabet, [
-            w.alphabet.index(lab.out_letter) if lab and p == q else None
+        return vertices, w.k, alphabet, [
+            alphabet.index(lab.out_letter) if lab and p == q else None
             for p, q, lab in zip(vertices, vertices[1:], labels)]
     vertices = tuple(tuple(p) for p in walk_or_vertices)
     if not vertices:
         raise InvalidInput("a walk needs at least one vertex")
     if k is None:
         k = sum(vertices[0])
-    alphabet = _vertex_alphabet(vertices, k, alphabet)
-    return vertices, k, alphabet, [None] * (len(vertices) - 1)
+    _check_vertices(vertices, k)
+    return (vertices, k, V.Alphabet(len(vertices[0])),
+            [None] * (len(vertices) - 1))
 
 
-def is_realizable_walk(walk_or_vertices, k=None, alphabet=None):
+def is_realizable_walk(walk_or_vertices, k=None):
     """Decide whether a vertex sequence spells some string, honoring the
     bow letters of a labeled walk.
 
@@ -233,8 +224,7 @@ def is_realizable_walk(walk_or_vertices, k=None, alphabet=None):
     word it came from); on failure, the index of the earliest violated
     constraint.
     """
-    vertices, k, alphabet, bow_letters = _walk_parts(walk_or_vertices, k,
-                                                     alphabet)
+    vertices, k, alphabet, bow_letters = _walk_parts(walk_or_vertices, k)
     word, refuted = _solve_spelling(vertices, k, bow_letters)
     if word is None:
         return WalkRealizability(realizable=False, refutation_index=refuted)
@@ -245,12 +235,11 @@ def is_realizable_walk(walk_or_vertices, k=None, alphabet=None):
                              word=alphabet.indices_to_word(word))
 
 
-def spell(walk_or_vertices, k=None, alphabet=None):
+def spell(walk_or_vertices, k=None):
     """A word whose walk has this vertex sequence; honors labels when the
     input walk carries them, otherwise returns the lexicographically
     smallest consistent word.  Raises WalkUnrealizable otherwise."""
-    vertices, k, alphabet, bow_letters = _walk_parts(walk_or_vertices, k,
-                                                     alphabet)
+    vertices, k, alphabet, bow_letters = _walk_parts(walk_or_vertices, k)
     word, refuted = _solve_spelling(vertices, k, bow_letters)
     if word is None:
         raise WalkUnrealizable(
@@ -270,7 +259,7 @@ def extend_by_shift(word, k, out_i, in_i):
     word.append(in_i)
 
 
-def string_from_itinerary(itinerary, k, alphabet=None):
+def string_from_itinerary(itinerary, k):
     """Construct a word whose walk's itinerary is exactly the given bowfree
     vertex sequence.
 
@@ -282,15 +271,15 @@ def string_from_itinerary(itinerary, k, alphabet=None):
     else:
         vertices = tuple(tuple(p) for p in itinerary)
         Itinerary(vertices=vertices)  # validates bowfreeness / non-emptiness
-    alphabet = _vertex_alphabet(vertices, k, alphabet)
-    word = alphabet.word_to_indices(V.canonical_word(vertices[0], alphabet))
+    _check_vertices(vertices, k)
+    word = [c for c, count in enumerate(vertices[0]) for _ in range(count)]
     for prev, nxt in zip(vertices, vertices[1:]):
         shift = V.step(prev, nxt)
         if shift is None:
             raise InvalidInput("itinerary vertices %r and %r are not neighbors"
                                % (prev, nxt))
         extend_by_shift(word, k, *shift)
-    return alphabet.indices_to_word(word)
+    return V.Alphabet(len(vertices[0])).indices_to_word(word)
 
 
 @dataclass(frozen=True)
@@ -308,12 +297,11 @@ class BowfreeReport:
     counterexample: int = None
 
 
-def check_bowfree_consequences(word, k, alphabet=None):
-    alphabet = V.as_alphabet(alphabet if alphabet is not None else _guess_sigma(word))
-    walk = walk_of(word, k, alphabet)
+def check_bowfree_consequences(word, k, sigma=None):
+    walk = walk_of(word, k, sigma)
     if not walk.is_bowfree():
         return BowfreeReport(word=word, k=k, bowfree=False, applicable=False)
-    letters = alphabet.word_to_indices(word)
+    letters = V.Alphabet(walk.sigma()).word_to_indices(word)
     n = len(letters)
     letter_ok, face_ok, witness = True, True, None
     for i in range(n - k):

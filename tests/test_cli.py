@@ -299,6 +299,17 @@ class TestOtherCommands:
         assert doc["vertices"][0] == [3, 1, 0]
         assert doc["labels"][0] == ["a", "c"]
 
+    def test_alphabet_below_one_or_unwritten_letter_exit_two(self, capsys):
+        # refused as covset refuses them, not answered with a guessed
+        # sigma or a letter index read in another form
+        for argv in (("walk", "ab", "--k", "1", "--sigma", "0"),
+                     ("covset", "ab", "--sigma", "0"),
+                     ("verify", "0,1_0,+2,\uff12", "--k", "1", "--sigma",
+                      "30")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ")
+
     def test_bounds(self, capsys):
         code, out, _ = run(capsys, "bounds", "--k", "2", "--sigma", "4")
         assert code == 0

@@ -260,6 +260,14 @@ class TestUniversalCycles:
         word = ",".join(str(i) for i in range(27))
         assert C.wrap_cycle(word, 3, 27) == word + ",0,1"
 
+    def test_wrap_infers_sigma_from_letters(self):
+        # without sigma the word is read as letters a to z, as with one:
+        # letter indices and other symbols are refused, not sliced as text
+        assert C.wrap_cycle("aabbcc", 3) == "aabbccaa"
+        for word in ("0,1,2", "a1!"):
+            with pytest.raises(InvalidInput, match="cannot infer an alphabet"):
+                C.wrap_cycle(word, 2)
+
     def test_exhaustive_agreement_with_wrap(self):
         # every length-C word: cycle <=> its wrap is a perfect cover whose
         # windows also wrap around

@@ -1,11 +1,17 @@
 """Every public entry point that takes Parikh vectors refuses a tuple that
 is none: one without coordinates, or one with a negative count, whether
-its counts sum to the order asked for or not."""
+its counts sum to the order asked for or not.  Every one that takes an
+order k and an alphabet size sigma refuses either below 1, with one
+message."""
+
+import re
 
 import pytest
 
+from parikhgrid import covering as C
 from parikhgrid import grid as G
 from parikhgrid import realize as R
+from parikhgrid import search as S
 from parikhgrid import vectors as V
 from parikhgrid import walks as W
 from parikhgrid.errors import InvalidInput
@@ -45,3 +51,19 @@ def test_entry_point_refuses_a_non_vector(name, p):
     with pytest.raises(InvalidInput, match=REFUSAL):
         ENTRY_POINTS[name](p)
 
+
+INSTANCE_ENTRY_POINTS = {
+    "bounds": C.bounds,
+    "build_grid": G.build_grid,
+    "run_search": lambda k, sigma: S.run_search(S.SearchConfig(k=k,
+                                                               sigma=sigma)),
+    "enumerate_all_pdb": S.enumerate_all_pdb,
+}
+
+
+@pytest.mark.parametrize("k,sigma", [(0, 2), (2, 0), (-1, 3), (3, -2)])
+@pytest.mark.parametrize("name", sorted(INSTANCE_ENTRY_POINTS))
+def test_entry_point_refuses_an_instance_below_one(name, k, sigma):
+    message = "need k >= 1 and sigma >= 1, got k=%d sigma=%d" % (k, sigma)
+    with pytest.raises(InvalidInput, match="^%s$" % re.escape(message)):
+        INSTANCE_ENTRY_POINTS[name](k, sigma)

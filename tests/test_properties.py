@@ -237,16 +237,15 @@ def test_spelling_matches_word_enumeration(case):
         labels = tuple(EdgeLabel(LETTERS[c], LETTERS[c]) if c is not None
                        else EdgeLabel(*(LETTERS[x] for x in V.step(p, q)))
                        for p, q, c in zip(vertices, vertices[1:], bow_letters))
-        walk = W.Walk(k=k, vertices=vertices, labels=labels,
-                      alphabet=V.Alphabet(sigma))
-    got = W.is_realizable_walk(walk, k, sigma)
+        walk = W.Walk(k=k, vertices=vertices, labels=labels)
+    got = W.is_realizable_walk(walk, k)
     assert got.realizable == (word is not None)
     if word is None:
         assert got.refutation_index == refutation
         with pytest.raises(WalkUnrealizable) as exc:
-            W.spell(walk, k, sigma)
+            W.spell(walk, k)
         assert exc.value.refutation_index == refutation
         return
-    assert got.word == W.spell(walk, k, sigma) == word
+    assert got.word == W.spell(walk, k) == word
     if bow_letters is not None:
         assert got.labels == walk.labels

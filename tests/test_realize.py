@@ -43,8 +43,8 @@ class TestBasicCases:
         # five letters for three-letter vectors: refused whether the set is
         # disconnected or connected, not refuted
         for pi in ([(3, 0, 0), (0, 3, 0)], [(3, 0, 0), (2, 1, 0)]):
-            with pytest.raises(InvalidInput, match="alphabet size 5"):
-                R.is_realizable_set(pi, alphabet=V.Alphabet(5))
+            with pytest.raises(InvalidInput, match="sigma=5 does not match"):
+                R.is_realizable_set(pi, sigma=5)
 
     def test_vector_without_coordinates_rejected(self):
         for pi in ([()], [(), (1,)]):

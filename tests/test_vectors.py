@@ -222,6 +222,11 @@ class TestAlphabetRendering:
         a = V.Alphabet(30)
         assert a.indices_to_word([0, 29, 5]) == "0,29,5"
         assert a.word_to_indices("0,29,5") == [0, 29, 5]
+        # only the form indices_to_word writes reads back: no sign, space,
+        # underscore, leading zero or non-ASCII digit
+        for index in ("+3", " 2", "1_0", "01", "00", "\uff12", "", "2.0"):
+            with pytest.raises(InvalidInput, match="plain decimals"):
+                a.word_to_indices("0," + index)
 
     def test_canonical_word(self):
         assert V.canonical_word((1, 2, 0)) == "abb"

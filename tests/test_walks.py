@@ -67,7 +67,7 @@ class TestRealizableWalk:
             word = "".join(rng.choice(LETTERS[:sigma]) for _ in range(n))
             k = rng.randint(1, n - 1)
             walk = W.walk_of(word, k, sigma)
-            got = W.is_realizable_walk(list(walk.vertices), k=k, alphabet=sigma)
+            got = W.is_realizable_walk(list(walk.vertices), k=k)
             assert got.realizable
 
     def test_staircase_walk(self):
@@ -85,7 +85,7 @@ class TestRealizableWalk:
                 seqs = [s + [q] for s in seqs
                         for q in sorted(V.neighbors(s[-1]) | {s[-1]})]
             for seq in seqs:
-                got = W.is_realizable_walk(seq, k=k, alphabet=sigma)
+                got = W.is_realizable_walk(seq, k=k)
                 word = walk_realizable_naive(seq, k, sigma)
                 assert got.realizable == (word is not None), seq
                 if got.realizable:
@@ -100,7 +100,7 @@ class TestRealizableWalk:
                                          for _ in range(k)), sigma))]
             for _ in range(m - 1):
                 seq.append(rng.choice(sorted(V.neighbors(seq[-1]) | {seq[-1]})))
-            got = W.is_realizable_walk(seq, k=k, alphabet=sigma)
+            got = W.is_realizable_walk(seq, k=k)
             assert got.realizable == (
                 walk_realizable_naive(seq, k, sigma) is not None)
 
@@ -216,13 +216,10 @@ class TestStringFromItinerary:
         # a negative count after the first vertex, a negative first vertex,
         # another order and another alphabet size: rejected as a walk's
         # vertices are, not spelled
-        for itinerary, k, alphabet in [([(2, 0), (3, -1)], 2, None),
-                                       ([(-1, 3)], 2, None),
-                                       ([(2, 1, 0)], 2, None),
-                                       ([(2, 0), (1, 1, 0)], 2, None),
-                                       ([(2, 0)], 2, 3)]:
+        for itinerary, k in [([(2, 0), (3, -1)], 2), ([(-1, 3)], 2),
+                             ([(2, 1, 0)], 2), ([(2, 0), (1, 1, 0)], 2)]:
             with pytest.raises(InvalidInput):
-                W.string_from_itinerary(itinerary, k, alphabet)
+                W.string_from_itinerary(itinerary, k)
 
     def test_all_three_vertex_paths_in_grid_3_3(self):
         vs = V.enumerate_pv(3, 3)
@@ -244,7 +241,7 @@ class TestStringFromItinerary:
                 # keep the test small: sample deterministically
                 paths = paths[::3] if len(paths) > 4000 else paths
             for path in paths[:2000]:
-                word = W.string_from_itinerary(path, k, sigma)
+                word = W.string_from_itinerary(path, k)
                 walk = W.walk_of(word, k, sigma)
                 assert walk.itinerary().vertices == tuple(path)
 
@@ -298,16 +295,14 @@ class TestWalkValidation:
             with pytest.raises(InvalidInput):
                 W.spell(vertices, k)
 
-    def test_raw_vertices_checked_against_the_alphabet(self):
-        # three letters for vectors of one coordinate: rejected as Walk
-        # rejects it, not spelled "a"
-        for alphabet in (3, V.Alphabet(3)):
-            with pytest.raises(InvalidInput, match="alphabet size 3"):
-                W.Walk(k=1, vertices=((1,),), alphabet=V.as_alphabet(alphabet))
-            with pytest.raises(InvalidInput, match="alphabet size 3"):
-                W.is_realizable_walk([(1,)], 1, alphabet)
-            with pytest.raises(InvalidInput, match="alphabet size 3"):
-                W.spell([(1,)], 1, alphabet)
+    def test_walk_with_another_k_refused(self):
+        # a walk brings its own k: another one is refused, not ignored
+        walk = W.walk_of(FIG_WORD, 4)
+        for call in (W.is_realizable_walk, W.spell):
+            assert call(walk) == call(walk, 4)
+            with pytest.raises(InvalidInput, match="k=5 given for a walk "
+                                                   "of k=4"):
+                call(walk, k=5)
 
     def test_window_below_one_refused(self):
         # order-0 vertices would make k = 0, where every window is empty
