@@ -57,13 +57,11 @@ class Alphabet:
                                    % (symbol, self.size)) from None
         # int() also reads signs, spaces, underscores, leading zeros and
         # non-ASCII digits; only its own rendering is accepted back
-        try:
-            i = int(symbol)
-        except (TypeError, ValueError):
-            i = None
-        if str(i) != symbol:
+        if not (isinstance(symbol, str) and symbol.isascii()
+                and symbol.isdecimal() and str(int(symbol)) == symbol):
             raise InvalidInput("expected a letter index in plain decimals, "
                                "got %r" % (symbol,))
+        i = int(symbol)
         self.letter(i)  # refuses an index out of range
         return i
 

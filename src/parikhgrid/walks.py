@@ -272,14 +272,15 @@ def string_from_itinerary(itinerary, k):
         vertices = tuple(tuple(p) for p in itinerary)
         Itinerary(vertices=vertices)  # validates bowfreeness / non-emptiness
     _check_vertices(vertices, k)
-    word = [c for c, count in enumerate(vertices[0]) for _ in range(count)]
+    alphabet = V.Alphabet(len(vertices[0]))
+    word = alphabet.word_to_indices(V.canonical_word(vertices[0]))
     for prev, nxt in zip(vertices, vertices[1:]):
         shift = V.step(prev, nxt)
         if shift is None:
             raise InvalidInput("itinerary vertices %r and %r are not neighbors"
                                % (prev, nxt))
         extend_by_shift(word, k, *shift)
-    return V.Alphabet(len(vertices[0])).indices_to_word(word)
+    return alphabet.indices_to_word(word)
 
 
 @dataclass(frozen=True)

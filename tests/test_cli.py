@@ -305,7 +305,8 @@ class TestOtherCommands:
         for argv in (("walk", "ab", "--k", "1", "--sigma", "0"),
                      ("covset", "ab", "--sigma", "0"),
                      ("verify", "0,1_0,+2,\uff12", "--k", "1", "--sigma",
-                      "30")):
+                      "30"),
+                     ("verify", "None", "--k", "1", "--sigma", "30")):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: ")

@@ -224,7 +224,8 @@ class TestAlphabetRendering:
         assert a.word_to_indices("0,29,5") == [0, 29, 5]
         # only the form indices_to_word writes reads back: no sign, space,
         # underscore, leading zero or non-ASCII digit
-        for index in ("+3", " 2", "1_0", "01", "00", "\uff12", "", "2.0"):
+        for index in ("+3", " 2", "1_0", "01", "00", "\uff12", "", "2.0",
+                      "-1", "None"):
             with pytest.raises(InvalidInput, match="plain decimals"):
                 a.word_to_indices("0," + index)
 
