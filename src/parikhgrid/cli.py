@@ -263,16 +263,16 @@ def build_parser():
                    help="target length (with --target length)")
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, at most one per usable CPU; a "
-                        "search runs inline until its first 10^6-node "
-                        "checkpoint, and only one that gets that far forks "
-                        "the workers")
+                   help="worker threads, at most one per usable CPU and "
+                        "one on the pure kernel; a search runs inline until "
+                        "its first 10^6-node checkpoint, and only one that "
+                        "gets that far starts the threads")
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--progress", action="store_true",
                    help="JSON checkpoint lines on stderr: every 10^6 "
                         "nodes on one thread; with more, after each merged "
                         "task that moves the counts on, once the search "
-                        "has forked its workers")
+                        "has started its threads")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_search)
 

@@ -76,10 +76,8 @@ def min_letter_occurrences(k, sigma):
 def verify(word, k, sigma):
     """Count window multiplicities and report covering / perfect-covering
     status, excess, missing vectors, and duplicated vectors."""
-    alphabet = V.Alphabet(sigma)
-    V.check_window(k)
     total = _verifiable(k, sigma)
-    letters = alphabet.word_to_indices(word)
+    letters = V.Alphabet(sigma).word_to_indices(word)
     length = len(letters)
     mult = Counter(V.window_vectors(letters, k, sigma))
     covering = len(mult) == total
@@ -108,10 +106,10 @@ def verify(word, k, sigma):
 
 
 def _verifiable(k, sigma):
-    """The vector count of an instance verify() accepts; raises
-    CapacityExceeded when its vectors hold more than MAX_VERIFY_ENTRIES
-    letter counts."""
-    total = V.ensure_capacity(k, sigma)
+    """The vector count of an instance verify() accepts; refuses an instance
+    vectors.check_instance refuses, and raises CapacityExceeded when its
+    vectors hold more than MAX_VERIFY_ENTRIES letter counts."""
+    total = V.check_instance(k, sigma)
     if total * sigma > MAX_VERIFY_ENTRIES:
         raise CapacityExceeded(
             "verification would hold %d vectors of %d counts each, above "
@@ -218,7 +216,7 @@ def is_universal_cycle(word, k, sigma):
     V.check_window(k)
     letters = V.Alphabet(sigma).word_to_indices(word)
     n = len(letters)
-    total = V.ensure_capacity(k, sigma)
+    total = V.check_instance(k, sigma)
     if n != total:
         return False
     # the cyclic windows are the linear windows of the word with its first
@@ -248,9 +246,7 @@ FAMILIES = (FAMILY_BINARY, FAMILY_K2_EULERIAN, FAMILY_KCOVER_NOT_K1)
 def _binary_pdb(k, sigma):
     if sigma != 2:
         raise FamilyUnsupported("binary_pdb needs sigma=2, got %d" % sigma)
-    if k < 1:
-        raise FamilyUnsupported("binary_pdb needs k >= 1")
-    _verifiable(k, sigma)
+    _verifiable(k, sigma)   # refuses k < 1
     return "a" * k + "b" * k
 
 
@@ -299,9 +295,7 @@ def _eulerian_word(sigma):
 def _k2_eulerian(k, sigma):
     if k != 2:
         raise FamilyUnsupported("k2_eulerian needs k=2, got k=%d" % k)
-    if sigma < 1:
-        raise FamilyUnsupported("k2_eulerian needs sigma >= 1")
-    _verifiable(k, sigma)
+    _verifiable(k, sigma)   # refuses sigma < 1
     alphabet = V.Alphabet(sigma)
     if sigma == 1:
         return "aa"

@@ -10,29 +10,28 @@ suffices because the target predicates are invariant under relabeling.
 
 The kernel tables are built once per search call.  Every length first runs
 its whole tree inline, as one worker does.  With N workers that inline run
-is capped at the kernel's first checkpoint, kernel.PROGRESS_INTERVAL
-(10^6) nodes: only a length that outgrows the cap, when the budget allows
-more, forks the call's process pool and is split, its inline run
-discarded, and the later lengths of the call go straight to that pool.  A
-search that ends before the cap thus forks no process, whatever the worker
-count.  N is at most the number of CPUs the process may run on.  The split
-gives N workers the canonical prefixes of the shallowest depth that gives
-TASKS_PER_WORKER * N tasks (Embarrassingly Parallel Search, Regin et al.,
-CP 2013).  Tasks are merged in prefix order (first task with a witness
-wins), and the node budget caps the whole search call: it is exhausted at
-the first task where the running total passes the budget.  The kernel
-counts every node in exactly one task, so outcome, node count and depth
-are the same for any worker count.  The inner loop lives in the kernel
-module (compiled when available, pure Python otherwise).
+is capped at the kernel's first checkpoint, kernel.PROGRESS_INTERVAL (10^6)
+nodes: only a length that outgrows the cap, when the budget allows more,
+starts the call's threads and is split, its inline run discarded, and the
+later lengths of the call go straight to those threads.  A search that ends
+before the cap thus starts no thread, whatever the worker count.  N is at
+most the number of usable CPUs, and 1 on the pure kernel, which holds the
+GIL.  The split gives N workers the canonical prefixes of the shallowest
+depth that gives TASKS_PER_WORKER * N tasks (Embarrassingly Parallel
+Search, Regin et al., CP 2013).  Tasks are merged in prefix order (first
+task with a witness wins), and the node budget caps the whole search call:
+it is exhausted at the first task where the running total passes the
+budget.  The kernel counts every node in exactly one task, so outcome, node
+count and depth are the same for any worker count.  The inner loop lives in
+the kernel module (compiled when available, pure Python otherwise).
 
-A search call keeps at most one process pool for all its lengths.  The
-pool initializer gives each worker the tables once, so the jobs carry only
-the task's parameters.  The merge settles only at a task whose
-predecessors are all folded, so the tasks still queued or running then
-come after it and their results would be discarded; and every settle ends
-the search call.  On leaving the call the pool is terminated: a worker
-holds nothing but its current task, so ending it loses nothing, and the
-call does not wait for tasks past its answer.
+A search call keeps at most one thread pool for all its lengths.  Its
+threads share the call's tables: the compiled kernel keeps its state per
+call and releases the GIL while it runs.  The merge settles only at a task
+whose predecessors are all folded, and every settle ends the search call,
+so the tasks then queued or running are of no use: on leaving the call
+they are cancelled or end at their next kernel checkpoint, and the call
+returns with no thread of its pool left.
 """
 
 import os
@@ -71,7 +70,7 @@ MAX_TABLE_ENTRIES = 4_000_000
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
-# Tasks per worker process: enough that uneven subtrees even out.
+# Tasks per worker: enough that uneven subtrees even out.
 TASKS_PER_WORKER = 30
 
 
@@ -176,15 +175,6 @@ def _task_prefixes(sigma, length, worker_count):
     return prefixes
 
 
-# A pool worker's tables, set once by _init_worker.
-_worker_tables = None
-
-
-def _init_worker(tables):
-    global _worker_tables
-    _worker_tables = tables
-
-
 def _usable_cpus():
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -193,45 +183,57 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+THREAD_PREFIX = "parikhgrid-search"
+
+
+class _Stopped(Exception):
+    """Ends a pool task at a kernel checkpoint once its pool is stopping."""
+
+
 class _Pool:
-    """The process pool of one search call.  Its ``worker_count`` is the
-    configured one, at most one per usable CPU; it sizes the pool and the
-    split of each length.  No process is forked before start(), which forks
-    the workers once for all the call's lengths.  On leaving the ``with``
-    block, by any path, a started pool is terminated and its workers
-    joined."""
+    """The worker threads of one search call, started by its first map()
+    for all its lengths and ended on leaving the ``with`` block by any path.
+    ``worker_count`` sizes the pool and each split: the configured count,
+    at most one per usable CPU, and 1 on the pure kernel."""
 
-    def __init__(self, worker_count, tables):
-        if worker_count < 1:
-            raise InvalidInput("worker_count must be >= 1")
-        self.worker_count = min(worker_count, _usable_cpus())
-        self.tables = tables
-        self.mp_pool = None
+    def __init__(self, worker_count):
+        if not isinstance(worker_count, int) or worker_count < 1:
+            raise InvalidInput("worker_count must be an int >= 1, got %r"
+                               % (worker_count,))
+        self.worker_count = (min(worker_count, _usable_cpus())
+                             if kernel.KERNEL_NAME == "compiled" else 1)
+        self.executor = None
+        self.stopping = False
 
-    def start(self):
-        if self.mp_pool is None:
-            # imported here: most searches never fork, and neither the
+    def _checkpoint(self, *_report):
+        if self.stopping:
+            raise _Stopped
+
+    def map(self, tables, jobs):
+        """The results of ``jobs`` in order, run on the pool's threads."""
+        if self.executor is None:
+            # imported here: most searches never split, and neither the
             # import of the package nor such a search loads this module
-            import multiprocessing
-            self.mp_pool = multiprocessing.Pool(
-                self.worker_count, _init_worker, (self.tables,))
-        return self.mp_pool
+            from concurrent.futures import ThreadPoolExecutor
+            self.executor = ThreadPoolExecutor(
+                self.worker_count, thread_name_prefix=THREAD_PREFIX)
+        return self.executor.map(
+            partial(_subtree_task, tables=tables, progress=self._checkpoint),
+            jobs)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *_exc):
-        if self.mp_pool is not None:
-            self.mp_pool.terminate()
-            self.mp_pool.join()
+        if self.executor is not None:
+            self.stopping = True
+            self.executor.shutdown(wait=True, cancel_futures=True)
 
 
-def _subtree_task(job, tables=None, progress=None):
-    """Runs one task, the subtree below its prefix: inline on ``tables``,
-    or, the worker entry point, on the worker's tables."""
+def _subtree_task(job, tables, progress=None):
+    """Runs one task, the subtree below its prefix, on ``tables``."""
     k, sigma, length, pdb_only, mask, prefix, collect_limit, cap = job
-    return kernel.fixed_length_search(k, sigma, length,
-                                      tables or _worker_tables, pdb_only,
+    return kernel.fixed_length_search(k, sigma, length, tables, pdb_only,
                                       mask, prefix, collect_limit, cap,
                                       progress)
 
@@ -241,19 +243,18 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
     """Explore one fixed length; returns (complete, solutions, nodes, depth).
 
     ``budget`` is what the search call may still spend (None: no cap).
-    The length runs inline until ``pool`` (a _Pool, or None for one worker)
-    has started; with N workers that run is capped at the kernel's first
-    checkpoint, and a length that outgrows the cap, when the budget allows
-    more, starts the pool.  Tasks run on the pool and merge in prefix order;
-    the length is exhausted at the first task where the running total
-    passes the budget, and reports budget + 1 nodes, as one task over the
-    whole tree would.
+    The length runs inline until ``pool`` (a _Pool) has started; with N
+    workers that run is capped at the kernel's first checkpoint, and a
+    length that outgrows the cap, when the budget allows more, starts the
+    pool.  Tasks run on the pool and merge in prefix order; the length is
+    exhausted at the first task where the running total passes the budget,
+    and reports budget + 1 nodes, as one task over the whole tree would.
     """
     if budget == 0:
         # the first node of any length is over; the kernel reads 0 as no cap
         return False, [], 1, 0
     mask = _rules_mask(cfg.rules)
-    workers = pool.worker_count if pool is not None else 1
+    workers = pool.worker_count
 
     def job(prefix, cap):
         return (cfg.k, cfg.sigma, length, pdb_only, mask, prefix,
@@ -280,7 +281,7 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
         solutions.extend(sols)
         return bool(sols) and 0 < collect_limit <= len(solutions)
 
-    if workers == 1 or pool.mp_pool is None:
+    if workers == 1 or pool.executor is None:
         # the one-worker run; with N workers it is capped at the first
         # checkpoint, past which the split takes over and counts the same
         # nodes
@@ -299,8 +300,7 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
     # the tasks after a settle end with the pool, when the search call
     # leaves its block
     prefixes = _task_prefixes(cfg.sigma, length, workers)
-    results = pool.start().imap(_subtree_task,
-                                [job(prefix, budget) for prefix in prefixes])
+    results = pool.map(tables, [job(prefix, budget) for prefix in prefixes])
     reported = None
     for prefix, result in zip(prefixes, results):
         settled = fold(prefix, result)
@@ -346,7 +346,7 @@ def _search(cfg, target, lengths, pdb_only, minimal, refuted_up_to=None,
     start = time.perf_counter()
     tables = _prepare(cfg, lengths) if lengths else None
     complete, sols, nodes, max_depth = True, [], 0, 0
-    with _Pool(cfg.worker_count, tables) as pool:
+    with _Pool(cfg.worker_count) as pool:
         for length in lengths:
             complete, sols, n, d = _search_length(
                 cfg, tables, length, pdb_only, 1, _budget_left(cfg, nodes),
@@ -404,7 +404,7 @@ def _collect_all(cfg, lengths, pdb_only, what):
     CapacityExceeded, naming the length, when the budget runs out."""
     tables = _prepare(cfg, lengths) if lengths else None
     nodes = 0
-    with _Pool(cfg.worker_count, tables) as pool:
+    with _Pool(cfg.worker_count) as pool:
         for length in lengths:
             complete, sols, n, _d = _search_length(
                 cfg, tables, length, pdb_only, 0, _budget_left(cfg, nodes),

@@ -30,6 +30,12 @@ _ASCII_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 MAX_VECTOR_COUNT = 2**63 - 1
 
 
+def _is_size(n, least):
+    """Whether ``n`` is an int of at least ``least``: the test of every
+    order k, alphabet size sigma and window length."""
+    return isinstance(n, int) and n >= least
+
+
 class Alphabet:
     """An ordered alphabet of ``sigma`` distinct symbols, and the package's
     only reader of letters.
@@ -39,8 +45,9 @@ class Alphabet:
     """
 
     def __init__(self, sigma):
-        if sigma < 1:
-            raise InvalidInput("alphabet size must be >= 1, got %r" % (sigma,))
+        if not _is_size(sigma, 1):
+            raise InvalidInput("need k >= 1 and sigma >= 1, got sigma=%r"
+                               % (sigma,))
         self.size = sigma
         self.letters = tuple(_ASCII_LETTERS[:sigma]) if sigma <= 26 else None
         self._index = (None if self.letters is None
@@ -100,21 +107,14 @@ def guess_sigma(word):
                            % exc) from None
 
 
-def check_instance(k, sigma):
-    """Refuse an order k or an alphabet size sigma below 1, then as
-    :func:`ensure_capacity` does; returns the vector count."""
-    if k < 1 or sigma < 1:
-        raise InvalidInput("need k >= 1 and sigma >= 1, got k=%r sigma=%r"
-                           % (k, sigma))
-    return ensure_capacity(k, sigma)
-
-
-def ensure_capacity(k, sigma):
-    """Reject (k, sigma) whose vector count C(k+sigma-1, sigma-1) overflows
-    the 64-bit bound; returns the count otherwise."""
-    if k < 0 or sigma < 1:
-        raise InvalidInput("need k >= 0 and sigma >= 1, got k=%r sigma=%r"
-                           % (k, sigma))
+def check_instance(k, sigma, least_k=1):
+    """Refuse an order k below ``least_k`` or an alphabet size sigma below
+    1, or either not an int, with one message, and (k, sigma) whose vector
+    count C(k+sigma-1, sigma-1) overflows the 64-bit bound; returns the
+    count otherwise."""
+    if not (_is_size(k, least_k) and _is_size(sigma, 1)):
+        raise InvalidInput("need k >= %d and sigma >= 1, got k=%r sigma=%r"
+                           % (least_k, k, sigma))
     count = comb(k + sigma - 1, sigma - 1)
     if count > MAX_VECTOR_COUNT:
         # the count itself can have more digits than str() converts
@@ -142,9 +142,10 @@ def check_vectors(ps, k, sigma):
 
 
 def check_window(k):
-    """Refuse a window length below 1."""
-    if k < 1:
-        raise InvalidInput("window length k must be >= 1, got %r" % (k,))
+    """Refuse a window length below 1 or not an int."""
+    if not _is_size(k, 1):
+        raise InvalidInput("window length k must be an int >= 1, got %r"
+                           % (k,))
 
 
 def order(p):
@@ -159,8 +160,9 @@ def support_size(p):
 
 def pv_of(word, sigma):
     """Parikh vector of a word: counts[i] = occurrences of letter i."""
+    letters = Alphabet(sigma).word_to_indices(word)
     counts = [0] * sigma
-    for i in Alphabet(sigma).word_to_indices(word):
+    for i in letters:
         counts[i] += 1
     return tuple(counts)
 
@@ -209,7 +211,7 @@ def enumerate_pv(k, sigma):
     The list has C(k+sigma-1, sigma-1) entries; its positions define the
     canonical rank used throughout the package.
     """
-    ensure_capacity(k, sigma)
+    check_instance(k, sigma, 0)
     return [tuple(p) for p in _colex(k, sigma)]
 
 
@@ -225,7 +227,7 @@ def rank_map(k, sigma):
     rank order, those with p[c] > 0 arrive in the rank order of p - e_c:
     one running count per letter is that rank, and one pass fills both
     arrays."""
-    n = ensure_capacity(k, sigma)
+    n = check_instance(k, sigma, 0)
     down = array("i", [-1]) * (n * sigma)
     up = array("i", [0]) * ((comb(k + sigma - 2, sigma - 1) if k else 0)
                             * sigma)
@@ -244,7 +246,7 @@ def rank_map(k, sigma):
 
 def pv_count(k, sigma):
     """|PV(k, sigma)| = C(k+sigma-1, sigma-1)."""
-    return ensure_capacity(k, sigma)
+    return check_instance(k, sigma, 0)
 
 
 def pv_rank(p):
@@ -264,7 +266,7 @@ def pv_rank(p):
 
 def pv_unrank(i, k, sigma):
     """Vector of order k at rank i; inverse of :func:`pv_rank`."""
-    total = ensure_capacity(k, sigma)
+    total = check_instance(k, sigma, 0)
     if not 0 <= i < total:
         raise InvalidInput("rank %d out of range [0, %d) for k=%d sigma=%d"
                            % (i, total, k, sigma))

@@ -1,8 +1,8 @@
 """Every public entry point that takes Parikh vectors refuses a tuple that
 is none: one without coordinates, or one with a negative count, whether
 its counts sum to the order asked for or not.  Every one that takes an
-order k and an alphabet size sigma refuses either below 1, with one
-message."""
+order k or an alphabet size sigma refuses either below 1 or not an int,
+with one message."""
 
 import re
 
@@ -54,6 +54,7 @@ def test_entry_point_refuses_a_non_vector(name, p):
 
 INSTANCE_ENTRY_POINTS = {
     "bounds": C.bounds,
+    "verify": lambda k, sigma: C.verify("ab", k, sigma),
     "build_grid": G.build_grid,
     "run_search": lambda k, sigma: S.run_search(S.SearchConfig(k=k,
                                                                sigma=sigma)),
@@ -61,9 +62,35 @@ INSTANCE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("k,sigma", [(0, 2), (2, 0), (-1, 3), (3, -2)])
+NEED = "need k >= 1 and sigma >= 1, got "
+
+
+@pytest.mark.parametrize("k,sigma", [
+    (0, 2), (2, 0), (-1, 3), (3, -2),
+    pytest.param(2, "2", id="2-'2'"),
+    pytest.param("2", 2, id="'2'-2"),
+    pytest.param(2, 2.0, id="2-2.0"),
+])
 @pytest.mark.parametrize("name", sorted(INSTANCE_ENTRY_POINTS))
 def test_entry_point_refuses_an_instance_below_one(name, k, sigma):
-    message = "need k >= 1 and sigma >= 1, got k=%d sigma=%d" % (k, sigma)
+    message = NEED + "k=%r sigma=%r" % (k, sigma)
     with pytest.raises(InvalidInput, match="^%s$" % re.escape(message)):
         INSTANCE_ENTRY_POINTS[name](k, sigma)
+
+
+ALPHABET_ENTRY_POINTS = {
+    "Alphabet": V.Alphabet,
+    "pv_of": lambda sigma: V.pv_of("ab", sigma),
+    "covset": lambda sigma: C.covset("ab", sigma),
+    "canonical_form": lambda sigma: S.canonical_form("ab", sigma),
+    "walk_of": lambda sigma: W.walk_of("ab", 1, sigma),
+}
+
+
+@pytest.mark.parametrize("sigma", [0, -2, 2.0, "2"], ids=repr)
+@pytest.mark.parametrize("name", sorted(ALPHABET_ENTRY_POINTS))
+def test_entry_point_refuses_an_alphabet_below_one(name, sigma):
+    # no order k is given, and the message says which size it refuses
+    message = NEED + "sigma=%r" % (sigma,)
+    with pytest.raises(InvalidInput, match="^%s$" % re.escape(message)):
+        ALPHABET_ENTRY_POINTS[name](sigma)

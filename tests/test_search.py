@@ -1,13 +1,12 @@
 from collections import deque
+import concurrent.futures
 import itertools
 import json
-import multiprocessing
-import multiprocessing.pool
 import os
-import pickle
 import random
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -34,44 +33,56 @@ COMPILED_ONLY = pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Four usable CPUs, so that searches of up to four workers fork as
-    many on any machine."""
+    """Four usable CPUs, so that searches of up to four workers start as
+    many threads on any machine."""
     monkeypatch.setattr(S, "_usable_cpus", lambda: 4)
 
 
 @pytest.fixture
 def pools(monkeypatch, cpus):
-    """The process pools that search calls start, in order; each records
-    the pickled size of every job passed to its imap."""
+    """The thread pools that search calls start, in order; each records
+    the number of tasks mapped on it."""
     started = []
 
-    class CountedPool(multiprocessing.pool.Pool):
+    class CountedExecutor(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
-            self.job_sizes = []
+            self.tasks = 0
             started.append(self)
             super().__init__(*args, **kwargs)
 
-        def imap(self, func, iterable, chunksize=1):
-            jobs = list(iterable)
-            self.job_sizes += [len(pickle.dumps((func, job))) for job in jobs]
-            return super().imap(func, jobs, chunksize)
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            self.tasks += len(jobs)
+            return super().map(fn, jobs)
 
-    monkeypatch.setattr(multiprocessing, "Pool", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        CountedExecutor)
     return started
+
+
+def _search_threads():
+    """The threads of search pools still alive."""
+    return [t for t in threading.enumerate()
+            if t.name.startswith(S.THREAD_PREFIX)]
 
 
 # The search's own task, which _slow_past_the_witness wraps.
 _subtree_task = S._subtree_task
 # The witness of the search that _slow_past_the_witness slows down, as
-# letter indices; set before the search forks its workers.
+# letter indices; set before the search starts its threads.
 _witness = None
 
 
-def _slow_past_the_witness(job, tables=None, progress=None):
-    # a worker task whose prefix sorts after the witness's sleeps first
+def _slow_past_the_witness(job, tables, progress=None):
+    # a pool task whose prefix sorts after the witness's calls its
+    # checkpoint every 5 ms for 30 s before it runs; the inline run has no
+    # checkpoint and the empty prefix
     prefix = job[5]
-    if tables is None and prefix > tuple(_witness[:len(prefix)]):
-        time.sleep(30)
+    if progress is not None and prefix > tuple(_witness[:len(prefix)]):
+        end = time.monotonic() + 30
+        while time.monotonic() < end:
+            progress(0, len(prefix), 0)
+            time.sleep(0.005)
     return _subtree_task(job, tables, progress)
 
 
@@ -407,14 +418,14 @@ class TestDeterminism:
         # with 2 workers its inline run reaches the first checkpoint and the
         # length is split into 202 tasks (prefixes of 6 letters); the
         # witness is in the 4th, and tasks after it would each run to the
-        # 10^8-node budget it is given: the search terminates its pool once
-        # the witness is merged, so no worker is left when it returns
+        # 10^8-node budget it is given: the search stops its pool once the
+        # witness is merged, so no thread is left when it returns
         out = S.search_pdb_existence(4, 5, S.SearchConfig(
             k=4, sigma=5, worker_count=2,
             rules=S.ALL_RULES - {"components"}))
         assert out.status == S.STATUS_FOUND
-        assert len(pools) == 1 and len(pools[0].job_sizes) == 202
-        assert multiprocessing.active_children() == []
+        assert len(pools) == 1 and pools[0].tasks == 202
+        assert _search_threads() == []
 
     @pytest.mark.parametrize("target,k,sigma,rules,budget", [
         pytest.param(S.TARGET_SHORTEST, 3, 4, S.ALL_RULES,
@@ -459,10 +470,31 @@ class TestDeterminism:
         assert run(2) == one
         assert run(3) == one
 
+    @COMPILED_ONLY
+    def test_more_threads_than_cores_under_fast_switching(self, pools):
+        # four threads, switching every microsecond, on a machine that may
+        # have fewer cores: the tasks share only the tables, which no one
+        # writes, so a result lost or mixed up in the merge would move the
+        # outcome.  Shortest (k=7, sigma=3) splits lengths 43 and 44
+        def run(workers):
+            out = S.search_shortest_covering(
+                S.SearchConfig(k=7, sigma=3, worker_count=workers))
+            return (out.status, out.witness, out.stats.nodes,
+                    out.stats.max_depth)
+
+        one = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run(4) == one
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(pools) == 1 and pools[0].tasks > 4
+
     def test_one_pool_per_search_call(self, pools):
         # shortest (k=5, sigma=3) refutes lengths 25 and 26 before its
         # witness at 27 in 49,469 nodes, all inline below the kernel's
-        # first checkpoint, so no worker count forks a pool for it
+        # first checkpoint, so no worker count starts a pool for it
         assert C.bounds(5, 3).shortest_lower_bound == 25
         for workers in (1, 2):
             out = S.search_shortest_covering(
@@ -473,32 +505,32 @@ class TestDeterminism:
     @COMPILED_ONLY
     def test_one_pool_for_the_lengths_past_the_checkpoint(self, pools):
         # shortest (k=8, sigma=3): length 52 ends inline in 820,913 nodes,
-        # 53 outgrows the first checkpoint and forks the pool, and 54 goes
+        # 53 outgrows the first checkpoint and starts the pool, and 54 goes
         # straight to that pool, though its 471,601 nodes would end inline
         out = S.search_shortest_covering(
             S.SearchConfig(k=8, sigma=3, worker_count=2))
         assert len(out.witness) == 54 and out.minimal
         assert len(pools) == 1
-        assert len(pools[0].job_sizes) == sum(
+        assert pools[0].tasks == sum(
             len(S._task_prefixes(3, length, 2)) for length in (53, 54))
 
-    @pytest.mark.parametrize("over,forks", [(-1, 0), (0, 0), (1, 1)])
+    @pytest.mark.parametrize("over,started", [(-1, 0), (0, 0), (1, 1)])
     def test_pool_only_for_a_budget_past_the_cap(self, pools, monkeypatch,
-                                                 over, forks):
+                                                 over, started):
         # the inline run of 2 workers is capped at the first checkpoint,
         # here moved to 1,000 nodes; a budget that ends there has the
-        # one-worker outcome and forks nothing
+        # one-worker outcome and starts no pool
         monkeypatch.setattr(kernel, "PROGRESS_INTERVAL", 1_000)
         out = S.search_pdb_existence(6, 4, S.SearchConfig(
             k=6, sigma=4, worker_count=2, node_budget=1_000 + over))
         assert (out.status, out.stats.nodes) == (S.STATUS_BUDGET,
                                                  1_001 + over)
-        assert len(pools) == forks
+        assert len(pools) == started
 
     def test_no_pool_without_a_length(self, pools):
         # perfect covers of (k=3, sigma=6) are ruled out by bounds(), so
         # nothing is searched and no pool is needed; a search of their
-        # length would outgrow the first checkpoint and fork one
+        # length would outgrow the first checkpoint and start one
         cfg = S.SearchConfig(k=3, sigma=6, worker_count=2,
                              node_budget=2 * kernel.PROGRESS_INTERVAL)
         out = S.search_pdb_existence(3, 6, cfg)
@@ -525,14 +557,15 @@ class TestDeterminism:
 
 
 class TestWorkerStop:
-    """Pool workers hold the tables and their current task; a search call
-    terminates its pool on return."""
+    """Pool threads share the tables and run their current task; a search
+    call stops its pool before it returns."""
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched task reaches the workers by fork")
-    def test_tasks_past_the_witness_are_not_awaited(self, cpus, monkeypatch):
+    @COMPILED_ONLY
+    def test_tasks_past_the_witness_are_not_awaited(self, pools,
+                                                    monkeypatch):
         # the perfect cover of (sigma=4, k=5) takes 1,254,578 nodes, so 2
-        # workers split it; every worker task after the witness's sleeps 30 s
+        # workers split it; every pool task after the witness's calls its
+        # checkpoint for 30 s, which raises once the pool is stopping
         one = S.search_pdb_existence(5, 4)
         monkeypatch.setattr(sys.modules[__name__], "_witness",
                             V.Alphabet(4).word_to_indices(one.witness))
@@ -542,7 +575,44 @@ class TestWorkerStop:
             5, 4, S.SearchConfig(k=5, sigma=4, worker_count=2))
         assert time.monotonic() - start < 10
         assert (out.status, out.witness) == (S.STATUS_FOUND, one.witness)
-        assert multiprocessing.active_children() == []
+        assert len(pools) == 1 and _search_threads() == []
+
+    @COMPILED_ONLY
+    def test_progress_that_raises_stops_the_pool(self, pools):
+        # the progress callback runs in the calling thread after each
+        # merged task; what it raises, as Ctrl-C would, reaches the caller
+        # once the pool's threads have ended
+        class Interrupt(Exception):
+            pass
+
+        def progress(*_report):
+            raise Interrupt
+
+        with pytest.raises(Interrupt):
+            S.search_pdb_existence(4, 5, S.SearchConfig(
+                k=4, sigma=5, worker_count=2,
+                rules=S.ALL_RULES - {"components"}), progress=progress)
+        assert len(pools) == 1 and _search_threads() == []
+
+    def test_pure_kernel_searches_on_one_worker(self, pools, monkeypatch):
+        # the pure kernel holds the GIL, so threads would only slow it: a
+        # 2-worker search past the first checkpoint, here moved to 1,000
+        # nodes, starts no thread and is the one-worker search
+        monkeypatch.setattr(kernel, "fixed_length_search",
+                            _kernel_py.fixed_length_search)
+        monkeypatch.setattr(kernel, "KERNEL_NAME", _kernel_py.KERNEL_NAME)
+        monkeypatch.setattr(kernel, "PROGRESS_INTERVAL", 1_000)
+
+        def run(workers):
+            out = S.search_shortest_covering(
+                S.SearchConfig(k=5, sigma=3, worker_count=workers))
+            return (out.status, out.witness, out.refuted_up_to,
+                    out.stats.nodes, out.stats.max_depth)
+
+        one = run(1)
+        assert one[3] > 1_000
+        assert run(2) == one
+        assert pools == [] and _search_threads() == []
 
     @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
                         reason="the task alone runs 10^8 nodes")
@@ -564,48 +634,33 @@ class TestWorkerStop:
         assert out.status == S.STATUS_FOUND
         assert time.perf_counter() - start < alone
 
-    def test_jobs_carry_no_tables(self, pools):
-        # the (sigma=5, k=8) tables pickle to about 41 KB; a job holds the
-        # task's parameters only.  With a budget past the first checkpoint
-        # the search forks its pool
-        assert len(pickle.dumps(S._build_tables(8, 5))) > 20_000
-        out = S.search_pdb_existence(8, 5, S.SearchConfig(
-            k=8, sigma=5, worker_count=2,
-            node_budget=2 * kernel.PROGRESS_INTERVAL))
-        assert out.status == S.STATUS_BUDGET
-        sizes = [size for pool in pools for size in pool.job_sizes]
-        assert sizes and max(sizes) < 1_024
-
 
 class TestWorkerCount:
-    @pytest.mark.parametrize("workers", [0, -4])
+    @pytest.mark.parametrize("workers", [0, -4, 2.5, "2"])
     def test_below_one_rejected(self, workers):
         with pytest.raises(InvalidInput, match="worker_count"):
             S.run_search(S.SearchConfig(k=2, sigma=2, worker_count=workers))
 
     def test_at_most_one_worker_per_cpu(self, monkeypatch):
-        # a fake pool records the worker count it is asked for and runs the
-        # tasks in-process; a cap of 1,000 nodes hands the length over to it
+        # a fake executor records the worker count it is asked for and runs
+        # the tasks in the calling thread; a cap of 1,000 nodes hands the
+        # length over to it
         asked, jobs = [], []
 
-        class FakePool:
-            def __init__(self, processes, initializer, initargs):
-                asked.append(processes)
-                initializer(*initargs)
+        class FakeExecutor:
+            def __init__(self, max_workers, thread_name_prefix):
+                asked.append(max_workers)
 
-            def imap(self, func, iterable):
-                length_jobs = list(iterable)
+            def map(self, fn, length_jobs):
+                length_jobs = list(length_jobs)
                 jobs.extend(length_jobs)
-                return map(func, length_jobs)
+                return map(fn, length_jobs)
 
-            def terminate(self):
+            def shutdown(self, wait, cancel_futures):
                 pass
 
-            def join(self):
-                pass
-
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(S, "_worker_tables", None)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            FakeExecutor)
         monkeypatch.setattr(S, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(kernel, "PROGRESS_INTERVAL", 1_000)
 
@@ -626,10 +681,11 @@ class TestWorkerCount:
 
 def test_no_process_machinery_below_the_first_checkpoint():
     # the package and a search that ends inline load neither the
-    # multiprocessing modules nor a worker process, whatever the worker
-    # count; (k=40, sigma=2) ends in about 120 nodes
+    # multiprocessing nor the concurrent.futures modules, and start no
+    # thread, whatever the worker count; (k=40, sigma=2) ends in about 120
+    # nodes
     script = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, threading
 import parikhgrid, parikhgrid.cli
 from parikhgrid import search
 out = search.run_search(search.SearchConfig(k=5, sigma=3, worker_count=2))
@@ -638,17 +694,14 @@ with contextlib.redirect_stdout(io.StringIO()):
                                 "--threads", "2"])
 loaded = sorted(m for m in ("multiprocessing", "concurrent.futures")
                 if m in sys.modules)
-import multiprocessing
-import multiprocessing.pool
-print(json.dumps([out.status, code, loaded,
-                  len(multiprocessing.active_children())]))
+print(json.dumps([out.status, code, loaded, threading.active_count()]))
 """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(S.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [S.STATUS_FOUND, 0, [], 0]
+    assert json.loads(proc.stdout) == [S.STATUS_FOUND, 0, [], 1]
 
 
 class TestEnumerateAllPdb:
