@@ -11,7 +11,8 @@ Importing the package loads none of its submodules.  Each name of
 ``__all__`` is looked up in its home module on first use, which imports
 that module and what it needs: ``parikhgrid.verify`` loads ``covering``,
 while the kernel (and ``ctypes``) is loaded only by a search or by
-``active_kernel()``.
+``active_kernel()``.  The kernel is compiled C, built on first use: a
+search needs a C compiler, and nothing else does.
 """
 
 import importlib

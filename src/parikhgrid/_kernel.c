@@ -1,30 +1,48 @@
-/* Compiled search kernel, built and loaded by kernel.py through ctypes.
+/* The search kernel, built and loaded by kernel.py through ctypes.
 
-Twin of _kernel_py.py: same entry points, same exploration order, same node
-accounting.  Keep the two in sync; the parity test compares full traces
+The search enumerates candidate words of one fixed length, depth-first,
+letters in alphabet order, restricted to canonical form (each letter's
+first occurrence after the previous letter's).  Each placed letter moves
+the window along one labeled edge of the grid, read from the shift table in
+O(1).  A word starts from the window k*e_0 (rank 0): while pos < k the
+letter that leaves is one of its a's, and the windows that end before
+position k - 1 are not counted.
+
+Prune rules (bitmask, each independently sound).  U is the set of
+uncovered vectors and rem the number of letters after the current one; two
+vectors are neighbours when one letter shift joins them (the shift entries
+with out != in), and the current window is the one that ends at the
+current letter:
+  1  duplicate-window  reject a letter whose window repeats a seen vector
+                       (perfect-cover targets only)
+  2  uncovered-count   rem < |U|
+  4  components        covering targets: rem < |U| + c - 1, where c is the
+                       number of components of the grid induced on U, since
+                       a window between two of them is on a covered vector.
+                       Perfect-cover targets: the rest of the word is a path
+                       through U from the current window, so some vector of
+                       U has no neighbour in U + {current}, or two have at
+                       most one.
+
+tests/pure_kernel.py is this kernel's reference: the same tables and
+search, the same exploration order, the same node accounting, with simpler
+bookkeeping.  Keep the two in sync; the parity tests compare full traces
 (solutions, completeness, node counts and depths) on shared instances.
 
 Plain C99 with no Python headers, so the shared library does not depend on
 the interpreter's version.  pg_build_shift fills the shift table, an int
 array that Python owns, with the labeled grid by rank in two counting
-passes (_kernel_py.build_tables is its twin); the searches read it and
-never free it.  Each placed letter moves the window along one labeled edge
-of the grid, read from the shift table.  Solutions and progress go back
-through callbacks; a callback that returns nonzero stops the search at
+passes; the searches read it and never free it.  Solutions and progress go
+back through callbacks; a callback that returns nonzero stops the search at
 once.
 
-Prune rules (bitmask; see _kernel_py.py for what each one prunes):
-  1  duplicate-window
-  2  uncovered-count
-  4  components
-The components rule prunes exactly where the pure kernel's does; only its
-bookkeeping differs.  It runs on bitsets over vector ranks of
+The components rule runs on bitsets over vector ranks of
 ceil(n_vec / 64) 64-bit words: U, which place and unplace keep, and each
 vector's grid neighbours as one mask for each word that holds any, at most
 sigma (sigma - 1), so the state stays O(n_vec * sigma^2).  For covering
-targets the number of components of G[U], which the pure kernel counts
-from scratch where the bound could fire, is carried along the word: a
-window on a new vector updates it by the parts its component splits into
+targets the number of components of G[U], which the reference counts from
+scratch where the bound could fire, is carried along the word: a window on
+a new vector updates it by the parts its component splits into
 (split_of), grown one level at a time, word-parallel.  For perfect-cover
 targets the degrees of the vectors in U + {current} are bit-sliced
 counters over the same words, one plane per bit, so a move adds or
@@ -501,7 +519,7 @@ static int dfs(State *s, const unsigned char *prefix, int prefix_len,
 }
 
 /* Explores canonical words of exactly `length` letters that extend
-   `prefix`; see _kernel_py.fixed_length_search for the contract.  Every
+   `prefix`; see kernel.fixed_length_search for the contract.  Every
    solution is passed to `found_fn`; `progress_fn` may be NULL.  Returns
    PG_COMPLETE, PG_EXHAUSTED (node budget ran out), PG_ABORTED (a callback
    returned nonzero) or PG_NO_MEMORY, and stores the node count and maximum
@@ -635,7 +653,7 @@ static int naive(Naive *t, int pos, int uncovered)
 }
 
 /* First covering word of `length` >= 1 letters in plain lexicographic order;
-   see _kernel_py.find_covering_naive.  Writes it to `word` and returns 1,
+   see kernel.find_covering_naive.  Writes it to `word` and returns 1,
    returns 0 when there is none, PG_NO_MEMORY when allocation fails. */
 int pg_find_covering_naive(int k, int sigma, int length, int n_vec,
                            const int *shift, unsigned char *word)

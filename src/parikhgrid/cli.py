@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 for positive verdicts (covering / realizable / found), 1 for
-negative verdicts, 2 for usage and capacity errors.
+negative verdicts, 2 for usage and capacity errors, and for a search
+(``search``, ``enumerate-pdb``, ``mincov``) when the compiled kernel cannot
+be built or loaded.
 
 Each command imports the modules it runs, so a call loads only those:
 ``verify`` never loads the search or its kernel, and ``search`` never loads
@@ -263,10 +265,10 @@ def build_parser():
                    help="target length (with --target length)")
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads, at most one per usable CPU and "
-                        "one on the pure kernel; a search runs inline until "
-                        "its first 10^6-node checkpoint, and only one that "
-                        "gets that far starts the threads")
+                   help="worker threads, at most one per usable CPU; a "
+                        "search runs inline until its first 10^6-node "
+                        "checkpoint, and only one that gets that far starts "
+                        "the threads")
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--progress", action="store_true",
                    help="JSON checkpoint lines on stderr: every 10^6 "

@@ -354,6 +354,7 @@ def construct_family(family, k, sigma):
 
 def _construct(family, k, sigma):
     """The word of construct_family and its verify() report."""
+    V.check_instance(k, sigma)  # before a family compares or formats them
     family = family.replace("-", "_")
     if family == FAMILY_BINARY:
         word = _binary_pdb(k, sigma)

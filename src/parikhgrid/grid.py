@@ -8,9 +8,9 @@ do not change the vector.
 
 Adjacency is computed arithmetically from the vector, so grids stay cheap
 even when the vertex count is large.  Explicit edge lists come from one
-generator of labeled arcs by rank, :meth:`PdbGrid.arcs`, read off the same
-rank map (:func:`vectors.rank_map`) as the pure search kernel's shift
-table.
+generator of labeled arcs by rank, :meth:`PdbGrid.arcs`, read off the rank
+map (:func:`vectors.rank_map`), whose shifts are those of the search
+kernel's table.
 """
 
 import math

@@ -1,18 +1,20 @@
-"""Selects the search kernel, and the builder of its tables, at import
-time.
+"""The search kernel: the plain C file ``_kernel.c`` next to this module,
+loaded through ctypes.  Its header describes the search and its prune
+rules.  It builds the search's tables (``build_tables``), in two counting
+passes over the vectors in rank order, searches one word length
+(``fixed_length_search``) and enumerates every word of a length
+(``find_covering_naive``).
 
-The compiled kernel is the plain C file ``_kernel.c`` next to this module,
-loaded through ctypes; it also builds the kernels' tables
-(``build_tables``), in two counting passes over the vectors in rank order.
-On import it is compiled with ``cc -O2 -shared -fPIC`` into
+On first use it is compiled with ``cc -O2 -shared -fPIC`` into
 ``$XDG_CACHE_HOME/parikhgrid`` (``~/.cache/parikhgrid`` when that is
 unset) under a name keyed by a checksum of the source, the flags and the
 machine, so an edited source is rebuilt and an unchanged one is built
 once.  The cache keeps the KEEP_BUILDS builds loaded most recently,
-so checkouts of a few sources that share it do not rebuild.  When
-there is no compiler, the build fails or the cache cannot be written, the
-pure-Python twin (``_kernel_py``) is used instead, for the search and for
-the tables, and ``FALLBACK_REASON`` says why.
+so checkouts of a few sources that share it do not rebuild.  Importing
+this module builds nothing.  When there is no compiler, the build fails or
+the cache cannot be written, each call of an entry point or of
+``active_kernel()`` raises ParikhGridError, naming the reason; nothing but
+a search needs the kernel.
 """
 
 import ctypes
@@ -20,14 +22,13 @@ import math
 import os
 import zlib
 
-from . import _kernel_py
-from ._kernel_py import (  # noqa: F401  (re-exported constants)
-    ALL_RULES,
-    PROGRESS_INTERVAL,
-    RULE_COMPONENTS,
-    RULE_DUPLICATE,
-    RULE_REMAINING,
-)
+# As _kernel.c defines them.
+PROGRESS_INTERVAL = 1_000_000
+
+RULE_DUPLICATE = 1
+RULE_REMAINING = 2
+RULE_COMPONENTS = 4
+ALL_RULES = 7
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -151,22 +152,53 @@ def _shifts(k, sigma, tables):
     return (ctypes.c_int * len(shift)).from_buffer(shift)
 
 
-def _compiled_tables(k, sigma):
-    """See _kernel_py.build_tables; identical tables."""
-    import array   # imported here, as in _kernel_py.build_tables
+# The loaded library, once _kernel() has built and loaded it.
+_lib = None
 
+
+def _kernel():
+    """The ctypes handle of the kernel library, built and loaded on the first
+    call; raises ParikhGridError, naming the reason, when it cannot be."""
+    global _lib
+    if _lib is None:
+        try:
+            _lib = _load(_build())
+        except OSError as exc:
+            # imported here: importing this module loads no other module of
+            # the package
+            from .errors import ParikhGridError
+            raise ParikhGridError("compiled kernel unavailable: %s"
+                                  % exc) from exc
+    return _lib
+
+
+def build_tables(k, sigma):
+    """The kernel's tables, (n_vec, shift): shift is an array of C ints,
+    and shift[(idx*sigma + out)*sigma + c] is the rank of p - e_out + e_c
+    for p of rank idx (-1 when p[out] is 0)."""
+    import array   # imported here: importing this module does not load it
+
+    lib = _kernel()
     n_vec = math.comb(k + sigma - 1, sigma - 1)
     tables = (n_vec, array.array("i", [0]) * (n_vec * sigma * sigma))
-    if _lib.pg_build_shift(k, sigma, n_vec,
-                           _shifts(k, sigma, tables)) == _NO_MEMORY:
+    if lib.pg_build_shift(k, sigma, n_vec,
+                          _shifts(k, sigma, tables)) == _NO_MEMORY:
         raise MemoryError("table builder could not allocate its state")
     return tables
 
 
-def _compiled_search(k, sigma, length, tables, pdb_only, rules, prefix,
-                     collect_limit, node_budget, progress=None):
-    """See _kernel_py.fixed_length_search; identical contract.  An exception
-    raised by ``progress`` stops the search and propagates."""
+def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
+                        collect_limit, node_budget, progress=None):
+    """Explores the canonical words of exactly ``length`` letters that
+    extend ``prefix``, on ``tables`` as built by build_tables, under the
+    prune rules of the ``rules`` mask.  collect_limit <= 0 collects every
+    solution, and node_budget 0 is no cap.  ``progress(nodes, pos, found)``
+    is called every PROGRESS_INTERVAL nodes; an exception it raises stops
+    the search and propagates.  Returns (complete, solutions, nodes,
+    max_depth) where solutions is a list of bytes (letter indices) in
+    discovery order and complete is False only when the node budget ran
+    out."""
+    lib = _kernel()
     shifts = _shifts(k, sigma, tables)
     if len(prefix) > length or any(not 0 <= c < sigma for c in prefix):
         raise ValueError("prefix %r is not a word of at most %d letters over "
@@ -193,7 +225,7 @@ def _compiled_search(k, sigma, length, tables, pdb_only, rules, prefix,
     checkpoint = (_PROGRESS(guarded(progress)) if progress is not None
                   else _PROGRESS())
     nodes, max_depth = ctypes.c_longlong(), ctypes.c_int()
-    status = _lib.pg_fixed_length_search(
+    status = lib.pg_fixed_length_search(
         k, sigma, length, tables[0], shifts, 1 if pdb_only else 0,
         rules, bytes(prefix), len(prefix),
         collect_limit, min(node_budget or 0, _MAX_NODES), found, checkpoint,
@@ -205,39 +237,26 @@ def _compiled_search(k, sigma, length, tables, pdb_only, rules, prefix,
     return (status == _COMPLETE, solutions, nodes.value, max_depth.value)
 
 
-def _compiled_naive(k, sigma, length, tables):
-    """See _kernel_py.find_covering_naive; identical contract."""
+def find_covering_naive(k, sigma, length, tables):
+    """First covering word of the given length in plain lexicographic order,
+    as bytes of letter indices, or None.  Enumerates all sigma**length
+    words: no canonical-form restriction, no pruning.  Independent check
+    for refutations."""
+    lib = _kernel()
     shifts = _shifts(k, sigma, tables)
     if length < 1:
         return None
     word = ctypes.create_string_buffer(length)
-    hit = _lib.pg_find_covering_naive(k, sigma, length, tables[0], shifts,
-                                      word)
+    hit = lib.pg_find_covering_naive(k, sigma, length, tables[0], shifts,
+                                     word)
     if hit == _NO_MEMORY:
         raise MemoryError("naive enumerator could not allocate its state")
     return word.raw if hit else None
 
 
-FALLBACK_REASON = None
-try:
-    _lib = _load(_build())
-except OSError as exc:
-    _lib = None
-    FALLBACK_REASON = "compiled kernel unavailable: %s" % exc
-
-if _lib is None:
-    build_tables = _kernel_py.build_tables
-    fixed_length_search = _kernel_py.fixed_length_search
-    find_covering_naive = _kernel_py.find_covering_naive
-    KERNEL_NAME = _kernel_py.KERNEL_NAME
-else:
-    build_tables = _compiled_tables
-    fixed_length_search = _compiled_search
-    find_covering_naive = _compiled_naive
-    KERNEL_NAME = "compiled"
-
-
 def active_kernel():
-    """Name of the kernel in use: 'compiled' or 'pure-python'.  When it is
-    'pure-python', FALLBACK_REASON says why."""
-    return KERNEL_NAME
+    """'compiled', the one search kernel, once it is loaded; raises
+    ParikhGridError, naming the reason, when it cannot be built or
+    loaded."""
+    _kernel()
+    return "compiled"

@@ -15,15 +15,14 @@ nodes: only a length that outgrows the cap, when the budget allows more,
 starts the call's threads and is split, its inline run discarded, and the
 later lengths of the call go straight to those threads.  A search that ends
 before the cap thus starts no thread, whatever the worker count.  N is at
-most the number of usable CPUs, and 1 on the pure kernel, which holds the
-GIL.  The split gives N workers the canonical prefixes of the shallowest
-depth that gives TASKS_PER_WORKER * N tasks (Embarrassingly Parallel
-Search, Regin et al., CP 2013).  Tasks are merged in prefix order (first
-task with a witness wins), and the node budget caps the whole search call:
-it is exhausted at the first task where the running total passes the
-budget.  The kernel counts every node in exactly one task, so outcome, node
-count and depth are the same for any worker count.  The inner loop lives in
-the kernel module (compiled when available, pure Python otherwise).
+most the number of usable CPUs.  The split gives N workers the canonical
+prefixes of the shallowest depth that gives TASKS_PER_WORKER * N tasks
+(Embarrassingly Parallel Search, Regin et al., CP 2013).  Tasks are merged
+in prefix order (first task with a witness wins), and the node budget caps
+the whole search call: it is exhausted at the first task where the running
+total passes the budget.  The kernel counts every node in exactly one
+task, so outcome, node count and depth are the same for any worker count.
+The inner loop is the compiled kernel of the kernel module.
 
 A search call keeps at most one thread pool for all its lengths.  Its
 threads share the call's tables: the compiled kernel keeps its state per
@@ -119,6 +118,23 @@ def _rules_mask(rules):
     return mask
 
 
+def _check_sizes(cfg):
+    """Refuses a config whose (k, sigma) vectors.check_instance refuses, then
+    one whose worker count, node budget or lengths are not ints in range,
+    through the same test.  node_budget and max_len may be None (no cap,
+    no limit); an existence search needs its target_length."""
+    V.check_instance(cfg.k, cfg.sigma)
+    sizes = [("worker_count", 1, False), ("node_budget", 0, True),
+             ("max_len", 0, True)]
+    if cfg.target == TARGET_AT_LENGTH:
+        sizes.append(("target_length", cfg.k, False))
+    for name, least, optional in sizes:
+        value = getattr(cfg, name)
+        if not (V._is_size(value, least) or optional and value is None):
+            raise InvalidInput("%s must be an int >= %d, got %r"
+                               % (name, least, value))
+
+
 def _longest_word(k, sigma):
     """The most letters a search word over the (k, sigma) tables may have
     within MAX_TABLE_ENTRIES.  The capacity gate of every search: it
@@ -146,8 +162,6 @@ def _prepare(cfg, lengths):
     """Checks the budget and the longest of ``lengths``, a range or list,
     against the kernel's state, and builds the tables, once per search
     call."""
-    if cfg.node_budget is not None and cfg.node_budget < 0:
-        raise InvalidInput("node_budget must be >= 0 (0: no cap)")
     longest = _longest_word(cfg.k, cfg.sigma)
     if lengths and lengths[-1] > longest:
         raise CapacityExceeded(
@@ -194,14 +208,10 @@ class _Pool:
     """The worker threads of one search call, started by its first map()
     for all its lengths and ended on leaving the ``with`` block by any path.
     ``worker_count`` sizes the pool and each split: the configured count,
-    at most one per usable CPU, and 1 on the pure kernel."""
+    at most one per usable CPU."""
 
     def __init__(self, worker_count):
-        if not isinstance(worker_count, int) or worker_count < 1:
-            raise InvalidInput("worker_count must be an int >= 1, got %r"
-                               % (worker_count,))
-        self.worker_count = (min(worker_count, _usable_cpus())
-                             if kernel.KERNEL_NAME == "compiled" else 1)
+        self.worker_count = min(worker_count, _usable_cpus())
         self.executor = None
         self.stopping = False
 
@@ -331,8 +341,7 @@ def run_search(cfg, progress=None):
     if cfg.target == TARGET_PDB:
         return search_pdb_existence(cfg.k, cfg.sigma, cfg, progress=progress)
     if cfg.target == TARGET_AT_LENGTH:
-        if cfg.target_length is None or cfg.target_length < cfg.k:
-            raise InvalidInput("existence search needs target_length >= k")
+        _check_sizes(cfg)
         return _search(cfg, TARGET_AT_LENGTH, [cfg.target_length], False,
                        False, progress=progress)
     raise InvalidInput("unknown search target %r" % (cfg.target,))
@@ -369,6 +378,7 @@ def _search(cfg, target, lengths, pdb_only, minimal, refuted_up_to=None,
 def search_shortest_covering(cfg, progress=None):
     """Iterative deepening from the lower bound; the first witness is found
     at the smallest feasible length and is minimal by exhaustion below."""
+    _check_sizes(cfg)
     lower = covering.bounds(cfg.k, cfg.sigma).shortest_lower_bound
     top = cfg.max_len
     if top is None:
@@ -392,6 +402,7 @@ def search_pdb_existence(k, sigma, cfg=None, progress=None):
     repeating a vector; refutation means no such word exists at all."""
     cfg = replace(cfg or SearchConfig(k=k, sigma=sigma), k=k, sigma=sigma,
                   target=TARGET_PDB)
+    _check_sizes(cfg)
     lengths = _pdb_lengths(k, sigma)
     return _search(cfg, TARGET_PDB, lengths, True, True,
                    None if lengths else covering.perfect_length(k, sigma),
@@ -423,7 +434,9 @@ def iter_covering_words(k, sigma, max_len, node_budget=None):
     CapacityExceeded."""
     if node_budget is None:
         node_budget = DEFAULT_NODE_BUDGET
-    cfg = SearchConfig(k=k, sigma=sigma, node_budget=node_budget)
+    cfg = SearchConfig(k=k, sigma=sigma, max_len=max_len,
+                       node_budget=node_budget)
+    _check_sizes(cfg)
     lengths = range(covering.bounds(k, sigma).shortest_lower_bound,
                     max_len + 1)
     for sol in _collect_all(cfg, lengths, False, "covering-word enumeration"):
@@ -454,6 +467,7 @@ def enumerate_all_pdb(k, sigma, cfg=None):
     node budget of ``cfg``, whose exhaustion raises CapacityExceeded."""
     cfg = replace(cfg or SearchConfig(k=k, sigma=sigma), k=k, sigma=sigma,
                   target=TARGET_PDB)
+    _check_sizes(cfg)
     classes = {_canonical(sol) for sol in _collect_all(
         cfg, _pdb_lengths(k, sigma), True, "perfect-cover enumeration")}
     return [_certified(cfg, rep, True) for rep in sorted(classes)]

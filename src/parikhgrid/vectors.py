@@ -12,7 +12,8 @@ Three functions here are the package's only reading of a window shift, in
 which one letter leaves the window and one enters: :func:`window_vectors`
 slides a window along a word, :func:`step` recovers the two letters from a
 pair of vectors, and :func:`rank_map` gives every shift of the grid at
-once, by rank, for the grid's arcs and the pure kernel's shift table.
+once, by rank, for the grid's arcs (the shifts the search kernel's table
+holds).
 
 Vectors are plain tuples of non-negative ints and are never mutated.
 """
@@ -341,8 +342,11 @@ def meet(ps):
     ps = list(ps)
     if not ps:
         raise InvalidInput("meet of an empty list is undefined")
-    _check_same_sigma(ps)
-    return tuple(ps[0]) if len(ps) == 1 else tuple(map(min, *ps))
+    low = tuple(ps[0]) if len(ps) == 1 else tuple(map(min, *ps))
+    # once the lengths agree, low holds the least count of every vector
+    if not low or min(low) < 0 or len(set(map(len, ps))) > 1:
+        _refuse(ps)
+    return low
 
 
 def join(ps):
@@ -350,14 +354,16 @@ def join(ps):
     ps = list(ps)
     if not ps:
         raise InvalidInput("join of an empty list is undefined")
-    _check_same_sigma(ps)
+    if not ps[0] or len(set(map(len, ps))) > 1 or min(map(min, ps)) < 0:
+        _refuse(ps)
     return tuple(ps[0]) if len(ps) == 1 else tuple(map(max, *ps))
 
 
-def _check_same_sigma(ps):
-    sigma = len(ps[0])
-    if any(len(p) != sigma for p in ps):
-        raise InvalidInput("vectors over different alphabet sizes")
+def _refuse(ps):
+    """Raises for ``ps``, vectors that are not all over one alphabet size."""
+    for p in ps:
+        validate_vector(p)  # names an empty vector or a negative count
+    raise InvalidInput("vectors over different alphabet sizes")
 
 
 def canonical_word(p):

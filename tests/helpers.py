@@ -24,6 +24,8 @@ REFERENCE_COVER_ROWS = [
     (3, 7, "aabbbccbbcccabacaaabcbbbbbbbaaaaaaacccccccba", 44, False, 2),
     (3, 8, "aaaaaaaabbbbbbbbccccccccaaaaacaabbbcbabbcccacbccaaabaa", 54, False,
      2),
+    (3, 9, "aaaabbbbbbbbbcccccccccaaaaaaaaabbbbacbbbccaccbcccaabaacaaabbcbcbb",
+     65, False, 2),
     (4, 2, "aabbcadbccdd", 12, False, 1),
     (4, 3, "aaabbbcaadbdbccadddccc", 22, True, 0),
     (4, 4, "aabbbbcaacadbddbccacddddaaaabdbbccccdd", 38, True, 0),
@@ -100,13 +102,25 @@ def all_words(sigma, length):
                                                   repeat=length))
 
 
+def first_covering_word_naive(k, sigma, length):
+    """The letter indices of the first k-covering word of ``length`` >= k
+    letters in lex order, or None: plain enumeration of all sigma**length
+    words, each word's windows but the last taken once for the sigma words
+    that extend them."""
+    total = comb(k + sigma - 1, sigma - 1)
+    vector = {w: tuple(sorted(w))
+              for w in itertools.product(range(sigma), repeat=k)}
+    for head in itertools.product(range(sigma), repeat=length - 1):
+        seen = {vector[head[i:i + k]] for i in range(length - k)}
+        for c in range(sigma):
+            if len(seen | {vector[head[length - k:] + (c,)]}) == total:
+                return head + (c,)
+    return None
+
+
 def covering_word_exists_naive(k, sigma, length):
     """Plain enumeration over all sigma**length words."""
-    total = comb(k + sigma - 1, sigma - 1)
-    for word in all_words(sigma, length):
-        if len(naive_parikh_set(word, k, sigma)) == total:
-            return True
-    return False
+    return first_covering_word_naive(k, sigma, length) is not None
 
 
 def achievable_window_sets(k, sigma):

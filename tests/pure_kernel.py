@@ -1,9 +1,10 @@
-"""Pure-Python search kernel.
+"""The reference search kernel, in pure Python.
 
-Mirrors the compiled kernel (_kernel.c) exactly: same entry points, same
-tables, same exploration order, same node accounting.  Only the components
-rule's bookkeeping differs, and this kernel is the reference the compiled
-one is checked against.  This one lists each vector's neighbours by rank; the
+Mirrors the compiled kernel, src/parikhgrid/_kernel.c, whose header
+describes the search and its prune rules, exactly: same tables, same
+exploration order, same node accounting.  Only the components rule's
+bookkeeping differs, and this kernel is the reference the compiled one is
+checked against.  This one lists each vector's neighbours by rank; the
 compiled kernel keeps them, for both targets, as one mask per 64-bit word
 of vectors that holds any.  For covering targets it carries the component
 count along the word on those masks, where this one counts it from
@@ -12,56 +13,21 @@ an int, with running counts of the vectors of U of degree at most one and
 of degree zero, and moves the previous window at every level; the compiled
 kernel keeps bit-sliced counters over the same words, reads the dead-end
 test off them, and moves the previous window only at a level where some
-letter passes the duplicate-window check.
-
-The search enumerates candidate words of one fixed length, depth-first,
-letters in alphabet order, restricted to canonical form (each letter's
-first occurrence after the previous letter's).  Each placed letter moves
-the window along one labeled edge of the grid, read from the shift table in
-O(1).  A word starts from the window k*e_0 (rank 0): while pos < k the
-letter that leaves is one of its a's, and the windows that end before
-position k - 1 are not counted.
-
-Prune rules (bitmask, each independently sound).  U is the set of
-uncovered vectors and rem the number of letters after the current one; two
-vectors are neighbours when one letter shift joins them (the shift entries
-with out != in), and the current window is the one that ends at the
-current letter:
-  1  duplicate-window  reject a letter whose window repeats a seen vector
-                       (perfect-cover targets only)
-  2  uncovered-count   rem < |U|
-  4  components        covering targets: rem < |U| + c - 1, where c is the
-                       number of components of the grid induced on U, since
-                       a window between two of them is on a covered vector.
-                       Perfect-cover targets: the rest of the word is a path
-                       through U from the current window, so some vector of
-                       U has no neighbour in U + {current}, or two have at
-                       most one.  Its degrees change once per level: any
-                       fresh window leaves U and becomes current, so the
-                       set loses the previous window whatever the letter.
+letter passes the duplicate-window check.  In both, U + {current} changes
+once per level: any fresh window leaves U and becomes current, so the set
+loses the previous window whatever the letter.
 """
 
-PROGRESS_INTERVAL = 1_000_000
+from array import array
 
-RULE_DUPLICATE = 1
-RULE_REMAINING = 2
-RULE_COMPONENTS = 4
-ALL_RULES = 7
-
-KERNEL_NAME = "pure-python"
+from parikhgrid import vectors as V
+from parikhgrid.kernel import (PROGRESS_INTERVAL, RULE_COMPONENTS,
+                               RULE_DUPLICATE, RULE_REMAINING)
 
 
 def build_tables(k, sigma):
-    """The kernels' tables, (n_vec, shift): shift is an array of C ints,
-    and shift[(idx*sigma + out)*sigma + c] is the rank of p - e_out + e_c
-    for p of rank idx (-1 when p[out] is 0).  Row (idx, out) is the up row
-    of p - e_out in vectors.rank_map."""
-    # imported here: loading a kernel, as every CLI start does, loads
-    # neither vectors, nor dataclasses, nor array
-    from array import array
-
-    from . import vectors as V
-
+    """The kernels' tables, (n_vec, shift), from vectors.rank_map: row
+    (idx, out) of shift is the up row of p - e_out for p of rank idx."""
     down, up = V.rank_map(k, sigma)
     rows = [up[r:r + sigma] for r in range(0, len(up), sigma)]
     # the row of a missing letter, read at down rank -1
@@ -75,14 +41,7 @@ def build_tables(k, sigma):
 
 def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
                         collect_limit, node_budget, progress=None):
-    """Explore canonical words of exactly ``length`` letters.
-
-    tables: (n_vectors, shift) as built by build_tables.
-    collect_limit <= 0 collects every solution.  Returns (complete,
-    solutions, nodes, max_depth) where solutions is a list of bytes (letter
-    indices) in discovery order and complete is False only when the node
-    budget ran out.
-    """
+    """kernel.fixed_length_search, the same contract and trace."""
     n_vec, shift = tables
     rule_dup = bool(rules & RULE_DUPLICATE) and pdb_only
     rule_rem = bool(rules & RULE_REMAINING)
@@ -265,40 +224,3 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
         c += 1
     return True, solutions, nodes, max_depth
 
-
-def find_covering_naive(k, sigma, length, tables):
-    """First covering word of the given length in plain lexicographic order,
-    or None.  Enumerates all sigma**length words: no canonical-form
-    restriction, no pruning.  Independent check for refutations."""
-    n_vec, shift = tables
-    word = [0] * length
-    at = [0] * length
-    mult = [0] * n_vec
-
-    def rec(pos, uncovered):
-        # word[pos - k] is still the letter placed there: positions are
-        # overwritten left to right, never cleared
-        row = ((at[pos - 1] if pos else 0) * sigma
-               + (word[pos - k] if pos >= k else 0)) * sigma
-        for c in range(sigma):
-            idx = shift[row + c]
-            word[pos] = c
-            at[pos] = idx
-            covered_now = uncovered
-            if pos >= k - 1:
-                mult[idx] += 1
-                if mult[idx] == 1:
-                    covered_now = uncovered - 1
-            if pos + 1 == length:
-                hit = covered_now == 0
-            else:
-                hit = rec(pos + 1, covered_now)
-            if pos >= k - 1:
-                mult[idx] -= 1
-            if hit:
-                return True
-        return False
-
-    if length < 1:
-        return None
-    return bytes(word) if rec(0, n_vec) else None

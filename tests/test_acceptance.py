@@ -12,7 +12,6 @@ from math import comb
 
 from parikhgrid import covering as C
 from parikhgrid import grid as G
-from parikhgrid import kernel
 from parikhgrid import realize as R
 from parikhgrid import search as S
 from parikhgrid import vectors as V
@@ -155,9 +154,7 @@ def test_criterion_10_bounds_consistency():
     instances += [(1, s) for s in range(2, 6)]
     instances += [(2, s) for s in range(2, 6)]
     instances += [(3, s) for s in range(2, 6)]
-    instances += [(4, 2), (4, 3), (5, 2)]
-    if kernel.KERNEL_NAME == "compiled":
-        instances += [(4, 4), (5, 3)]
+    instances += [(4, 2), (4, 3), (5, 2), (4, 4), (5, 3)]
     for k, sigma in instances:
         out = S.search_shortest_covering(S.SearchConfig(k=k, sigma=sigma))
         assert out.status == S.STATUS_FOUND, (k, sigma)

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from parikhgrid import cli, covering, export, kernel, search
+from parikhgrid import cli, covering, export, search
 from parikhgrid.errors import InvalidInput
 
 from helpers import check_dot
@@ -125,8 +125,6 @@ class TestSearchCommand:
         for line in err.splitlines():
             assert json.loads(line)
 
-    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
-                        reason="10^6 nodes; slow on the pure kernel")
     def test_progress_lines_with_two_threads(self, capsys, monkeypatch):
         monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
         # the perfect cover of (sigma=4, k=5) takes 1,254,578 nodes, so the
@@ -258,9 +256,6 @@ class TestSearchCommand:
             assert code == 1
             assert json.loads(out)["status"] == "budget_exhausted"
 
-    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
-                        reason="the pure kernel counts the components of "
-                               "50,388 vectors from scratch: about 90 s")
     def test_covering_search_over_50388_vectors_runs(self, capsys):
         start = time.monotonic()
         code, out, _ = run(capsys, "search", "--k", "12", "--sigma", "8",
@@ -275,15 +270,13 @@ class TestSearchCommand:
         ("--max-len", "3000000000"),
     ])
     def test_length_over_the_bound_exit_two_at_once(self, capsys, option):
-        # the kernels would allocate a few ints per letter
+        # the kernel would allocate a few ints per letter
         start = time.monotonic()
         code, _, err = run(capsys, "search", "--k", "2", "--sigma", "2",
                            *option)
         assert code == 2 and "MAX_TABLE_ENTRIES" in err
         assert time.monotonic() - start < 1
 
-    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
-                        reason="about 10^7 nodes; minutes on the pure kernel")
     def test_default_budget_reproduces_k7_row(self, capsys):
         code, out, _ = run(capsys, "search", "--k", "7", "--sigma", "3")
         doc = json.loads(out)

@@ -2,7 +2,8 @@
 is none: one without coordinates, or one with a negative count, whether
 its counts sum to the order asked for or not.  Every one that takes an
 order k or an alphabet size sigma refuses either below 1 or not an int,
-with one message."""
+with one message, before any other argument is read.  A search refuses a
+length or a node budget that is not an int."""
 
 import re
 
@@ -39,6 +40,9 @@ ENTRY_POINTS = {
     "is_realizable_set": lambda p: R.is_realizable_set([p]),
     "realizable_pair_witness": lambda p: R.realizable_pair_witness(p, (0, 1)),
     "classify_clique": lambda p: G.classify_clique([p]),
+    "meet": lambda p: V.meet([p]),
+    "meet of two": lambda p: V.meet([p, p]),
+    "join": lambda p: V.join([p]),
 }
 
 # the messages of vectors.validate_vector and vectors.check_vectors
@@ -59,6 +63,14 @@ INSTANCE_ENTRY_POINTS = {
     "run_search": lambda k, sigma: S.run_search(S.SearchConfig(k=k,
                                                                sigma=sigma)),
     "enumerate_all_pdb": S.enumerate_all_pdb,
+    "run_search at a length": lambda k, sigma: S.run_search(S.SearchConfig(
+        k=k, sigma=sigma, target=S.TARGET_AT_LENGTH, target_length=8)),
+    "iter_covering_words": lambda k, sigma: list(
+        S.iter_covering_words(k, sigma, 5)),
+    "construct_family k2_eulerian": lambda k, sigma: C.construct_family(
+        "k2_eulerian", k, sigma),
+    "construct_family kcover_not_k1": lambda k, sigma: C.construct_family(
+        "kcover_not_k1", k, sigma),
 }
 
 
@@ -94,3 +106,26 @@ def test_entry_point_refuses_an_alphabet_below_one(name, sigma):
     message = NEED + "sigma=%r" % (sigma,)
     with pytest.raises(InvalidInput, match="^%s$" % re.escape(message)):
         ALPHABET_ENTRY_POINTS[name](sigma)
+
+
+SIZE_ENTRY_POINTS = {
+    "node_budget": lambda size: S.run_search(S.SearchConfig(
+        k=3, sigma=2, node_budget=size)),
+    "max_len": lambda size: S.run_search(S.SearchConfig(
+        k=3, sigma=2, max_len=size)),
+    "target_length": lambda size: S.run_search(S.SearchConfig(
+        k=3, sigma=2, target=S.TARGET_AT_LENGTH, target_length=size)),
+    "iter_covering_words": lambda size: list(
+        S.iter_covering_words(2, 2, size)),
+}
+
+
+@pytest.mark.parametrize("size", [7.5, 8.0, "5", -1], ids=repr)
+@pytest.mark.parametrize("name", sorted(SIZE_ENTRY_POINTS))
+def test_search_refuses_a_size_that_is_not_an_int(name, size):
+    # refused before the kernel or range() reads it
+    field = "max_len" if name == "iter_covering_words" else name
+    message = "%s must be an int >= %d, got %r" % (
+        field, 3 if field == "target_length" else 0, size)
+    with pytest.raises(InvalidInput, match="^%s$" % re.escape(message)):
+        SIZE_ENTRY_POINTS[name](size)

@@ -1,7 +1,8 @@
-"""The compiled kernel and the pure-Python kernel must produce identical
-traces: same solutions in the same order, same node counts, same depths."""
+"""The compiled kernel and the pure-Python reference kernel of
+pure_kernel.py must produce identical traces: same solutions in the same
+order, same node counts, same depths."""
 
-import importlib
+import json
 import math
 import os
 import shutil
@@ -11,13 +12,16 @@ import sys
 import pytest
 
 import parikhgrid.kernel as K
-from parikhgrid import _kernel_py as pure
 from parikhgrid.covering import perfect_length
 from parikhgrid.search import _build_tables
 
-needs_compiled = pytest.mark.skipif(
-    K.KERNEL_NAME != "compiled",
-    reason="compiled kernel not loaded: %s" % K.FALLBACK_REASON)
+import pure_kernel as pure
+from helpers import first_covering_word_naive
+
+# Both kernels, for the tests that run each on its own; the ids keep the
+# names under which the suite reports these tests.
+KERNELS = [pytest.param(pure.fixed_length_search, id="fixed_length_search"),
+           pytest.param(K.fixed_length_search, id="_compiled_search")]
 
 # rules is a bit mask: 15 sets every bit, so every rule is on; 3 is every
 # rule but components (4)
@@ -109,33 +113,22 @@ def _same_trace(k, sigma, length, pdb_only, rules, prefix, limit, budget):
     assert a == b
 
 
-@needs_compiled
 @pytest.mark.parametrize("case", CASES)
 def test_identical_traces(case):
     _same_trace(*case, 10**8)
 
 
-@needs_compiled
 @pytest.mark.parametrize("case", WIDE_CASES)
 def test_identical_traces_past_one_mask_word(case):
     _same_trace(*case)
 
 
-@needs_compiled
 @pytest.mark.parametrize("case", PERFECT_CASES)
 def test_identical_perfect_cover_traces(case):
     _same_trace(*case)
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
-def test_compiled_kernel_loads_where_it_can_be_built():
-    # otherwise every needs_compiled test would be skipped, not failed
-    assert K.KERNEL_NAME == "compiled", K.FALLBACK_REASON
-
-
-@pytest.mark.parametrize("search", [
-    pure.fixed_length_search,
-    pytest.param(K.fixed_length_search, marks=needs_compiled)])
+@pytest.mark.parametrize("search", KERNELS)
 @pytest.mark.parametrize("k,sigma,length,pdb_only,rules", [
     (3, 3, 11, False, 15),   # refuted: the whole tree
     (3, 3, 12, True, 15),
@@ -161,13 +154,13 @@ def test_prefix_tasks_count_each_node_once(search, k, sigma, length,
         assert [w for part in parts for w in part[1]] == whole[1]
 
 
-@needs_compiled
 @pytest.mark.parametrize("k,sigma,length", [(2, 3, 6), (2, 3, 7), (3, 2, 6),
                                             (2, 4, 11), (3, 3, 11)])
 def test_naive_enumerator_parity(k, sigma, length):
+    first = first_covering_word_naive(k, sigma, length)
     tables = _build_tables(k, sigma)
-    assert (K.find_covering_naive(k, sigma, length, tables)
-            == pure.find_covering_naive(k, sigma, length, tables))
+    assert K.find_covering_naive(k, sigma, length, tables) == (
+        None if first is None else bytes(first))
 
 
 # Perfect-cover searches pinned to their full traces.  Both kernels keep
@@ -182,9 +175,7 @@ def _pinned(search, k, sigma, length, rules, prefix, limit):
     return complete, nodes, max_depth, words
 
 
-@pytest.mark.parametrize("search", [
-    pure.fixed_length_search,
-    pytest.param(K.fixed_length_search, marks=needs_compiled)])
+@pytest.mark.parametrize("search", KERNELS)
 def test_perfect_cover_traces_pinned(search):
     # (sigma=3, k=6) has no perfect cover: the whole tree is refuted
     assert _pinned(search, 6, 3, 33, 15, (), 0) == (True, 73195, 28, [])
@@ -194,7 +185,6 @@ def test_perfect_cover_traces_pinned(search):
         True, 27031, 12, ["abbbcccaaabc", "abcccaaabbbc"])
 
 
-@needs_compiled
 @pytest.mark.parametrize("k,sigma,nodes,witness", [
     (4, 5, 984596, "aaaabbbbcaaadbbbeaaccbbddaaeaebcccadbeeeadddcccceeeedddd"
                    "bebecbdcdeceacdad"),
@@ -207,7 +197,6 @@ def test_perfect_cover_first_witness_pinned(k, sigma, nodes, witness):
                    1) == (True, nodes, length, [witness])
 
 
-@needs_compiled
 def test_budget_exhaustion_parity():
     tables = _build_tables(3, 3)
     a = K.fixed_length_search(3, 3, 12, tables, False, 15, (), 1, 100)
@@ -216,7 +205,6 @@ def test_budget_exhaustion_parity():
     assert a[0] is False or a[0] == 0  # budget flag tripped
 
 
-@needs_compiled
 def test_progress_exception_propagates():
     # without the components rule the perfect-cover search for (sigma=5,
     # k=4) takes 12.9M nodes, so the first checkpoint comes at 1M nodes,
@@ -238,7 +226,6 @@ def test_progress_exception_propagates():
     assert calls == [K.PROGRESS_INTERVAL]
 
 
-@needs_compiled
 @pytest.mark.parametrize("prefix", [(0, 3), (0,) * 8])
 def test_compiled_rejects_prefix_it_cannot_place(prefix):
     # a letter outside the alphabet or a prefix longer than the word would
@@ -248,7 +235,6 @@ def test_compiled_rejects_prefix_it_cannot_place(prefix):
         K.fixed_length_search(2, 3, 7, tables, False, 15, prefix, 1, 0)
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
 def test_kernel_source_is_strict_c99(tmp_path):
     # optimised, since some warnings come only from the optimiser's analyses
     proc = subprocess.run(["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic",
@@ -269,26 +255,25 @@ def _libasan():
 
 
 # Run in a child process with the sanitizer runtime preloaded: the compiled
-# kernel built with address and undefined-behaviour checks against the pure
-# kernel on every parity case, those past one mask word and the perfect
-# covers too, and its table builder against the pure one, from one vector
-# to tables of several mask words.  The child loads the normal build, as
-# any import does, and then swaps in the sanitized one.  A fault aborts
-# the child.
+# kernel built with address and undefined-behaviour checks against the
+# reference kernel on every parity case, those past one mask word and the
+# perfect covers too, and its table builder against the reference one, from
+# one vector to tables of several mask words.  The child loads the
+# sanitized build in place of the normal one.  A fault aborts the child.
 _SANITIZED_PARITY = """
 import sys
 import parikhgrid.kernel as K
-from parikhgrid import _kernel_py as pure
 from parikhgrid.search import _build_tables
+import pure_kernel as pure
 from test_kernel_parity import CASES, PERFECT_CASES, WIDE_CASES
 K._lib = K._load(sys.argv[1])
 for k, sigma in [(1, 1), (5, 1), (1, 4), (4, 2), (6, 5), (3, 9)]:
-    assert K._compiled_tables(k, sigma) == pure.build_tables(k, sigma)
+    assert K.build_tables(k, sigma) == pure.build_tables(k, sigma)
 for case in [case + (10**8,) for case in CASES] + WIDE_CASES + PERFECT_CASES:
     k, sigma, length, pdb_only, rules, prefix, limit, budget = case
     tables = _build_tables(k, sigma)
     args = (k, sigma, length, tables, pdb_only, rules, prefix, limit, budget)
-    assert K._compiled_search(*args) == pure.fixed_length_search(*args)
+    assert K.fixed_length_search(*args) == pure.fixed_length_search(*args)
 """
 
 
@@ -311,7 +296,6 @@ def test_sanitized_kernel_parity(tmp_path):
     assert run.returncode == 0, run.stderr[-4000:]
 
 
-@needs_compiled
 def test_table_builders_agree():
     # every table up to 10^6 shifts with k <= 12 and sigma <= 15, and the
     # largest the search takes
@@ -319,11 +303,10 @@ def test_table_builders_agree():
              if math.comb(k + sigma - 1, k) * sigma * sigma <= 10**6]
     assert len(sizes) == 129
     for k, sigma in sizes + [(12, 8)]:
-        assert K._compiled_tables(k, sigma) == pure.build_tables(k, sigma), (
+        assert K.build_tables(k, sigma) == pure.build_tables(k, sigma), (
             k, sigma)
 
 
-@needs_compiled
 @pytest.mark.parametrize("k,sigma", [(4, 3), (2, 4)])
 def test_compiled_rejects_tables_of_another_instance(k, sigma):
     # the shift table of (k=3, sigma=3) would lead the windows of another
@@ -333,7 +316,6 @@ def test_compiled_rejects_tables_of_another_instance(k, sigma):
         K.fixed_length_search(k, sigma, 12, tables, False, 15, (), 1, 0)
 
 
-@needs_compiled
 def test_compiled_rejects_more_than_256_letters():
     # a letter is a byte; the shift table passes for its length alone,
     # and the check comes before it is read
@@ -346,20 +328,66 @@ def test_compiled_rejects_more_than_256_letters():
                               0)
 
 
-def test_fallback_without_compiler(monkeypatch, tmp_path):
-    # an empty cache and no cc on PATH: the build cannot run
-    monkeypatch.setenv("PATH", str(tmp_path))
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    reloaded = importlib.reload(K)
-    try:
-        assert reloaded.active_kernel() == "pure-python"
-        assert reloaded.FALLBACK_REASON
-    finally:
-        monkeypatch.undo()
-        importlib.reload(K)
+# Run in a child process with an empty cache and no cc on PATH, so that the
+# kernel cannot be built: a search command exits 2 with one error line that
+# names the reason, and the commands that do not search, and reading a
+# search outcome back from JSON, work as with a kernel.
+_WITHOUT_COMPILER = """
+import contextlib, io, json, sys
+import parikhgrid
+from parikhgrid import cli, export, search
 
 
-@needs_compiled
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+outcome = search.SearchOutcome(k=3, sigma=3, target=search.TARGET_PDB,
+                               status=search.STATUS_FOUND,
+                               witness="abbbcccaaabc", minimal=True)
+try:
+    parikhgrid.active_kernel()
+except parikhgrid.ParikhGridError as exc:
+    reason = str(exc)
+print(json.dumps({
+    "reason": reason,
+    "searches": [run(*argv) for argv in (
+        ["search", "--k", "3", "--sigma", "3"],
+        ["enumerate-pdb", "--k", "3", "--sigma", "3"],
+        ["mincov", "--k", "3", "--sigma", "2", "--max-len", "7"])],
+    "others": [run(*argv)[0] for argv in (
+        ["verify", "abbbcccaaabc", "--k", "3", "--sigma", "3"],
+        ["grid", "--k", "2", "--sigma", "3"],
+        ["bounds", "--k", "3", "--sigma", "3"],
+        ["covset", "abbbcccaaabc", "--sigma", "3"],
+        ["construct", "binary-pdb", "--k", "3", "--sigma", "2"],
+        ["walk", "aabacabb", "--k", "4"],
+        ["realize", "(2,0),(1,1)", "--k", "2", "--sigma", "2"],
+        ["search", "--k", "3", "--sigma", "6", "--target", "pdb"])],
+    "from_json": export.from_json(export.to_json(outcome)) == outcome,
+}))
+"""
+
+
+def test_fallback_without_compiler(tmp_path):
+    env = dict(os.environ, PATH=str(tmp_path), XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=os.path.dirname(os.path.dirname(K.__file__)))
+    run = subprocess.run([sys.executable, "-c", _WITHOUT_COMPILER],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    doc = json.loads(run.stdout)
+    assert doc["reason"].startswith("compiled kernel unavailable: cannot run "
+                                    "cc")
+    for code, out, err in doc["searches"]:
+        assert (code, out, err) == (2, "", "error: %s\n" % doc["reason"])
+    # a perfect cover of (3, 6) is refuted by the bounds, with no search
+    assert doc["others"] == [0, 0, 0, 0, 0, 0, 0, 1]
+    assert doc["from_json"]
+
+
 def test_new_build_removes_stale_builds(monkeypatch, tmp_path):
     # builds of other sources loaded in the order of their names, another
     # process's build in progress, a stale name that cannot be unlinked (a
@@ -398,9 +426,7 @@ def test_new_build_removes_stale_builds(monkeypatch, tmp_path):
            for i in range(2, K.KEEP_BUILDS + 1)])
 
 
-@pytest.mark.parametrize("search", [
-    pure.fixed_length_search,
-    pytest.param(K.fixed_length_search, marks=needs_compiled)])
+@pytest.mark.parametrize("search", KERNELS)
 @pytest.mark.parametrize("k,sigma,length,pdb_only", [
     (3, 3, 12, True), (4, 3, 18, True), (2, 5, 16, True), (5, 2, 10, True),
     (2, 3, 7, False), (2, 3, 8, False), (2, 3, 9, False),

@@ -103,16 +103,15 @@ class TestImportFootprint:
         _cli("search", "--k", "3", "--sigma", "3"),
     ])
     def test_search_loads_no_grid(self, code):
-        # the kernel builds its tables from vectors.rank_map
+        # the kernel builds its tables itself, not from a grid
         loaded = _loaded_by(code)
         assert "parikhgrid.search" in loaded
         assert "parikhgrid.grid" not in loaded
 
-    def test_kernel_loads_only_its_twin(self):
-        # every CLI start loads the kernel; tables import what they need
+    def test_kernel_loads_no_other_submodule(self):
+        # a search loads the kernel; its tables import what they need
         loaded = _loaded_by("import parikhgrid.kernel")
-        assert _submodules(loaded) == {"parikhgrid.kernel",
-                                       "parikhgrid._kernel_py"}
+        assert _submodules(loaded) == {"parikhgrid.kernel"}
         assert not loaded & {"dataclasses", "array"}
 
     def test_verify_loads_neither_kernel_search_nor_ctypes(self):

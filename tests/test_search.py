@@ -11,24 +11,19 @@ import time
 
 import pytest
 
-from parikhgrid import _kernel_py
 from parikhgrid import covering as C
 from parikhgrid import kernel
 from parikhgrid import search as S
 from parikhgrid import vectors as V
 from parikhgrid.errors import CapacityExceeded, InvalidInput
 
+import pure_kernel
 from helpers import (canonical_indices, colex_vectors,
                      covering_word_exists_naive, grid_step, render_indices)
 
 # (k, sigma) -> expected shortest covering length
 SHORTEST = {(2, 3): 7, (3, 3): 12, (2, 4): 12, (2, 5): 16, (4, 3): 19,
             (1, 3): 3, (2, 2): 4, (3, 2): 6, (4, 2): 8, (5, 2): 10}
-
-
-COMPILED_ONLY = pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
-                                   reason="10^6 nodes and more; slow on the "
-                                          "pure kernel")
 
 
 @pytest.fixture
@@ -106,8 +101,6 @@ class TestShortestCovering:
                                                      else sigma // 2)
             assert len(out.witness) == expected
 
-    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
-                        reason="10^8 nodes; slow on the pure kernel")
     def test_k2_s6_beyond_the_default_budget(self):
         # the closed form is 24 letters; with every rule on, the default
         # budget runs out in length 24 after refuting 23
@@ -120,7 +113,6 @@ class TestShortestCovering:
         word = C.construct_family("k2_eulerian", 2, 6)
         assert len(word) == 24 and C.verify(word, 2, 6).is_covering
 
-    @COMPILED_ONLY
     @pytest.mark.parametrize("k,sigma,nodes,witness", [
         (7, 3, 9_961_588, "aabbbccbbcccabacaaabcbbbbbbbaaaaaaacccccccba"),
         (8, 3, 20_236_432,
@@ -224,18 +216,11 @@ class TestPdbExistence:
             assert out.status == S.STATUS_FOUND
             assert len(out.witness) == 2 * k
 
-    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
-                        reason="~2*10^7 nodes; slow on the pure kernel")
     def test_5_4_sixty_letter_word_found(self):
         out = S.search_pdb_existence(5, 4)
         assert out.status == S.STATUS_FOUND
         assert len(out.witness) == 60
         assert C.verify(out.witness, 5, 4).is_pdb
-
-
-# The table builders of both kernels, the compiled one where it is loaded.
-BUILDERS = [_kernel_py.build_tables] + (
-    [kernel._compiled_tables] if kernel.KERNEL_NAME == "compiled" else [])
 
 
 class TestTables:
@@ -244,8 +229,7 @@ class TestTables:
         vectors = colex_vectors(k, sigma)
         rank = {p: i for i, p in enumerate(vectors)}
         n_vec, shift = S._build_tables(k, sigma)
-        for build in BUILDERS:
-            assert build(k, sigma) == (n_vec, shift)
+        assert pure_kernel.build_tables(k, sigma) == (n_vec, shift)
         assert shift.typecode == "i"
         assert n_vec == len(vectors)
         assert shift.tolist() == [
@@ -346,8 +330,6 @@ class TestMinimalityCertificates:
             assert (got is not None) == covering_word_exists_naive(
                 k, sigma, length)
 
-    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
-                        reason="3^18 words need the compiled enumerator")
     def test_4_3_refutation_confirmed_over_full_space(self):
         # a length-18 covering word over three letters would have exactly
         # 15 windows for 15 vectors, i.e. be a perfect cover; enumerating
@@ -410,9 +392,6 @@ class TestDeterminism:
         b = S.search_shortest_covering(S.SearchConfig(k=2, sigma=4))
         assert a.witness == b.witness and a.stats.nodes == b.stats.nodes
 
-    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
-                        reason="speculative tasks take minutes on the pure "
-                               "kernel")
     def test_workers_stop_after_the_witness(self, pools):
         # without the components rule this search takes 12.9M nodes, so
         # with 2 workers its inline run reaches the first checkpoint and the
@@ -446,14 +425,13 @@ class TestDeterminism:
         # more than one worker hands the length over to the pool: length 42
         # ends inline, 43 is handed over and 44 runs on the started pool
         pytest.param(S.TARGET_SHORTEST, 7, 3, S.ALL_RULES,
-                     S.DEFAULT_NODE_BUDGET, id="shortest-k7-s3-handed-over",
-                     marks=COMPILED_ONLY),
+                     S.DEFAULT_NODE_BUDGET, id="shortest-k7-s3-handed-over"),
         # the budget ends the inline run one node before its checkpoint,
         # at it, and one node after it
         *[pytest.param(S.TARGET_PDB, 6, 4, S.ALL_RULES,
                        kernel.PROGRESS_INTERVAL + d,
-                       id="pdb-k6-s4-budget-checkpoint%+d" % d,
-                       marks=COMPILED_ONLY) for d in (-1, 0, 1)],
+                       id="pdb-k6-s4-budget-checkpoint%+d" % d)
+          for d in (-1, 0, 1)],
     ])
     def test_two_workers_match_one(self, cpus, target, k, sigma, rules,
                                    budget):
@@ -470,7 +448,6 @@ class TestDeterminism:
         assert run(2) == one
         assert run(3) == one
 
-    @COMPILED_ONLY
     def test_more_threads_than_cores_under_fast_switching(self, pools):
         # four threads, switching every microsecond, on a machine that may
         # have fewer cores: the tasks share only the tables, which no one
@@ -502,7 +479,6 @@ class TestDeterminism:
             assert len(out.witness) == 27
             assert pools == []
 
-    @COMPILED_ONLY
     def test_one_pool_for_the_lengths_past_the_checkpoint(self, pools):
         # shortest (k=8, sigma=3): length 52 ends inline in 820,913 nodes,
         # 53 outgrows the first checkpoint and starts the pool, and 54 goes
@@ -560,7 +536,6 @@ class TestWorkerStop:
     """Pool threads share the tables and run their current task; a search
     call stops its pool before it returns."""
 
-    @COMPILED_ONLY
     def test_tasks_past_the_witness_are_not_awaited(self, pools,
                                                     monkeypatch):
         # the perfect cover of (sigma=4, k=5) takes 1,254,578 nodes, so 2
@@ -577,7 +552,6 @@ class TestWorkerStop:
         assert (out.status, out.witness) == (S.STATUS_FOUND, one.witness)
         assert len(pools) == 1 and _search_threads() == []
 
-    @COMPILED_ONLY
     def test_progress_that_raises_stops_the_pool(self, pools):
         # the progress callback runs in the calling thread after each
         # merged task; what it raises, as Ctrl-C would, reaches the caller
@@ -594,28 +568,6 @@ class TestWorkerStop:
                 rules=S.ALL_RULES - {"components"}), progress=progress)
         assert len(pools) == 1 and _search_threads() == []
 
-    def test_pure_kernel_searches_on_one_worker(self, pools, monkeypatch):
-        # the pure kernel holds the GIL, so threads would only slow it: a
-        # 2-worker search past the first checkpoint, here moved to 1,000
-        # nodes, starts no thread and is the one-worker search
-        monkeypatch.setattr(kernel, "fixed_length_search",
-                            _kernel_py.fixed_length_search)
-        monkeypatch.setattr(kernel, "KERNEL_NAME", _kernel_py.KERNEL_NAME)
-        monkeypatch.setattr(kernel, "PROGRESS_INTERVAL", 1_000)
-
-        def run(workers):
-            out = S.search_shortest_covering(
-                S.SearchConfig(k=5, sigma=3, worker_count=workers))
-            return (out.status, out.witness, out.refuted_up_to,
-                    out.stats.nodes, out.stats.max_depth)
-
-        one = run(1)
-        assert one[3] > 1_000
-        assert run(2) == one
-        assert pools == [] and _search_threads() == []
-
-    @pytest.mark.skipif(kernel.KERNEL_NAME != "compiled",
-                        reason="the task alone runs 10^8 nodes")
     def test_workers_stop_the_task_after_the_witness(self, cpus):
         # task (0,0,0,0,1,2), the 5th, starts beside the witness's and runs
         # to its 10^8-node cap if nothing stops it; without the components
@@ -756,7 +708,6 @@ class TestEnumerateAllPdb:
                            match="node budget at length 38"):
             S.enumerate_all_pdb(4, 4, cfg)
 
-    @COMPILED_ONLY
     def test_4_4_classes(self, cpus):
         # 38,999,635 nodes; the same classes for any worker count
         reps = [S.enumerate_all_pdb(4, 4, S.SearchConfig(
@@ -767,7 +718,6 @@ class TestEnumerateAllPdb:
         assert all(C.verify(word, 4, 4).is_pdb for word in reps[0])
         assert S.canonical_form(C.PERFECT_COVERS[4, 4], 4) in reps[0]
 
-    @COMPILED_ONLY
     def test_binary_k20_single_class(self):
         # 1,048,615 nodes
         assert S.enumerate_all_pdb(20, 2) == ["a" * 20 + "b" * 20]
