@@ -40,8 +40,7 @@ _HOMES = {
     ), "realize"),
     **dict.fromkeys((
         "SearchConfig", "SearchOutcome", "enumerate_all_pdb",
-        "iter_covering_words", "run_search", "search_pdb_existence",
-        "search_shortest_covering",
+        "iter_covering_words", "run_search",
     ), "search"),
     **dict.fromkeys((
         "Alphabet", "ParikhSet", "canonical_word", "children", "enumerate_pv",

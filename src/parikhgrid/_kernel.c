@@ -470,7 +470,7 @@ static int dfs(State *s, const unsigned char *prefix, int prefix_len,
         for (; c < top; c++) {
             if (counted) {
                 s->nodes++;
-                if (s->node_budget && s->nodes > s->node_budget) {
+                if (s->nodes > s->node_budget) {
                     s->exhausted = 1;
                     return 0;
                 }
@@ -519,8 +519,9 @@ static int dfs(State *s, const unsigned char *prefix, int prefix_len,
 }
 
 /* Explores canonical words of exactly `length` letters that extend
-   `prefix`; see kernel.fixed_length_search for the contract.  Every
-   solution is passed to `found_fn`; `progress_fn` may be NULL.  Returns
+   `prefix`, at most `node_budget` counted nodes; see
+   kernel.fixed_length_search for the contract.  Every solution is passed
+   to `found_fn`; `progress_fn` may be NULL.  Returns
    PG_COMPLETE, PG_EXHAUSTED (node budget ran out), PG_ABORTED (a callback
    returned nonzero) or PG_NO_MEMORY, and stores the node count and maximum
    depth. */

@@ -37,8 +37,8 @@ KEEP_BUILDS = 4
 
 # Results of pg_fixed_length_search, as defined in _kernel.c.
 _COMPLETE, _NO_MEMORY = 1, -2
-# The C node counter is a long long; a larger budget cannot be reached.
-_MAX_NODES = 2**63 - 1
+# The C node counter is a long long: the largest node budget.
+MAX_NODES = 2**63 - 1
 
 _FOUND = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p)
 _PROGRESS = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_longlong, ctypes.c_int,
@@ -192,17 +192,22 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
     """Explores the canonical words of exactly ``length`` letters that
     extend ``prefix``, on ``tables`` as built by build_tables, under the
     prune rules of the ``rules`` mask.  collect_limit <= 0 collects every
-    solution, and node_budget 0 is no cap.  ``progress(nodes, pos, found)``
-    is called every PROGRESS_INTERVAL nodes; an exception it raises stops
-    the search and propagates.  Returns (complete, solutions, nodes,
-    max_depth) where solutions is a list of bytes (letter indices) in
-    discovery order and complete is False only when the node budget ran
-    out."""
+    solution.  It explores at most ``node_budget`` counted nodes, an int
+    from 0 to MAX_NODES; the node past them is counted and ends the search
+    incomplete, so a budget of 0 gives (False, [], 1, 0) without a prefix.
+    ``progress(nodes, pos, found)`` is called every PROGRESS_INTERVAL
+    nodes; an exception it raises stops the search and propagates.
+    Returns (complete, solutions, nodes, max_depth) where solutions is a
+    list of bytes (letter indices) in discovery order and complete is False
+    only when the node budget ran out."""
     lib = _kernel()
     shifts = _shifts(k, sigma, tables)
     if len(prefix) > length or any(not 0 <= c < sigma for c in prefix):
         raise ValueError("prefix %r is not a word of at most %d letters over "
                          "%d letters" % (tuple(prefix), length, sigma))
+    if not 0 <= node_budget <= MAX_NODES:
+        raise ValueError("node budget %r is not in 0 .. MAX_NODES"
+                         % (node_budget,))
     solutions = []
     raised = []
 
@@ -228,7 +233,7 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
     status = lib.pg_fixed_length_search(
         k, sigma, length, tables[0], shifts, 1 if pdb_only else 0,
         rules, bytes(prefix), len(prefix),
-        collect_limit, min(node_budget or 0, _MAX_NODES), found, checkpoint,
+        collect_limit, node_budget, found, checkpoint,
         ctypes.byref(nodes), ctypes.byref(max_depth))
     if raised:
         raise raised[0]

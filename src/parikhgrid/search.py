@@ -1,12 +1,15 @@
 """Exhaustive search for shortest covering words and perfect covering words.
 
-Iterative deepening on the target length, starting at the combined lower
-bound, so a witness found at length L certifies minimality once every
-shorter length has been refuted.  Each length is explored depth-first in
-canonical form (letters first appear in alphabet order), letters tried in
-alphabet order, so the first witness is the lexicographically smallest
-canonical one; refutations are exhaustive over canonical words, which
-suffices because the target predicates are invariant under relabeling.
+run_search(cfg) is the one entry point to an outcome, and cfg the one
+source of k, sigma and the target, which gives the lengths searched.  One
+loop over the lengths serves it and the enumerations.  A shortest covering
+word is sought by iterative deepening from the combined lower bound, so a
+witness found at length L certifies minimality once every shorter length
+has been refuted.  Each length is explored depth-first in canonical form
+(letters first appear in alphabet order), letters tried in alphabet order,
+so the first witness is the lexicographically smallest canonical one;
+refutations are exhaustive over canonical words, which suffices because
+the target predicates are invariant under relabeling.
 
 The kernel tables are built once per search call.  Every length first runs
 its whole tree inline, as one worker does.  With N workers that inline run
@@ -20,8 +23,12 @@ prefixes of the shallowest depth that gives TASKS_PER_WORKER * N tasks
 (Embarrassingly Parallel Search, Regin et al., CP 2013).  Tasks are merged
 in prefix order (first task with a witness wins), and the node budget caps
 the whole search call: it is exhausted at the first task where the running
-total passes the budget.  The kernel counts every node in exactly one
-task, so outcome, node count and depth are the same for any worker count.
+total passes the budget.  The loop resolves cfg.node_budget once: None or
+0 (no cap) becomes kernel.MAX_NODES, the range of the kernel's node
+counter, and below the loop a budget is the int of nodes still allowed,
+which the kernel never passes.  The kernel counts every node in exactly
+one task, so outcome, node count and depth are the same for any worker
+count.
 The inner loop is the compiled kernel of the kernel module.
 
 A search call keeps at most one thread pool for all its lengths.  Its
@@ -35,6 +42,7 @@ returns with no thread of its pool left.
 
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -158,25 +166,6 @@ def _build_tables(k, sigma):
     return kernel.build_tables(k, sigma)
 
 
-def _prepare(cfg, lengths):
-    """Checks the budget and the longest of ``lengths``, a range or list,
-    against the kernel's state, and builds the tables, once per search
-    call."""
-    longest = _longest_word(cfg.k, cfg.sigma)
-    if lengths and lengths[-1] > longest:
-        raise CapacityExceeded(
-            "a search word of %d letters for k=%d sigma=%d exceeds the "
-            "MAX_TABLE_ENTRIES bound: at most %d letters"
-            % (lengths[-1], cfg.k, cfg.sigma, longest))
-    return _build_tables(cfg.k, cfg.sigma)
-
-
-def _budget_left(cfg, nodes):
-    """Nodes the search call may still spend after ``nodes`` (None: no
-    cap)."""
-    return cfg.node_budget - nodes if cfg.node_budget else None
-
-
 def _task_prefixes(sigma, length, worker_count):
     """The canonical prefixes that split one length's tree into tasks, in
     lex order: the whole tree for one worker, else the shallowest level with
@@ -252,7 +241,7 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
                    pool, progress=None):
     """Explore one fixed length; returns (complete, solutions, nodes, depth).
 
-    ``budget`` is what the search call may still spend (None: no cap).
+    ``budget`` is the number of nodes the search call may still spend.
     The length runs inline until ``pool`` (a _Pool) has started; with N
     workers that run is capped at the kernel's first checkpoint, and a
     length that outgrows the cap, when the budget allows more, starts the
@@ -260,29 +249,24 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
     exhausted at the first task where the running total passes the budget,
     and reports budget + 1 nodes, as one task over the whole tree would.
     """
-    if budget == 0:
-        # the first node of any length is over; the kernel reads 0 as no cap
-        return False, [], 1, 0
     mask = _rules_mask(cfg.rules)
     workers = pool.worker_count
 
     def job(prefix, cap):
         return (cfg.k, cfg.sigma, length, pdb_only, mask, prefix,
-                collect_limit, cap or 0)
+                collect_limit, cap)
 
     complete, solutions, nodes, max_depth = True, [], 0, 0
 
     def fold(prefix, result):
         nonlocal complete, nodes, max_depth
         _complete, sols, task_nodes, task_depth = result
-        if budget is not None and nodes + task_nodes > budget:
+        if nodes + task_nodes > budget:
             # a task given more than was left is redone with exactly that,
-            # for the depth one task over the whole tree reaches; with
-            # nothing left its first counted node is over and adds no depth
+            # for the depth one task over the whole tree reaches
             left = budget - nodes
             if left < budget:
-                task_depth = (_subtree_task(job(prefix, left), tables)[3]
-                              if left else 0)
+                task_depth = _subtree_task(job(prefix, left), tables)[3]
             complete, nodes = False, budget + 1
             max_depth = max(max_depth, task_depth)
             return True
@@ -297,8 +281,7 @@ def _search_length(cfg, tables, length, pdb_only, collect_limit, budget,
         # nodes
         cap, checkpoint = budget, None
         if workers > 1:
-            cap = min(budget or kernel.PROGRESS_INTERVAL,
-                      kernel.PROGRESS_INTERVAL)
+            cap = min(budget, kernel.PROGRESS_INTERVAL)
         elif progress is not None:
             def checkpoint(nodes, at_depth, found):
                 progress(nodes, at_depth, found, length)
@@ -334,93 +317,95 @@ def _certified(cfg, solution, pdb_only):
     return word
 
 
-def run_search(cfg, progress=None):
-    """Dispatch on cfg.target; see the wrapper functions for the contracts."""
-    if cfg.target == TARGET_SHORTEST:
-        return search_shortest_covering(cfg, progress=progress)
-    if cfg.target == TARGET_PDB:
-        return search_pdb_existence(cfg.k, cfg.sigma, cfg, progress=progress)
+def _lengths(cfg):
+    """The lengths the search of ``cfg`` runs, in order, and the length
+    refuted before the first of them (None: none).  No perfect cover is
+    sought where the counting bound rules it out, as no covering word is
+    then that short."""
     if cfg.target == TARGET_AT_LENGTH:
-        _check_sizes(cfg)
-        return _search(cfg, TARGET_AT_LENGTH, [cfg.target_length], False,
-                       False, progress=progress)
-    raise InvalidInput("unknown search target %r" % (cfg.target,))
+        return [cfg.target_length], None
+    bounds = covering.bounds(cfg.k, cfg.sigma)
+    if cfg.target == TARGET_PDB:
+        if bounds.pdb_possible_by_bounds:
+            return [bounds.pdb_length], None
+        return [], bounds.pdb_length
+    lower = bounds.shortest_lower_bound
+    top = cfg.max_len
+    if top is None:
+        # every length the kernel's state allows; the loop refuses a lower
+        # bound beyond them
+        top = max(lower, _longest_word(cfg.k, cfg.sigma))
+    return range(lower, top + 1), min(lower - 1, top)
 
 
-def _search(cfg, target, lengths, pdb_only, minimal, refuted_up_to=None,
-            progress=None):
-    """Searches ``lengths`` in order up to the first witness, with one
-    tables build and one node budget for all of them; ``refuted_up_to`` is
-    what is refuted before the first of them."""
-    start = time.perf_counter()
-    tables = _prepare(cfg, lengths) if lengths else None
-    complete, sols, nodes, max_depth = True, [], 0, 0
+def _search_lengths(cfg, lengths, pdb_only, collect_limit, progress=None):
+    """Searches ``lengths`` in order with one tables build, one pool and
+    one node budget for all of them, and yields (length, complete,
+    solutions, nodes, max_depth) after each, nodes and max_depth over the
+    lengths so far; stops after a length the budget left incomplete.  A
+    caller that stops earlier closes it, which ends the pool."""
+    if not lengths:
+        return
+    longest = _longest_word(cfg.k, cfg.sigma)
+    if lengths[-1] > longest:
+        raise CapacityExceeded(
+            "a search word of %d letters for k=%d sigma=%d exceeds the "
+            "MAX_TABLE_ENTRIES bound: at most %d letters"
+            % (lengths[-1], cfg.k, cfg.sigma, longest))
+    tables = _build_tables(cfg.k, cfg.sigma)
+    budget = min(cfg.node_budget or kernel.MAX_NODES, kernel.MAX_NODES)
+    nodes = max_depth = 0
     with _Pool(cfg.worker_count) as pool:
         for length in lengths:
             complete, sols, n, d = _search_length(
-                cfg, tables, length, pdb_only, 1, _budget_left(cfg, nodes),
+                cfg, tables, length, pdb_only, collect_limit, budget - nodes,
                 pool, progress)
             nodes += n
             max_depth = max(max_depth, d)
+            yield length, complete, sols, nodes, max_depth
+            if not complete:
+                return
+
+
+def run_search(cfg, progress=None):
+    """The outcome of the search ``cfg`` describes.  A perfect cover is
+    sought at its one feasible length, windows never repeating a vector,
+    so a refutation means none exists."""
+    if cfg.target not in (TARGET_SHORTEST, TARGET_PDB, TARGET_AT_LENGTH):
+        raise InvalidInput("unknown search target %r" % (cfg.target,))
+    start = time.perf_counter()
+    _check_sizes(cfg)
+    lengths, refuted_up_to = _lengths(cfg)
+    pdb_only = cfg.target == TARGET_PDB
+    complete, sols, nodes, max_depth = True, [], 0, 0
+    # closed before the witness is certified: no thread of the pool is
+    # left by then
+    with closing(_search_lengths(cfg, lengths, pdb_only, 1,
+                                 progress)) as searched:
+        for length, complete, sols, nodes, max_depth in searched:
             if sols or not complete:
                 break
             refuted_up_to = length
-    outcome = partial(SearchOutcome, k=cfg.k, sigma=cfg.sigma, target=target,
+    outcome = partial(SearchOutcome, k=cfg.k, sigma=cfg.sigma,
+                      target=cfg.target,
                       stats=SearchStats(nodes=nodes, max_depth=max_depth,
                                         elapsed=time.perf_counter() - start))
     if sols:
-        return outcome(status=STATUS_FOUND, minimal=minimal,
+        return outcome(status=STATUS_FOUND,
+                       minimal=cfg.target != TARGET_AT_LENGTH,
                        witness=_certified(cfg, sols[0], pdb_only))
     return outcome(status=STATUS_REFUTED if complete else STATUS_BUDGET,
                    refuted_up_to=refuted_up_to)
 
 
-def search_shortest_covering(cfg, progress=None):
-    """Iterative deepening from the lower bound; the first witness is found
-    at the smallest feasible length and is minimal by exhaustion below."""
+def _collect_all(cfg, what):
+    """Yields the kernel's canonical solutions of the lengths the search of
+    ``cfg`` runs, in order; raises CapacityExceeded, naming the length,
+    when the budget runs out."""
     _check_sizes(cfg)
-    lower = covering.bounds(cfg.k, cfg.sigma).shortest_lower_bound
-    top = cfg.max_len
-    if top is None:
-        # every length the kernel's state allows; _prepare refuses a lower
-        # bound beyond them
-        top = max(lower, _longest_word(cfg.k, cfg.sigma))
-    return _search(cfg, TARGET_SHORTEST, range(lower, top + 1), False, True,
-                   min(lower - 1, top), progress)
-
-
-def _pdb_lengths(k, sigma):
-    """The lengths a perfect-cover search runs: the perfect length, or none
-    when the counting bound rules it out, as no covering word is then that
-    short.  bounds() refuses a k or sigma below 1."""
-    bounds = covering.bounds(k, sigma)
-    return [bounds.pdb_length] if bounds.pdb_possible_by_bounds else []
-
-
-def search_pdb_existence(k, sigma, cfg=None, progress=None):
-    """Search the single feasible perfect-cover length, windows never
-    repeating a vector; refutation means no such word exists at all."""
-    cfg = replace(cfg or SearchConfig(k=k, sigma=sigma), k=k, sigma=sigma,
-                  target=TARGET_PDB)
-    _check_sizes(cfg)
-    lengths = _pdb_lengths(k, sigma)
-    return _search(cfg, TARGET_PDB, lengths, True, True,
-                   None if lengths else covering.perfect_length(k, sigma),
-                   progress)
-
-
-def _collect_all(cfg, lengths, pdb_only, what):
-    """Yields the kernel's canonical solutions of ``lengths`` in order, with
-    one tables build, pool and node budget for all of them; raises
-    CapacityExceeded, naming the length, when the budget runs out."""
-    tables = _prepare(cfg, lengths) if lengths else None
-    nodes = 0
-    with _Pool(cfg.worker_count) as pool:
-        for length in lengths:
-            complete, sols, n, _d = _search_length(
-                cfg, tables, length, pdb_only, 0, _budget_left(cfg, nodes),
-                pool)
-            nodes += n
+    with closing(_search_lengths(cfg, _lengths(cfg)[0],
+                                 cfg.target == TARGET_PDB, 0)) as searched:
+        for length, complete, sols, _nodes, _depth in searched:
             if not complete:
                 raise CapacityExceeded("%s ran out of node budget at length "
                                        "%d" % (what, length))
@@ -436,10 +421,7 @@ def iter_covering_words(k, sigma, max_len, node_budget=None):
         node_budget = DEFAULT_NODE_BUDGET
     cfg = SearchConfig(k=k, sigma=sigma, max_len=max_len,
                        node_budget=node_budget)
-    _check_sizes(cfg)
-    lengths = range(covering.bounds(k, sigma).shortest_lower_bound,
-                    max_len + 1)
-    for sol in _collect_all(cfg, lengths, False, "covering-word enumeration"):
+    for sol in _collect_all(cfg, "covering-word enumeration"):
         yield _certified(cfg, sol, False)
 
 
@@ -464,10 +446,14 @@ def enumerate_all_pdb(k, sigma, cfg=None):
     """All perfect covering words, one canonical representative per orbit
     under alphabet relabeling and reversal, sorted by letter indices: []
     at once when the counting bound rules them out, else bounded by the
-    node budget of ``cfg``, whose exhaustion raises CapacityExceeded."""
-    cfg = replace(cfg or SearchConfig(k=k, sigma=sigma), k=k, sigma=sigma,
-                  target=TARGET_PDB)
-    _check_sizes(cfg)
+    node budget of ``cfg``, whose exhaustion raises CapacityExceeded.
+    ``cfg`` must be of the same k and sigma; its target is ignored."""
+    cfg = cfg or SearchConfig(k=k, sigma=sigma)
+    if (cfg.k, cfg.sigma) != (k, sigma):
+        raise InvalidInput("a config of k=%r sigma=%r cannot enumerate the "
+                           "perfect covers of k=%r sigma=%r"
+                           % (cfg.k, cfg.sigma, k, sigma))
+    cfg = replace(cfg, target=TARGET_PDB)
     classes = {_canonical(sol) for sol in _collect_all(
-        cfg, _pdb_lengths(k, sigma), True, "perfect-cover enumeration")}
+        cfg, "perfect-cover enumeration")}
     return [_certified(cfg, rep, True) for rep in sorted(classes)]

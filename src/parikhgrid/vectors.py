@@ -151,11 +151,15 @@ def check_window(k):
 
 def order(p):
     """Order of a vector: the sum of its counts."""
+    if min(p, default=-1) < 0:
+        validate_vector(p)  # raises: p is empty or has a negative count
     return sum(p)
 
 
 def support_size(p):
     """Number of non-zero counts (the vector's gamma)."""
+    if min(p, default=-1) < 0:
+        validate_vector(p)
     return sum(1 for c in p if c)
 
 

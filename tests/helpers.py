@@ -11,6 +11,7 @@ import string
 from collections import deque
 from math import comb
 
+from parikhgrid import search as S
 from parikhgrid import vectors as V
 
 # Known shortest k-covering words for small alphabets, used as regression
@@ -121,6 +122,13 @@ def first_covering_word_naive(k, sigma, length):
 def covering_word_exists_naive(k, sigma, length):
     """Plain enumeration over all sigma**length words."""
     return first_covering_word_naive(k, sigma, length) is not None
+
+
+def pdb_search(k, sigma, progress=None, **fields):
+    """The outcome of search.run_search for a perfect cover of (k, sigma),
+    with the other SearchConfig fields as given."""
+    cfg = S.SearchConfig(k=k, sigma=sigma, target=S.TARGET_PDB, **fields)
+    return S.run_search(cfg, progress=progress)
 
 
 def achievable_window_sets(k, sigma):

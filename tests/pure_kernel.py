@@ -187,7 +187,7 @@ def fixed_length_search(k, sigma, length, tables, pdb_only, rules, prefix,
         while c < top:
             if counted:
                 nodes += 1
-                if node_budget and nodes > node_budget:
+                if nodes > node_budget:
                     return False, solutions, nodes, max_depth
                 if progress is not None and nodes % PROGRESS_INTERVAL == 0:
                     progress(nodes, pos, len(solutions))

@@ -92,14 +92,14 @@ def test_criterion_06_search_reproduces_shortest_lengths():
     start = time.perf_counter()
     expected = {(3, 2): 7, (3, 3): 12, (4, 2): 12, (5, 2): 16, (3, 4): 19}
     for (sigma, k), length in sorted(expected.items()):
-        out = S.search_shortest_covering(S.SearchConfig(k=k, sigma=sigma))
+        out = S.run_search(S.SearchConfig(k=k, sigma=sigma))
         assert out.status == S.STATUS_FOUND, (sigma, k)
         assert len(out.witness) == length, (sigma, k)
         assert out.minimal, (sigma, k)
     # deterministic across thread counts
-    single = S.search_shortest_covering(S.SearchConfig(k=3, sigma=3,
+    single = S.run_search(S.SearchConfig(k=3, sigma=3,
                                                        worker_count=1))
-    double = S.search_shortest_covering(S.SearchConfig(k=3, sigma=3,
+    double = S.run_search(S.SearchConfig(k=3, sigma=3,
                                                        worker_count=2))
     assert single.witness == double.witness
     elapsed = time.perf_counter() - start
@@ -110,7 +110,7 @@ def test_criterion_06_search_reproduces_shortest_lengths():
 
 def test_criterion_07_no_perfect_cover_for_three_letters_k4():
     start = time.perf_counter()
-    out = S.search_pdb_existence(4, 3)
+    out = S.run_search(S.SearchConfig(k=4, sigma=3, target=S.TARGET_PDB))
     assert out.status == S.STATUS_REFUTED
     assert out.refuted_up_to == 18
     elapsed = time.perf_counter() - start
@@ -156,7 +156,7 @@ def test_criterion_10_bounds_consistency():
     instances += [(3, s) for s in range(2, 6)]
     instances += [(4, 2), (4, 3), (5, 2), (4, 4), (5, 3)]
     for k, sigma in instances:
-        out = S.search_shortest_covering(S.SearchConfig(k=k, sigma=sigma))
+        out = S.run_search(S.SearchConfig(k=k, sigma=sigma))
         assert out.status == S.STATUS_FOUND, (k, sigma)
         lower = C.bounds(k, sigma).shortest_lower_bound
         assert len(out.witness) >= lower, (k, sigma)

@@ -17,8 +17,9 @@ def _sample_reports():
     yield covering.verify("abab", 3, 3)
     yield covering.bounds(4, 3)
     yield covering.bounds(2, 5)
-    yield search.search_shortest_covering(search.SearchConfig(k=2, sigma=3))
-    yield search.search_pdb_existence(4, 3)
+    yield search.run_search(search.SearchConfig(k=2, sigma=3))
+    yield search.run_search(search.SearchConfig(k=4, sigma=3,
+                                              target=search.TARGET_PDB))
     yield realize.is_realizable_set([(2, 1, 0), (1, 2, 0)])
     yield realize.is_realizable_set([(3, 0, 0), (0, 3, 0)])
     yield covering.mincov_explore(3, 2, 7)

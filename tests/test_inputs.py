@@ -3,7 +3,8 @@ is none: one without coordinates, or one with a negative count, whether
 its counts sum to the order asked for or not.  Every one that takes an
 order k or an alphabet size sigma refuses either below 1 or not an int,
 with one message, before any other argument is read.  A search refuses a
-length or a node budget that is not an int."""
+length or a node budget that is not an int, and a perfect-cover
+enumeration a config of another instance."""
 
 import re
 
@@ -21,6 +22,8 @@ from parikhgrid.errors import InvalidInput
 GRID = G.PdbGrid(1, 2)
 
 ENTRY_POINTS = {
+    "order": V.order,
+    "support_size": V.support_size,
     "neighbors": V.neighbors,
     "parents": V.parents,
     "children": V.children,
@@ -129,3 +132,13 @@ def test_search_refuses_a_size_that_is_not_an_int(name, size):
         field, 3 if field == "target_length" else 0, size)
     with pytest.raises(InvalidInput, match="^%s$" % re.escape(message)):
         SIZE_ENTRY_POINTS[name](size)
+
+
+@pytest.mark.parametrize("k,sigma", [(4, 4), (4, 3), (3, 4)])
+def test_enumeration_refuses_a_config_of_another_instance(k, sigma):
+    # the config gives the enumeration its budget and workers, not another
+    # (k, sigma) to search in place of its own
+    with pytest.raises(InvalidInput, match="^a config of k=%d sigma=%d "
+                       "cannot enumerate the perfect covers of k=3 sigma=3$"
+                       % (k, sigma)):
+        S.enumerate_all_pdb(3, 3, S.SearchConfig(k=k, sigma=sigma))

@@ -87,7 +87,10 @@ WIDE_CASES = [
 # sigma = 1 .. 9 take every number of planes, 1 to 7.  Then repeated
 # windows, which re-enter U + {current} without the duplicate-window rule,
 # and a prefix task.  The pure kernel takes about 0.07 s per 5 * 10^4
-# nodes there.
+# nodes there.  Last, the budget edges of the refutation of (sigma=3,
+# k=4), which counts 1,452 nodes: no node, one short of the tree, the tree
+# and one more, and a prefix task that places two letters before its
+# first counted node.
 PERFECT_CASES = [
     # k, sigma, length, pdb_only, rules, prefix, collect_limit, node_budget
     (4, 5, 73, True, 15, (), 1, 5 * 10**4),
@@ -101,7 +104,9 @@ PERFECT_CASES = [
     (4, 6, 129, True, 6, (), 1, 5 * 10**4),     # duplicate-window rule off
     (15, 3, 150, True, 4, (), 1, 5 * 10**4),    # components alone
     (4, 6, 129, True, 15, (0, 0, 0, 0, 1, 2), 1, 5 * 10**4),
-]
+] + [
+    (4, 3, 18, True, 15, (), 0, budget) for budget in (0, 1451, 1452, 1453)
+] + [(4, 3, 18, True, 15, (0, 0, 1), 0, 0)]
 
 
 def _same_trace(k, sigma, length, pdb_only, rules, prefix, limit, budget):
@@ -142,13 +147,14 @@ def test_prefix_tasks_count_each_node_once(search, k, sigma, length,
     # the tasks at any depth, run in prefix order, visit the nodes of the
     # whole tree once each and find its solutions in the same order
     tables = _build_tables(k, sigma)
-    whole = search(k, sigma, length, tables, pdb_only, rules, (), 0, 0)
+    whole = search(k, sigma, length, tables, pdb_only, rules, (), 0,
+                   K.MAX_NODES)
     prefixes = [()]
     for _depth in range(4):
         prefixes = [p + (c,) for p in prefixes
                     for c in range(min(max(p, default=-1) + 2, sigma))]
-        parts = [search(k, sigma, length, tables, pdb_only, rules, p, 0, 0)
-                 for p in prefixes]
+        parts = [search(k, sigma, length, tables, pdb_only, rules, p, 0,
+                        K.MAX_NODES) for p in prefixes]
         assert sum(part[2] for part in parts) == whole[2]
         assert max(part[3] for part in parts) == whole[3]
         assert [w for part in parts for w in part[1]] == whole[1]
@@ -205,6 +211,30 @@ def test_budget_exhaustion_parity():
     assert a[0] is False or a[0] == 0  # budget flag tripped
 
 
+@pytest.mark.parametrize("search", KERNELS)
+def test_budget_caps_the_counted_nodes(search):
+    # the node past the budget is counted and ends the search: a budget of
+    # 0 allows no node, and one node short of the tree leaves it
+    # incomplete at the tree's depth
+    tables = _build_tables(4, 3)
+
+    def run(budget, prefix=()):
+        return search(4, 3, 18, tables, True, 15, prefix, 0, budget)
+
+    assert run(0) == (False, [], 1, 0)
+    assert run(0, (0, 0, 1)) == (False, [], 1, 2)
+    assert run(1451) == (False, [], 1452, 17)
+    assert run(1452) == run(1453) == run(K.MAX_NODES) == (True, [], 1452, 17)
+
+
+@pytest.mark.parametrize("budget", [-1, K.MAX_NODES + 1])
+def test_compiled_rejects_a_budget_past_its_counter(budget):
+    # the C node counter is a long long, which a larger int would wrap
+    tables = _build_tables(2, 3)
+    with pytest.raises(ValueError):
+        K.fixed_length_search(2, 3, 7, tables, False, 15, (), 1, budget)
+
+
 def test_progress_exception_propagates():
     # without the components rule the perfect-cover search for (sigma=5,
     # k=4) takes 12.9M nodes, so the first checkpoint comes at 1M nodes,
@@ -221,8 +251,8 @@ def test_progress_exception_propagates():
     tables = _build_tables(4, 5)
     with pytest.raises(Stop):
         K.fixed_length_search(4, 5, perfect_length(4, 5), tables, True,
-                              K.ALL_RULES & ~K.RULE_COMPONENTS, (), 1, 0,
-                              progress)
+                              K.ALL_RULES & ~K.RULE_COMPONENTS, (), 1,
+                              K.MAX_NODES, progress)
     assert calls == [K.PROGRESS_INTERVAL]
 
 
@@ -439,8 +469,10 @@ def test_components_rule_keeps_every_solution(search, k, sigma, length,
     # the rule cuts only subtrees without a solution
     tables = _build_tables(k, sigma)
     without = K.ALL_RULES & ~K.RULE_COMPONENTS
-    on = search(k, sigma, length, tables, pdb_only, K.ALL_RULES, (), 0, 0)
-    off = search(k, sigma, length, tables, pdb_only, without, (), 0, 0)
+    on = search(k, sigma, length, tables, pdb_only, K.ALL_RULES, (), 0,
+                K.MAX_NODES)
+    off = search(k, sigma, length, tables, pdb_only, without, (), 0,
+                 K.MAX_NODES)
     assert on[0] and off[0]
     assert on[1] == off[1]
     assert on[2] <= off[2]

@@ -19,7 +19,8 @@ from parikhgrid.errors import CapacityExceeded, InvalidInput
 
 import pure_kernel
 from helpers import (canonical_indices, colex_vectors,
-                     covering_word_exists_naive, grid_step, render_indices)
+                     covering_word_exists_naive, grid_step, pdb_search,
+                     render_indices)
 
 # (k, sigma) -> expected shortest covering length
 SHORTEST = {(2, 3): 7, (3, 3): 12, (2, 4): 12, (2, 5): 16, (4, 3): 19,
@@ -84,7 +85,7 @@ def _slow_past_the_witness(job, tables, progress=None):
 class TestShortestCovering:
     @pytest.mark.parametrize("k,sigma", sorted(SHORTEST))
     def test_lengths_and_minimality(self, k, sigma):
-        out = S.search_shortest_covering(S.SearchConfig(k=k, sigma=sigma))
+        out = S.run_search(S.SearchConfig(k=k, sigma=sigma))
         assert out.status == S.STATUS_FOUND
         assert len(out.witness) == SHORTEST[(k, sigma)]
         assert out.minimal
@@ -96,7 +97,7 @@ class TestShortestCovering:
 
     def test_k2_closed_form(self):
         for sigma in range(2, 6):
-            out = S.search_shortest_covering(S.SearchConfig(k=2, sigma=sigma))
+            out = S.run_search(S.SearchConfig(k=2, sigma=sigma))
             expected = (sigma * (sigma + 1)) // 2 + (1 if sigma % 2
                                                      else sigma // 2)
             assert len(out.witness) == expected
@@ -104,7 +105,7 @@ class TestShortestCovering:
     def test_k2_s6_beyond_the_default_budget(self):
         # the closed form is 24 letters; with every rule on, the default
         # budget runs out in length 24 after refuting 23
-        out = S.search_shortest_covering(S.SearchConfig(k=2, sigma=6))
+        out = S.run_search(S.SearchConfig(k=2, sigma=6))
         if out.status == S.STATUS_FOUND:
             assert len(out.witness) == 24 and out.minimal
         else:
@@ -126,19 +127,29 @@ class TestShortestCovering:
     def test_compiled_outcomes_pinned(self, k, sigma, nodes, witness):
         # every node of a covering search reads the carried component
         # count, so a count that is wrong anywhere moves these
-        out = S.search_shortest_covering(S.SearchConfig(k=k, sigma=sigma))
+        out = S.run_search(S.SearchConfig(k=k, sigma=sigma))
         assert (out.status, out.witness, out.minimal, out.stats.nodes,
                 out.stats.max_depth) == (S.STATUS_FOUND, witness, True, nodes,
                                          len(witness))
 
     def test_max_len_refutation(self):
-        out = S.search_shortest_covering(
+        out = S.run_search(
             S.SearchConfig(k=3, sigma=3, max_len=11))
         assert out.status == S.STATUS_REFUTED
         assert out.refuted_up_to == 11
 
+    def test_budget_past_the_node_counter_is_no_cap(self):
+        # no search reaches a budget past the kernel's node counter
+        def run(budget):
+            out = S.run_search(S.SearchConfig(k=3, sigma=3,
+                                              node_budget=budget))
+            return (out.status, out.witness, out.stats.nodes,
+                    out.stats.max_depth)
+
+        assert run(2**70) == run(kernel.MAX_NODES) == run(0) == run(None)
+
     def test_budget_exhaustion_reported(self):
-        out = S.search_shortest_covering(
+        out = S.run_search(
             S.SearchConfig(k=4, sigma=3, node_budget=50))
         assert out.status == S.STATUS_BUDGET
 
@@ -165,7 +176,7 @@ class TestShortestCovering:
         # all, and the length after runs out of what is left, even when
         # nothing is left; the whole search, found at 27, fits in 123,457
         def run(**kw):
-            return S.search_shortest_covering(S.SearchConfig(k=5, sigma=3,
+            return S.run_search(S.SearchConfig(k=5, sigma=3,
                                                              **kw))
 
         out = run(node_budget=budget)
@@ -194,30 +205,30 @@ class TestPdbExistence:
     def test_refuted_by_bounds_without_search(self, k, sigma):
         # a perfect cover is shorter than the counting bound allows
         assert not C.bounds(k, sigma).pdb_possible_by_bounds
-        out = S.search_pdb_existence(k, sigma)
+        out = pdb_search(k, sigma)
         assert out.status == S.STATUS_REFUTED
         assert out.refuted_up_to == C.perfect_length(k, sigma)
         assert out.stats.nodes == 0
 
     def test_4_3_refuted_at_18(self):
-        out = S.search_pdb_existence(4, 3)
+        out = pdb_search(4, 3)
         assert out.status == S.STATUS_REFUTED
         assert out.refuted_up_to == 18
 
     def test_3_3_found(self):
-        out = S.search_pdb_existence(3, 3)
+        out = pdb_search(3, 3)
         assert out.status == S.STATUS_FOUND
         assert C.verify(out.witness, 3, 3).is_pdb
         assert out.minimal
 
     def test_binary_found(self):
         for k in (2, 3, 5):
-            out = S.search_pdb_existence(k, 2)
+            out = pdb_search(k, 2)
             assert out.status == S.STATUS_FOUND
             assert len(out.witness) == 2 * k
 
     def test_5_4_sixty_letter_word_found(self):
-        out = S.search_pdb_existence(5, 4)
+        out = pdb_search(5, 4)
         assert out.status == S.STATUS_FOUND
         assert len(out.witness) == 60
         assert C.verify(out.witness, 5, 4).is_pdb
@@ -265,7 +276,7 @@ class TestTables:
             S._build_tables(S.MAX_TABLE_ENTRIES, 1)
 
     @pytest.mark.parametrize("search", [
-        lambda: S.search_shortest_covering(S.SearchConfig(k=13, sigma=8)),
+        lambda: S.run_search(S.SearchConfig(k=13, sigma=8)),
         lambda: S.run_search(S.SearchConfig(
             k=13, sigma=8, target=S.TARGET_AT_LENGTH, target_length=80_000)),
         lambda: list(S.iter_covering_words(13, 8, 80_000)),
@@ -357,10 +368,9 @@ class TestPruningRules:
 
     @staticmethod
     def _run(target, k, sigma, rules):
-        cfg = S.SearchConfig(k=k, sigma=sigma, rules=rules)
         if target == "pdb":
-            return S.search_pdb_existence(k, sigma, cfg)
-        return S.search_shortest_covering(cfg)
+            return pdb_search(k, sigma, rules=rules)
+        return S.run_search(S.SearchConfig(k=k, sigma=sigma, rules=rules))
 
     @pytest.mark.parametrize("target,k,sigma,witness", [
         (S.TARGET_PDB, 6, 3, None),
@@ -382,14 +392,14 @@ class TestPruningRules:
 
 class TestDeterminism:
     def test_witness_stable_across_worker_counts(self):
-        outs = [S.search_shortest_covering(
+        outs = [S.run_search(
             S.SearchConfig(k=3, sigma=3, worker_count=w)) for w in (1, 2, 4)]
         assert len({o.witness for o in outs}) == 1
         assert len({o.status for o in outs}) == 1
 
     def test_repeat_runs_identical(self):
-        a = S.search_shortest_covering(S.SearchConfig(k=2, sigma=4))
-        b = S.search_shortest_covering(S.SearchConfig(k=2, sigma=4))
+        a = S.run_search(S.SearchConfig(k=2, sigma=4))
+        b = S.run_search(S.SearchConfig(k=2, sigma=4))
         assert a.witness == b.witness and a.stats.nodes == b.stats.nodes
 
     def test_workers_stop_after_the_witness(self, pools):
@@ -399,9 +409,8 @@ class TestDeterminism:
         # witness is in the 4th, and tasks after it would each run to the
         # 10^8-node budget it is given: the search stops its pool once the
         # witness is merged, so no thread is left when it returns
-        out = S.search_pdb_existence(4, 5, S.SearchConfig(
-            k=4, sigma=5, worker_count=2,
-            rules=S.ALL_RULES - {"components"}))
+        out = pdb_search(4, 5, worker_count=2,
+                         rules=S.ALL_RULES - {"components"})
         assert out.status == S.STATUS_FOUND
         assert len(pools) == 1 and pools[0].tasks == 202
         assert _search_threads() == []
@@ -454,7 +463,7 @@ class TestDeterminism:
         # writes, so a result lost or mixed up in the merge would move the
         # outcome.  Shortest (k=7, sigma=3) splits lengths 43 and 44
         def run(workers):
-            out = S.search_shortest_covering(
+            out = S.run_search(
                 S.SearchConfig(k=7, sigma=3, worker_count=workers))
             return (out.status, out.witness, out.stats.nodes,
                     out.stats.max_depth)
@@ -474,7 +483,7 @@ class TestDeterminism:
         # first checkpoint, so no worker count starts a pool for it
         assert C.bounds(5, 3).shortest_lower_bound == 25
         for workers in (1, 2):
-            out = S.search_shortest_covering(
+            out = S.run_search(
                 S.SearchConfig(k=5, sigma=3, worker_count=workers))
             assert len(out.witness) == 27
             assert pools == []
@@ -483,7 +492,7 @@ class TestDeterminism:
         # shortest (k=8, sigma=3): length 52 ends inline in 820,913 nodes,
         # 53 outgrows the first checkpoint and starts the pool, and 54 goes
         # straight to that pool, though its 471,601 nodes would end inline
-        out = S.search_shortest_covering(
+        out = S.run_search(
             S.SearchConfig(k=8, sigma=3, worker_count=2))
         assert len(out.witness) == 54 and out.minimal
         assert len(pools) == 1
@@ -497,8 +506,7 @@ class TestDeterminism:
         # here moved to 1,000 nodes; a budget that ends there has the
         # one-worker outcome and starts no pool
         monkeypatch.setattr(kernel, "PROGRESS_INTERVAL", 1_000)
-        out = S.search_pdb_existence(6, 4, S.SearchConfig(
-            k=6, sigma=4, worker_count=2, node_budget=1_000 + over))
+        out = pdb_search(6, 4, worker_count=2, node_budget=1_000 + over)
         assert (out.status, out.stats.nodes) == (S.STATUS_BUDGET,
                                                  1_001 + over)
         assert len(pools) == started
@@ -507,14 +515,15 @@ class TestDeterminism:
         # perfect covers of (k=3, sigma=6) are ruled out by bounds(), so
         # nothing is searched and no pool is needed; a search of their
         # length would outgrow the first checkpoint and start one
-        cfg = S.SearchConfig(k=3, sigma=6, worker_count=2,
+        cfg = S.SearchConfig(k=3, sigma=6, target=S.TARGET_PDB,
+                             worker_count=2,
                              node_budget=2 * kernel.PROGRESS_INTERVAL)
-        out = S.search_pdb_existence(3, 6, cfg)
+        out = S.run_search(cfg)
         assert out.status == S.STATUS_REFUTED
         assert pools == []
-        out = S._search(cfg, S.TARGET_PDB, [C.perfect_length(3, 6)], True,
-                        True)
-        assert out.status == S.STATUS_BUDGET
+        [(_length, complete, _sols, nodes, _depth)] = S._search_lengths(
+            cfg, [C.perfect_length(3, 6)], True, 1)
+        assert not complete and nodes == cfg.node_budget + 1
         assert len(pools) == 1
 
     def test_task_prefixes_follow_the_worker_count(self):
@@ -541,15 +550,23 @@ class TestWorkerStop:
         # the perfect cover of (sigma=4, k=5) takes 1,254,578 nodes, so 2
         # workers split it; every pool task after the witness's calls its
         # checkpoint for 30 s, which raises once the pool is stopping
-        one = S.search_pdb_existence(5, 4)
+        one = pdb_search(5, 4)
         monkeypatch.setattr(sys.modules[__name__], "_witness",
                             V.Alphabet(4).word_to_indices(one.witness))
         monkeypatch.setattr(S, "_subtree_task", _slow_past_the_witness)
         start = time.monotonic()
-        out = S.search_pdb_existence(
-            5, 4, S.SearchConfig(k=5, sigma=4, worker_count=2))
+        out = pdb_search(5, 4, worker_count=2)
         assert time.monotonic() - start < 10
         assert (out.status, out.witness) == (S.STATUS_FOUND, one.witness)
+        assert len(pools) == 1 and _search_threads() == []
+
+    def test_enumeration_out_of_budget_stops_the_pool(self, pools):
+        # the perfect covers of (sigma=4, k=4) take 38,999,635 nodes, so 2
+        # workers split their length past the inline run's first
+        # checkpoint, and the budget runs out in the pool's tasks
+        with pytest.raises(CapacityExceeded, match="at length 38"):
+            S.enumerate_all_pdb(4, 4, S.SearchConfig(
+                k=4, sigma=4, worker_count=2, node_budget=2 * 10**6))
         assert len(pools) == 1 and _search_threads() == []
 
     def test_progress_that_raises_stops_the_pool(self, pools):
@@ -563,9 +580,8 @@ class TestWorkerStop:
             raise Interrupt
 
         with pytest.raises(Interrupt):
-            S.search_pdb_existence(4, 5, S.SearchConfig(
-                k=4, sigma=5, worker_count=2,
-                rules=S.ALL_RULES - {"components"}), progress=progress)
+            pdb_search(4, 5, progress, worker_count=2,
+                       rules=S.ALL_RULES - {"components"})
         assert len(pools) == 1 and _search_threads() == []
 
     def test_workers_stop_the_task_after_the_witness(self, cpus):
@@ -581,8 +597,7 @@ class TestWorkerStop:
         alone = time.perf_counter() - start
         assert not complete and nodes > S.DEFAULT_NODE_BUDGET
         start = time.perf_counter()
-        out = S.search_pdb_existence(
-            4, 5, S.SearchConfig(k=4, sigma=5, worker_count=2, rules=rules))
+        out = pdb_search(4, 5, worker_count=2, rules=rules)
         assert out.status == S.STATUS_FOUND
         assert time.perf_counter() - start < alone
 
@@ -617,7 +632,7 @@ class TestWorkerCount:
         monkeypatch.setattr(kernel, "PROGRESS_INTERVAL", 1_000)
 
         def run(workers):
-            out = S.search_shortest_covering(
+            out = S.run_search(
                 S.SearchConfig(k=5, sigma=3, worker_count=workers))
             return (out.status, out.witness, out.refuted_up_to,
                     out.stats.nodes, out.stats.max_depth)
